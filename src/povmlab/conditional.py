@@ -29,7 +29,6 @@ from .linalg import (
     hermitize,
     is_unitary,
     op_norm,
-    psd_inv_sqrt,
     psd_sqrt,
     trace_norm,
 )
@@ -47,6 +46,21 @@ def kernel_min_eig(A0, tol: float = DEFAULT_TOL) -> float:
 
 def _kernel_floor(A0: np.ndarray) -> float:
     return KERNEL_FLOOR_FACTOR * max(op_norm(A0), np.finfo(float).tiny)
+
+
+def _lab_inv_sqrt(A0: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """A0^{-1/2} and ||A0|| from one eigendecomposition, which also feeds the
+    kernel check: refuses when the minimum eigenvalue is within the kernel
+    floor, KERNEL_FLOOR_FACTOR * ||A0||."""
+    w, V = eigh_checked(A0, tol)
+    kmin, knorm = float(w[0]), float(max(abs(w[0]), abs(w[-1])))
+    floor = KERNEL_FLOOR_FACTOR * max(knorm, np.finfo(float).tiny)
+    if kmin <= floor:
+        raise ValueError(
+            f"laboratory effect has kernel within tolerance (min eigenvalue "
+            f"{kmin:.3e} <= floor {floor:.3e}); conditional POVM not constructible"
+        )
+    return (V * (1.0 / np.sqrt(w))) @ dag(V), knorm
 
 
 class ConditionalPOVM:
@@ -136,20 +150,9 @@ def build_conditional(
     systems with a proper laboratory.
     """
     lab = as_cells(lab_cells, sys.n)
-    A0 = effect_of(sys, lab)
-    # one eigendecomposition feeds the kernel check, the norm, and the
-    # inverse square root
-    w, V = eigh_checked(A0, tol)
-    kmin, knorm = float(w[0]), float(max(abs(w[0]), abs(w[-1])))
-    floor = KERNEL_FLOOR_FACTOR * max(knorm, np.finfo(float).tiny)
-    if kmin <= floor:
-        raise ValueError(
-            f"laboratory effect has kernel within tolerance (min eigenvalue "
-            f"{kmin:.3e} <= floor {floor:.3e}); conditional POVM not constructible"
-        )
+    inv_sqrt, knorm = _lab_inv_sqrt(effect_of(sys, lab), tol)
     if conjugator is not None and not is_unitary(conjugator, max(tol, 1e-9)):
         raise ValueError("conjugator must be unitary")
-    inv_sqrt = (V * (1.0 / np.sqrt(w))) @ dag(V)
     return ConditionalPOVM(
         lab,
         lambda cells: effect_of(sys, cells),
@@ -200,16 +203,8 @@ def build_conditional_from_unnormalized(
                     f"family is not additive on disjoint cells (residual {residual:.3e})"
                 )
 
-    T0 = raw(lab)
-    floor = _kernel_floor(T0)
-    kmin = kernel_min_eig(T0, tol)
-    if kmin <= floor:
-        raise ValueError(
-            f"laboratory operator has kernel within tolerance (min eigenvalue "
-            f"{kmin:.3e} <= floor {floor:.3e})"
-        )
-    inv_sqrt = psd_inv_sqrt(T0, floor, tol)
-    return ConditionalPOVM(lab, raw, inv_sqrt, None, lab_effect_norm=op_norm(T0))
+    inv_sqrt, knorm = _lab_inv_sqrt(raw(lab), tol)
+    return ConditionalPOVM(lab, raw, inv_sqrt, None, lab_effect_norm=knorm)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +399,8 @@ def composition_identity_check(
 
     A1 = effect_of(sys, lab1)
     A2 = effect_of(sys, lab2)
-    Au = effect_of(sys, union)
     s1, s2 = psd_sqrt(A1, tol), psd_sqrt(A2, tol)
-    inv_u = psd_inv_sqrt(Au, _kernel_floor(Au), tol)
+    inv_u = cond_u.inv_sqrt
     w1 = psd_sqrt(cond_u.effect(lab1), tol)
     w2 = psd_sqrt(cond_u.effect(lab2), tol)
 

@@ -11,7 +11,7 @@ from typing import Any
 import numpy as np
 
 from .lattice import build_frame_smeared_system, build_sharp_system
-from .linalg import dag, hermitize, psd_inv_sqrt
+from .linalg import dag, hermitize, op_norm, psd_inv_sqrt
 from .measurement import DiscretePOVM, KrausInstrument, luders_instrument
 from .serialization import encode_instrument, encode_matrix, encode_povm
 
@@ -58,7 +58,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Discrete
         G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         blocks.append(G @ dag(G))
     S = sum(blocks)
-    R = psd_inv_sqrt(S, floor=1e-12 * float(np.linalg.norm(S, 2)))
+    R = psd_inv_sqrt(S, floor=1e-12 * op_norm(S))
     return DiscretePOVM([hermitize(R @ B @ R) for B in blocks])
 
 

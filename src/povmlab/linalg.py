@@ -1,8 +1,14 @@
 """Dense complex Hermitian matrix helpers.
 
 Eigendecomposition is the single functional-calculus path used everywhere
-(square roots, inverse square roots, spectral projections), so there is one
-numerical kernel to validate.
+(square roots, inverse square roots), so there is one numerical kernel to
+validate.
+
+Exactly Hermitian input (``A`` bit-equal to ``A†``) takes the singular values
+as ``|eigvalsh(A)|``; every other input goes through the SVD.  The Hermiticity
+guard passes such input at once and otherwise measures ``||A - A†||`` as the
+norm of the exactly Hermitian ``i(A - A†)``, so it takes the same fast path
+while keeping its rule ``||A - A†|| <= tol * max(1, ||A||)``.
 """
 from __future__ import annotations
 
@@ -26,15 +32,27 @@ def dag(M: np.ndarray) -> np.ndarray:
     return np.asarray(M).conj().T
 
 
+def _exactly_hermitian(A: np.ndarray) -> bool:
+    return np.array_equal(A, dag(A))
+
+
+def _singular_values(M) -> np.ndarray:
+    """Singular values, as absolute eigenvalues when ``M`` is exactly
+    Hermitian."""
+    A = np.asarray(M, dtype=complex)
+    if _exactly_hermitian(A):
+        return np.abs(np.linalg.eigvalsh(A))
+    return np.linalg.svd(A, compute_uv=False)
+
+
 def op_norm(M) -> float:
     """Operator norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(M, dtype=complex), 2))
+    return float(_singular_values(M).max())
 
 
 def trace_norm(M) -> float:
-    """Sum of singular values; for Hermitian input this is the sum of
-    absolute eigenvalues."""
-    return float(np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False).sum())
+    """Sum of singular values."""
+    return float(_singular_values(M).sum())
 
 
 def max_abs(M) -> float:
@@ -44,12 +62,17 @@ def max_abs(M) -> float:
 
 
 def herm_residual(M) -> float:
+    """||A - A†||, taken as the norm of the exactly Hermitian i(A - A†)."""
     A = np.asarray(M, dtype=complex)
-    return op_norm(A - dag(A))
+    return op_norm(1j * (A - dag(A)))
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
-    return herm_residual(M) <= tol * max(1.0, op_norm(M))
+    """||A - A†|| <= tol * max(1, ||A||); ||A|| is only computed when the
+    residual exceeds tol."""
+    A = np.asarray(M, dtype=complex)
+    residual = 0.0 if _exactly_hermitian(A) else herm_residual(A)
+    return residual <= tol or residual <= tol * max(1.0, op_norm(A))
 
 
 def hermitize(M) -> np.ndarray:
@@ -72,16 +95,6 @@ def eigh_checked(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         )
     w, V = np.linalg.eigh(hermitize(A))
     return w, V
-
-
-def min_eig(M, tol: float = DEFAULT_TOL) -> float:
-    w, _ = eigh_checked(M, tol)
-    return float(w[0])
-
-
-def max_eig(M, tol: float = DEFAULT_TOL) -> float:
-    w, _ = eigh_checked(M, tol)
-    return float(w[-1])
 
 
 def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -107,15 +120,6 @@ def psd_inv_sqrt(M, floor: float, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"{w[0]:.3e} <= floor {floor:.3e}"
         )
     return (V * (1.0 / np.sqrt(w))) @ dag(V)
-
-
-def spectral_projector(M, predicate, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Projector onto the span of eigenvectors whose eigenvalue satisfies
-    ``predicate``."""
-    w, V = eigh_checked(M, tol)
-    keep = np.array([bool(predicate(x)) for x in w])
-    Vk = V[:, keep]
-    return Vk @ dag(Vk)
 
 
 def is_unitary(M, tol: float = DEFAULT_TOL) -> bool:

@@ -3,9 +3,12 @@ import pytest
 
 from povmlab.generators import haar_unitary, make_rng
 from povmlab.linalg import (
+    DEFAULT_TOL,
     dag,
     eigh_checked,
+    herm_residual,
     hermitize,
+    is_hermitian,
     max_abs,
     op_norm,
     psd_inv_sqrt,
@@ -106,3 +109,104 @@ class TestHelpers:
     def test_haar_unitary_is_unitary(self):
         U = haar_unitary(5, make_rng(18))
         assert op_norm(dag(U) @ U - np.eye(5)) < 1e-12
+
+
+def svd_oracle(A):
+    return np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
+
+
+def old_hermiticity_guard(A, tol=DEFAULT_TOL):
+    """The guard as a pair of SVDs: ||A - A†|| <= tol * max(1, ||A||)."""
+    return svd_oracle(A - dag(A)).max() <= tol * max(1.0, svd_oracle(A).max())
+
+
+def norm_cases(rng):
+    G = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    R = rng.normal(size=(5, 5))
+    return {
+        "hermitian": hermitize(G),
+        "anti_hermitian": G - dag(G),
+        "general": G,
+        "real_symmetric": R + R.T,
+        "one_by_one": np.array([[rng.normal() + 1j * rng.normal()]]),
+    }
+
+
+class TestNormOracle:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e3, 1e6])
+    def test_op_and_trace_norm_match_svd(self, scale):
+        rng = make_rng(21)
+        for name, M in norm_cases(rng).items():
+            A = scale * M
+            s = svd_oracle(A)
+            assert abs(op_norm(A) - s.max()) <= 1e-13 * s.max(), name
+            assert abs(trace_norm(A) - s.sum()) <= 1e-13 * s.sum(), name
+
+    def test_hermitian_input_makes_no_svd_call(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = make_rng(22)
+        H = hermitize(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        op_norm(H)
+        trace_norm(H)
+        assert is_hermitian(H)
+        eigh_checked(H)
+        psd_sqrt(H @ H)
+        op_norm(H + H - np.eye(8))
+        # within tolerance but not exactly Hermitian: the residual i(A - A†)
+        # is exactly Hermitian and the scale ||A|| is not needed
+        N = H.copy()
+        N[0, 1] += 1e-14
+        assert is_hermitian(N)
+        assert calls == []
+        op_norm(rng.normal(size=(8, 8)))
+        assert len(calls) == 1
+
+    def test_residual_matrix_is_exactly_hermitian(self):
+        rng = make_rng(23)
+        for _ in range(20):
+            A = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+            D = 1j * (A - dag(A))
+            assert np.array_equal(D, dag(D))
+            assert abs(herm_residual(A) - svd_oracle(A - dag(A)).max()) <= 1e-13 * op_norm(D)
+
+
+class TestHermiticityGuard:
+    @pytest.mark.parametrize("norm", [0.3, 50.0])
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 2.0])
+    def test_matches_svd_formula_at_the_boundary(self, norm, ratio):
+        """Residual placed just below and just above tol * max(1, ||A||)."""
+        rng = make_rng(24)
+        for _ in range(10):
+            H = hermitize(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+            H *= norm / op_norm(H)
+            K = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            K /= svd_oracle(K - dag(K)).max()
+            A = H + ratio * DEFAULT_TOL * max(1.0, norm) * K
+            expected = old_hermiticity_guard(A)
+            assert expected == (ratio < 1.0)
+            assert is_hermitian(A) == expected
+            if expected:
+                eigh_checked(A)
+            else:
+                with pytest.raises(ValueError, match="Hermitian"):
+                    eigh_checked(A)
+
+    def test_negative_tolerance_rejects_everything(self):
+        assert not is_hermitian(np.eye(2), tol=-1.0)
+        assert not is_hermitian(np.zeros((2, 2)), tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        for M in (np.diag([bad, 1.0]), np.array([[1.0, bad], [0.0, 1.0]])):
+            for fn in (eigh_checked, psd_sqrt):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(M)
+            with pytest.raises(ValueError, match="non-finite"):
+                psd_inv_sqrt(M, floor=1e-8)
