@@ -19,7 +19,7 @@ from typing import Any
 from . import __version__
 from .generators import KINDS, generate_instance
 from .reporting import CheckReport
-from .scenarios import parse_scenarios, run_scenarios
+from .scenarios import check_tol, parse_scenarios, run_scenarios
 from .serialization import SchemaError
 
 EXIT_OK = 0
@@ -70,8 +70,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenarios = parse_scenarios(data)
         if args.tol is not None:
+            tol = check_tol(args.tol, "--tol")
             for sc in scenarios:
-                sc.tol = args.tol
+                sc.tol = tol
         if args.seed is not None:
             for sc in scenarios:
                 sc.seed = args.seed

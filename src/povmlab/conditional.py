@@ -82,8 +82,7 @@ class ConditionalPOVM:
         self.lab_cells = frozenset(lab_cells)
         self._raw_effect = raw_effect
         self.inv_sqrt = inv_sqrt
-        dim = inv_sqrt.shape[0]
-        self.conjugator = np.eye(dim, dtype=complex) if conjugator is None else conjugator
+        self.conjugator = conjugator
         self.lab_effect_norm = float(lab_effect_norm)
         self._cache: dict[frozenset[int], np.ndarray] = {}
 
@@ -96,9 +95,9 @@ class ConditionalPOVM:
         if not cells <= self.lab_cells:
             raise ValueError("cells must lie inside the laboratory region")
         if cells not in self._cache:
-            A = self._raw_effect(cells)
-            V = self.conjugator
-            self._cache[cells] = hermitize(V @ self.inv_sqrt @ A @ self.inv_sqrt @ dag(V))
+            A, R, V = self._raw_effect(cells), self.inv_sqrt, self.conjugator
+            B = R @ A @ R if V is None else V @ R @ A @ R @ dag(V)
+            self._cache[cells] = hermitize(B)
         return self._cache[cells]
 
     def complement_in_lab(self, cells: Iterable[int]) -> frozenset[int]:

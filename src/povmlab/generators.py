@@ -38,12 +38,6 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return hermitize(rho / np.trace(rho).real)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random effect with Haar eigenbasis and uniform spectrum in [0, 1]."""
     U = haar_unitary(dim, rng)

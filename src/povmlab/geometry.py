@@ -70,10 +70,6 @@ class FourVector:
 TIME_AXIS = FourVector(1.0, 0.0, 0.0, 0.0)
 
 
-def minkowski_inner(u: FourVector, v: FourVector) -> float:
-    return -u.t * v.t + u.x * v.x + u.y * v.y + u.z * v.z
-
-
 def classify_vector(v: FourVector, tol: float = CONE_TOL) -> CausalClass:
     """Causal class of a vector with a tolerance band around the light cone.
 

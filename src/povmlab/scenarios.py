@@ -8,9 +8,11 @@ worker count yields identical reports, assembled in input order.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from sys import float_info
 from typing import Any, Callable
 
 import numpy as np
@@ -74,14 +76,41 @@ def parse_scenarios(data: Any) -> list[Scenario]:
         seed = entry.get("seed", 0)
         if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
             raise SchemaError(f"{pointer}/seed", "seed must be a 64-bit unsigned integer")
-        tol = entry.get("tol", DEFAULT_TOL)
-        if not isinstance(tol, (int, float)) or tol <= 0:
-            raise SchemaError(f"{pointer}/tol", "tol must be > 0")
+        tol = check_tol(entry.get("tol", DEFAULT_TOL), f"{pointer}/tol")
         repeat = entry.get("repeat", 1)
         if not isinstance(repeat, int) or repeat < 1:
             raise SchemaError(f"{pointer}/repeat", "repeat must be >= 1")
-        out.append(Scenario(stype, params, seed, float(tol), repeat, index=i))
+        out.append(Scenario(stype, params, seed, tol, repeat, index=i))
     return out
+
+
+def _number(raw: Any, pointer: str) -> float:
+    """A finite float, or a SchemaError naming the field."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(pointer, f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(pointer, f"expected a finite number, got {raw!r}")
+    return value
+
+
+def check_tol(raw: Any, pointer: str) -> float:
+    """A scenario tolerance: a finite number > 0."""
+    if not isinstance(raw, (int, float)) or not 0 < raw <= float_info.max:
+        raise SchemaError(pointer, "tol must be a finite number > 0")
+    return float(raw)
+
+
+def _dim(raw: Any, pointer: str) -> int:
+    """A Hilbert-space dimension: an integer >= 1."""
+    try:
+        dim = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(pointer, f"expected an integer, got {raw!r}") from None
+    if dim < 1:
+        raise SchemaError(pointer, f"dimension must be >= 1, got {dim}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +157,7 @@ def _check_nsc(sc: Scenario, rng: np.random.Generator) -> CheckReport:
         instr = decode_instrument(sc.params["instrument"], f"{p}/instrument")
         S = decode_effect(sc.params["effect"], f"{p}/effect")
     else:
-        dim = int(sc.params.get("dim", 3))
+        dim = _dim(sc.params.get("dim", 3), f"{p}/dim")
         instr = luders_instrument(commuting_povm_pair(dim, rng)[0])
         S = random_effect(dim, rng)
     report = CheckReport(name="nsc", scenario=sc.echo())
@@ -145,7 +174,7 @@ def _check_rcc(sc: Scenario, rng: np.random.Generator) -> CheckReport:
         first = decode_instrument(sc.params["first"], f"{p}/first")
         second = decode_instrument(sc.params["second"], f"{p}/second")
     else:
-        dim = int(sc.params.get("dim", 3))
+        dim = _dim(sc.params.get("dim", 3), f"{p}/dim")
         T, S = commuting_povm_pair(dim, rng)
         first, second = luders_instrument(T), luders_instrument(S)
     report = CheckReport(name="rcc", scenario=sc.echo())
@@ -160,7 +189,7 @@ def _check_luders_equivalence(sc: Scenario, rng: np.random.Generator) -> CheckRe
         T = decode_povm(sc.params["first"], f"{p}/first")
         S = decode_povm(sc.params["second"], f"{p}/second")
     else:
-        dim = int(sc.params.get("dim", 3))
+        dim = _dim(sc.params.get("dim", 3), f"{p}/dim")
         T, S = commuting_povm_pair(dim, rng)
     dev = sig.luders_equivalence_check(T, S, sc.tol)
     report = CheckReport(name="luders_equivalence", scenario=sc.echo())
@@ -179,7 +208,7 @@ def _check_beck(sc: Scenario, rng: np.random.Generator) -> CheckReport:
         instr = decode_instrument(sc.params["instrument"], f"{p}/instrument")
         S = decode_effect(sc.params["effect"], f"{p}/effect")
     else:
-        dim = int(sc.params.get("dim", 3))
+        dim = _dim(sc.params.get("dim", 3), f"{p}/dim")
         T, S_povm = commuting_povm_pair(dim, rng)
         instr = luders_instrument(T)
         S = S_povm[0]
@@ -222,7 +251,8 @@ def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     if not isinstance(samples, list):
         raise SchemaError(f"{p}/delta_samples", "expected a list of cell lists")
     cells = [_cells({"s": s}, "s", sys.n, f"{p}/delta_samples") for s in samples]
-    audit = lat.hc_audit(sys, cells, [float(t) for t in t_grid], sc.tol)
+    times = [_number(t, f"{p}/t_grid/{j}") for j, t in enumerate(t_grid)]
+    audit = lat.hc_audit(sys, cells, times, sc.tol)
     report = CheckReport(name="hc_audit", scenario=sc.echo())
     report.add("additivity_residual", audit.additivity_residual, sc.tol * sys.n)
     report.add("covariance_residual", audit.covariance_residual, sc.tol * sys.n)
@@ -238,7 +268,7 @@ def _check_cc_residual(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     p = f"/scenarios/{sc.index}/params"
     sys = _system_from_params(sc.params, p)
     cells = _cells(sc.params, "delta", sys.n, p)
-    t = float(sc.params.get("t", 0.0))
+    t = _number(sc.params.get("t", 0.0), f"{p}/t")
     shadow, saturated = lat.causal_shadow(sys, cells, t)
     report = CheckReport(name="cc_residual", scenario=sc.echo(), info_only=True)
     report.add("cc_residual", lat.cc_residual(sys, cells, t), tol=None)
@@ -258,12 +288,16 @@ def _check_conditional_build(sc: Scenario, rng: np.random.Generator) -> CheckRep
 
 
 def _check_gentle_sweep(sc: Scenario, rng: np.random.Generator) -> CheckReport:
+    p = f"/scenarios/{sc.index}/params"
     dims = sc.params.get("dims", [2, 3, 4, 5, 6, 7, 8])
+    if not isinstance(dims, list) or not dims:
+        raise SchemaError(f"{p}/dims", "expected a nonempty list of dimensions")
+    dims = [_dim(d, f"{p}/dims/{j}") for j, d in enumerate(dims)]
     instances = int(sc.params.get("instances", 1000))
     report = CheckReport(name="gentle_sweep", scenario=sc.echo())
     worst = float("inf")
     for i in range(instances):
-        dim = int(dims[i % len(dims)])
+        dim = dims[i % len(dims)]
         T = random_effect(dim, rng)
         rho = random_state(dim, rng)
         if float(np.trace(rho @ T).real) <= 1e-9:
@@ -352,7 +386,7 @@ CHECKS: dict[str, Callable[[Scenario, np.random.Generator], CheckReport]] = {
 
 def run_one(sc: Scenario) -> CheckReport:
     """Execute one scenario; repeats fold into the same report with derived
-    sub-seeds."""
+    sub-seeds.  Repeat r > 0 files its witnesses under ``<key>#<r>``."""
     start = time.perf_counter()
     report: CheckReport | None = None
     for r in range(sc.repeat):
@@ -363,6 +397,7 @@ def run_one(sc: Scenario) -> CheckReport:
         else:
             report.items.extend(rep.items)
             report.notes.extend(rep.notes)
+            report.witnesses.update({f"{key}#{r}": w for key, w in rep.witnesses.items()})
     assert report is not None
     report.wall_time = time.perf_counter() - start
     return report

@@ -54,10 +54,6 @@ def decode_matrix(data: Any, pointer: str = "") -> np.ndarray:
     return A.reshape(dim, dim)
 
 
-def encode_effect(M: np.ndarray) -> dict[str, Any]:
-    return {"kind": "effect", "matrix": encode_matrix(M)}
-
-
 def encode_state(M: np.ndarray) -> dict[str, Any]:
     return {"kind": "state", "matrix": encode_matrix(M)}
 

@@ -178,3 +178,79 @@ class TestSchemaValidation:
 
     def test_bare_list_accepted(self):
         assert len(parse_scenarios([{"type": "gentle_sweep"}])) == 1
+
+
+class TestRefusals:
+    """Bad inputs end in a SchemaError naming the field, and exit code 2."""
+
+    @staticmethod
+    def refused(payload):
+        with pytest.raises(SchemaError) as err:
+            run_scenarios(parse_scenarios(payload))
+        return err.value.pointer
+
+    @pytest.mark.parametrize("tol", [json.loads("1e400"), float("nan"), 10**400, "1e-9"])
+    def test_non_finite_scenario_tol(self, tol):
+        assert self.refused([{"type": "nsc", "tol": tol}]) == "/0/tol"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+    def test_cli_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "rcc", "params": {"dim": 2}}]})
+        assert main(["run", path, f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, pointer", [([], "/dims"), ([2, 0], "/dims/1"),
+                                               (["x"], "/dims/0"), (3, "/dims")])
+    def test_gentle_sweep_dims(self, dims, pointer):
+        payload = {"scenarios": [{"type": "gentle_sweep", "params": {"dims": dims}}]}
+        assert self.refused(payload) == "/scenarios/0/params" + pointer
+
+    @pytest.mark.parametrize("stype", ["nsc", "rcc", "beck", "luders_equivalence"])
+    @pytest.mark.parametrize("dim", [0, -3, "two"])
+    def test_generated_dim_below_one(self, stype, dim):
+        payload = {"scenarios": [{"type": stype, "params": {"dim": dim}}]}
+        assert self.refused(payload) == "/scenarios/0/params/dim"
+
+    @pytest.mark.parametrize("t_grid, index", [(["a"], 0), ([1.0, "later"], 1),
+                                               ([0.5, float("inf")], 1), ([None], 0)])
+    def test_hc_audit_time_not_a_finite_number(self, t_grid, index):
+        payload = {"scenarios": [{"type": "hc_audit",
+                                  "params": {"n": 8, "kind": "sharp", "t_grid": t_grid}}]}
+        assert self.refused(payload) == f"/scenarios/0/params/t_grid/{index}"
+
+    @pytest.mark.parametrize("t", ["soon", float("nan")])
+    def test_cc_residual_time_not_a_finite_number(self, t):
+        payload = {"scenarios": [{"type": "cc_residual",
+                                  "params": {"n": 8, "kind": "sharp", "delta": [0], "t": t}}]}
+        assert self.refused(payload) == "/scenarios/0/params/t"
+
+    def test_cli_exits_two_on_a_refused_parameter(self, tmp_path, capsys):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "nsc", "params": {"dim": 0}}]})
+        assert main(["run", path]) == 2
+        assert "/scenarios/0/params/dim" in capsys.readouterr().err
+
+    def test_valid_parameters_still_run(self):
+        payload = {"scenarios": [
+            {"type": "gentle_sweep", "tol": 1e300, "params": {"instances": 4, "dims": [2, 3]}},
+            {"type": "hc_audit", "params": {"n": 8, "kind": "sharp", "t_grid": [0, 1.0]}},
+        ]}
+        assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == ["PASS", "PASS"]
+
+
+class TestRepeatWitnesses:
+    @staticmethod
+    def nsc(repeat):
+        payload = [{"type": "nsc", "seed": 3, "repeat": repeat, "params": {"dim": 4}}]
+        return run_scenarios(parse_scenarios(payload))[0]
+
+    def test_every_repeat_keeps_its_witness(self):
+        report = self.nsc(3)
+        assert len(report.items) == 3 and report.verdict == "FAIL"
+        assert list(report.witnesses) == ["effect", "effect#1", "effect#2"]
+        assert report.witnesses["effect"] != report.witnesses["effect#1"]
+
+    def test_first_repeat_matches_a_single_run(self):
+        single, repeated = self.nsc(1), self.nsc(3)
+        assert list(single.witnesses) == ["effect"]
+        assert single.witnesses["effect"] == repeated.witnesses["effect"]
+        assert single.items[0].to_dict() == repeated.items[0].to_dict()

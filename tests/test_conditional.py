@@ -18,7 +18,7 @@ from povmlab.lattice import (
     build_sharp_system,
     effect_of,
 )
-from povmlab.linalg import dag, op_norm, psd_sqrt
+from povmlab.linalg import dag, hermitize, op_norm, psd_sqrt
 
 LAB6 = frozenset(range(5, 11))
 
@@ -92,6 +92,21 @@ class TestBuildConditional:
         a = cond.effect({5, 6})
         b = cond.effect({6, 5})
         assert a is b
+
+    @pytest.mark.parametrize("cells", [set(), {5}, {6, 7, 9}, set(LAB6)])
+    def test_effect_bit_equal_to_the_identity_sandwich(self, smeared16, cells):
+        cond = build_conditional(smeared16, LAB6)
+        eye = np.eye(16, dtype=complex)
+        R = cond.inv_sqrt
+        oracle = hermitize(eye @ R @ effect_of(smeared16, cells) @ R @ dag(eye))
+        assert np.array_equal(cond.effect(cells), oracle)
+
+    def test_conjugated_effect_bit_equal_to_the_sandwich(self, smeared16):
+        V = haar_unitary(16, make_rng(3))
+        cond = build_conditional(smeared16, LAB6, conjugator=V)
+        R = cond.inv_sqrt
+        oracle = hermitize(V @ R @ effect_of(smeared16, {6, 8}) @ R @ dag(V))
+        assert np.array_equal(cond.effect({6, 8}), oracle)
 
 
 class TestGentleBound:

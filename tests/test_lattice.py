@@ -14,15 +14,17 @@ from povmlab.lattice import (
     cells_bounding_box,
     claim_consistent_with_ldp,
     effect_of,
+    gaussian_frame_vector,
     hc_audit,
     heisenberg_evolve,
+    lattice_dispersion,
     lattice_rest_box,
     ldp_minimal_region,
     microcausality_residual,
     projector_screening_identity,
     validate_system,
 )
-from povmlab.linalg import commutator, dag, op_norm
+from povmlab.linalg import commutator, dag, hermitize, op_norm
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +296,102 @@ class TestProjectorScreening:
         assert not rep.passed
         assert any("skipped" in note for note in rep.notes)
         assert all(it.name != "PR_zero" for it in rep.items)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact oracles: the system constructors against the plain formulas, the audit
+# against the public per-pair residual
+# ---------------------------------------------------------------------------
+
+def _oracle_hamiltonian(n, omega):
+    j = np.arange(n)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    return hermitize(dag(F) @ np.diag(omega).astype(complex) @ F), F
+
+
+def _oracle_system(kind, n, width):
+    """Cell effects and H by the textbook formulas, one matrix at a time."""
+    omega = lattice_dispersion(n, 1.0, 1.0)
+    if kind == "alternating":
+        omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    H, F = _oracle_hamiltonian(n, omega)
+    if kind in ("sharp", "alternating"):
+        eye = np.eye(n, dtype=complex)
+        return [np.outer(eye[:, k], eye[:, k].conj()) for k in range(n)], H
+    if kind == "diagonal_smeared":
+        w = gaussian_frame_vector(n, 0, width)
+        w = w / w.sum()
+        return [np.diag(np.roll(w, k)).astype(complex) for k in range(n)], H
+    g = gaussian_frame_vector(n, 0, width)
+    g = (g / np.linalg.norm(g)).astype(complex)
+    power = np.abs(F @ g) ** 2
+    alpha = 0.9 / (n * float(power.max()))
+    D = hermitize(dag(F) @ np.diag(1.0 / n - alpha * power).astype(complex) @ F)
+    effects = []
+    for k in range(n):
+        gk = np.roll(g, k)
+        effects.append(hermitize(alpha * np.outer(gk, gk.conj()) + D))
+    return effects, H
+
+
+MAKE_SYSTEM = {
+    "sharp": lambda n, width: build_sharp_system(n, 1.0, 1.0),
+    "alternating": lambda n, width: build_alternating_system(n, 1.0, 1.0),
+    "diagonal_smeared": lambda n, width: build_diagonal_smeared_system(n, 1.0, 1.0, width),
+    "frame_smeared": lambda n, width: build_frame_smeared_system(n, 1.0, 1.0, width),
+}
+SYSTEM_CASES = [
+    (kind, n, width)
+    for kind in MAKE_SYSTEM
+    for n in (2, 3, 5, 16, 17, 64)
+    for width in ((0.3, 1.5, 7.0) if kind.endswith("smeared") else (None,))
+]
+
+
+@pytest.mark.parametrize("kind, n, width", SYSTEM_CASES)
+def test_systems_bit_equal_to_the_formulas(kind, n, width):
+    sys = MAKE_SYSTEM[kind](n, width)
+    effects, H = _oracle_system(kind, n, width)
+    assert np.array_equal(sys.hamiltonian, H)
+    assert len(sys.cell_effects) == n
+    for E, oracle in zip(sys.cell_effects, effects):
+        assert np.array_equal(E, oracle)
+        assert np.array_equal(E, dag(E))
+
+
+class TestAuditAgainstPairwiseResidual:
+    SAMPLES = [[0, 1, 2], [5, 6], [9, 10, 11, 12]]
+    T_GRID = [1.5, 0.0, -0.5, 3.0]
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    def test_microcausality_and_witness_match_the_oracle(self, kind):
+        sys = MAKE_SYSTEM[kind](16, 1.5)
+        tol = 1e-9
+        audit = hc_audit(sys, self.SAMPLES, self.T_GRID, tol=tol)
+        pairs = [(left, right) for left in self.SAMPLES for right in self.SAMPLES
+                 if not set(left) & set(right)]
+        residuals = [microcausality_residual(sys, left, right, self.T_GRID)
+                     for left, right in pairs]
+        assert audit.microcausality_residual == max(residuals)
+        if max(residuals) == 0.0:
+            assert audit.witness == {}
+            return
+        left, right = pairs[residuals.index(max(residuals))]
+        first = next((t for t in sorted(self.T_GRID, key=abs)
+                      if microcausality_residual(sys, left, right, [t]) > tol), None)
+        assert audit.witness == {"delta": left, "delta_prime": right,
+                                 "first_violating_t": first}
+
+    def test_witness_time_skips_the_commuting_time_zero(self, sharp16):
+        audit = hc_audit(sharp16, self.SAMPLES, self.T_GRID, tol=1e-9)
+        assert audit.witness["first_violating_t"] == -0.5
+
+    def test_time_zero_only_never_evolves(self, sharp16, monkeypatch):
+        import povmlab.lattice as lattice
+
+        def refuse(*args):
+            raise AssertionError("evolved at t = 0")
+
+        monkeypatch.setattr(lattice, "_propagator", refuse)
+        audit = hc_audit(sharp16, self.SAMPLES, [0.0], tol=1e-9)
+        assert audit.microcausality_residual == 0.0 and audit.witness == {}
