@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -42,10 +41,6 @@ def kernel_min_eig(A0, tol: float = DEFAULT_TOL) -> float:
     proceeds only when it clears the kernel floor."""
     w, _ = eigh_checked(A0, tol)
     return float(w[0])
-
-
-def _kernel_floor(A0: np.ndarray) -> float:
-    return KERNEL_FLOOR_FACTOR * max(op_norm(A0), np.finfo(float).tiny)
 
 
 def _lab_inv_sqrt(A0: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
@@ -210,34 +205,15 @@ def build_conditional_from_unnormalized(
 # gentle measurement bound
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GentleBoundReport:
-    """State-disturbance bound for a high-probability effect.
+def gentle_bound(T, rho, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Evaluate both sides of the gentle-measurement inequality.
 
     delta = 1 - tr(rho T)/||T||; the trace distance between rho and the
     conditioned state sqrt(T) rho sqrt(T) / tr(T rho) is bounded by
-    2 sqrt(delta) + delta.
+    2 sqrt(delta) + delta.  Measurement only: the items ``delta``,
+    ``trace_distance`` and ``bound`` are recorded, and the caller compares
+    the last two.
     """
-
-    delta: float
-    lhs_trace_dist: float
-    rhs_bound: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs_bound - self.lhs_trace_dist
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "lhs_trace_dist": self.lhs_trace_dist,
-            "rhs_bound": self.rhs_bound,
-            "margin": self.margin,
-        }
-
-
-def gentle_bound(T, rho, tol: float = DEFAULT_TOL) -> GentleBoundReport:
-    """Evaluate both sides of the gentle-measurement inequality."""
     T = as_matrix(T)
     rho = as_matrix(rho)
     norm_T = op_norm(T)
@@ -249,7 +225,11 @@ def gentle_bound(T, rho, tol: float = DEFAULT_TOL) -> GentleBoundReport:
     conditioned = root @ rho @ root / p
     lhs = trace_norm(rho - conditioned)
     rhs = 2.0 * math.sqrt(delta) + delta
-    return GentleBoundReport(delta=delta, lhs_trace_dist=lhs, rhs_bound=rhs)
+    report = CheckReport(name="gentle_bound", info_only=True)
+    report.add("delta", delta)
+    report.add("trace_distance", lhs)
+    report.add("bound", rhs)
+    return report
 
 
 def conditional_prob_bound(

@@ -112,6 +112,22 @@ def _hamiltonian_from_spectrum(n: int, omega: np.ndarray) -> np.ndarray:
     return hermitize((dag(F) * omega) @ F)
 
 
+def _position_basis_system(
+    n: int, mass: float, a: float, alternating: bool
+) -> LatticeLocalizationSystem:
+    """Position projectors and the shift, with H from the lattice dispersion,
+    its signs alternating when asked."""
+    if n < 2 or mass <= 0 or a <= 0:
+        raise ValueError("need n >= 2, mass > 0, a > 0")
+    eye = np.eye(n, dtype=complex)
+    effects = [np.outer(eye[:, k], eye[:, k].conj()) for k in range(n)]
+    omega = lattice_dispersion(n, mass, a)
+    if alternating:
+        omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    H = _hamiltonian_from_spectrum(n, omega)
+    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, SHARP)
+
+
 def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
     """Sharp (projector-valued) localization with positive dispersion.
 
@@ -119,12 +135,7 @@ def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizati
     and H shares the Fourier eigenbasis with the shift, so [H, U] = 0 and the
     energy is bounded below by the mass.
     """
-    if n < 2 or mass <= 0 or a <= 0:
-        raise ValueError("need n >= 2, mass > 0, a > 0")
-    eye = np.eye(n, dtype=complex)
-    effects = [np.outer(eye[:, k], eye[:, k].conj()) for k in range(n)]
-    H = _hamiltonian_from_spectrum(n, lattice_dispersion(n, mass, a))
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, SHARP)
+    return _position_basis_system(n, mass, a, alternating=False)
 
 
 def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
@@ -134,11 +145,7 @@ def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLoca
     below on purpose: the escape route where localization projectors may
     commute without forcing trivial effects.
     """
-    sys = build_sharp_system(n, mass, a)
-    omega = lattice_dispersion(n, mass, a) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    sys.hamiltonian = _hamiltonian_from_spectrum(n, omega)
-    sys._eig = None
-    return sys
+    return _position_basis_system(n, mass, a, alternating=True)
 
 
 def gaussian_frame_vector(n: int, center: int, width: float) -> np.ndarray:
@@ -299,43 +306,21 @@ def cc_residual(
 # no-go hypothesis audit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HCAuditReport:
-    """Residuals of the four no-go hypotheses against the size of the effects.
-
-    The audit never claims the continuum theorem holds on the lattice; it
-    reports the residual pattern and names the hypothesis that fails whenever
-    the effects are nontrivial.
-    """
-
-    additivity_residual: float
-    covariance_residual: float
-    energy_min_eig: float
-    microcausality_residual: float
-    max_effect_norm: float
-    consistency_verdict: str
-    witness: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "additivity_residual": self.additivity_residual,
-            "covariance_residual": self.covariance_residual,
-            "energy_min_eig": self.energy_min_eig,
-            "microcausality_residual": self.microcausality_residual,
-            "max_effect_norm": self.max_effect_norm,
-            "consistency_verdict": self.consistency_verdict,
-            "witness": self.witness,
-        }
-
-
 def hc_audit(
     sys: LatticeLocalizationSystem,
     delta_samples: Sequence[Iterable[int]],
     t_grid: Sequence[float],
     tol: float = DEFAULT_TOL,
-) -> HCAuditReport:
+) -> CheckReport:
     """Audit additivity, covariance, energy positivity, and microcausality
-    on sampled regions, and reconcile the pattern with nontrivial effects."""
+    on sampled regions, and reconcile the pattern with nontrivial effects.
+
+    Additivity and covariance are asserted at tol * n; the energy minimum,
+    the microcausality residual and the largest effect norm are recorded.
+    The audit never claims the continuum theorem holds on the lattice: its
+    one note names the hypothesis that fails whenever the effects are
+    nontrivial, and the ``microcausality_witness`` records the worst pair.
+    """
     samples = [as_cells(c, sys.n) for c in delta_samples]
     if not samples:
         raise ValueError("need at least one sampled region")
@@ -414,15 +399,15 @@ def hc_audit(
             "all four hypotheses hold at tolerance with nontrivial effects: "
             "counterexample candidate, audit inputs deserve scrutiny"
         )
-    return HCAuditReport(
-        additivity_residual=additivity,
-        covariance_residual=covariance,
-        energy_min_eig=energy_min,
-        microcausality_residual=micro,
-        max_effect_norm=max_norm,
-        consistency_verdict=verdict,
-        witness=witness,
-    )
+    report = CheckReport(name="hc_audit")
+    report.add("additivity_residual", additivity, tol * sys.n)
+    report.add("covariance_residual", covariance, tol * sys.n)
+    report.add("energy_min_eig", energy_min)
+    report.add("microcausality_residual", micro)
+    report.add("max_effect_norm", max_norm)
+    report.notes.append(verdict)
+    report.witnesses["microcausality_witness"] = witness
+    return report
 
 
 # ---------------------------------------------------------------------------

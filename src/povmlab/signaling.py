@@ -7,7 +7,7 @@ sampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .linalg import (
     op_norm,
 )
 from .measurement import DiscretePOVM, KrausInstrument, luders_instrument
+from .reporting import CheckReport
 
 RCC_CONVENTION_NOTE = (
     "sequential statistics use the unnormalized sub-state convention: the "
@@ -27,36 +28,6 @@ RCC_CONVENTION_NOTE = (
     "product form with a normalized conditional state carries a second "
     "factor equal to 1"
 )
-
-
-@dataclass
-class DeviationReport:
-    """Quantified deviations from the no-signaling / consistency equalities."""
-
-    nsc_dev: float = 0.0
-    rcc_dev: float = 0.0
-    commutator_residual: float = 0.0
-    kraus_commutator_residual: float = 0.0
-    tol: float = DEFAULT_TOL
-    scale: float = 1.0
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    counterexample_candidate: bool = False
-    notes: list[str] = field(default_factory=list)
-    extras: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "nsc_dev": self.nsc_dev,
-            "rcc_dev": self.rcc_dev,
-            "commutator_residual": self.commutator_residual,
-            "kraus_commutator_residual": self.kraus_commutator_residual,
-            "tol": self.tol,
-            "scale": self.scale,
-            "verdicts": dict(self.verdicts),
-            "counterexample_candidate": self.counterexample_candidate,
-            "notes": list(self.notes),
-            "extras": dict(self.extras),
-        }
 
 
 def nsc_deviation(instr: KrausInstrument, S) -> float:
@@ -116,76 +87,55 @@ def kraus_commutator_residual(instr: KrausInstrument, S) -> float:
 
 def luders_equivalence_check(
     T: DiscretePOVM, S: DiscretePOVM, tol: float = DEFAULT_TOL
-) -> DeviationReport:
+) -> CheckReport:
     """Test the commutativity <-> no-signaling/consistency equivalence for the
     Lüders measurements of two POVMs.
 
     In finite dimension every effect has discrete spectrum, so the equivalence
     applies unconditionally; a disagreement between the two sides at tolerance
-    is flagged as a counterexample candidate, never silently passed.
+    fails the ``biconditional`` item, never silently passed.  The deviations
+    and the commutator residual are recorded, not asserted.
     """
     instr_T = luders_instrument(T, tol)
     instr_S = luders_instrument(S, tol)
     nsc = max(nsc_deviation(instr_T, Si) for Si in S.effects)
     rcc = rcc_deviation(instr_T, instr_S)
     comm = commutator_residual(T, S)
-    kraus_comm = max(
-        kraus_commutator_residual(instr_T, Si) for Si in S.effects
-    )
     scale = max(op_norm(Si) for Si in S.effects)
-    report = DeviationReport(
-        nsc_dev=nsc,
-        rcc_dev=rcc,
-        commutator_residual=comm,
-        kraus_commutator_residual=kraus_comm,
-        tol=tol,
-        scale=scale,
-        notes=[RCC_CONVENTION_NOTE],
-    )
     commuting = comm <= tol
     deviations_small = nsc <= tol * scale and rcc <= tol * scale
-    report.verdicts["commuting"] = commuting
-    report.verdicts["deviations_small"] = deviations_small
-    report.verdicts["biconditional"] = commuting == deviations_small
-    report.counterexample_candidate = commuting != deviations_small
+    report = CheckReport(name="luders_equivalence")
+    report.add("nsc_deviation", nsc)
+    report.add("rcc_deviation", rcc)
+    report.add("commutator_residual", comm)
+    report.add("biconditional", 0.0 if commuting == deviations_small else 1.0, 0.5,
+               note="commutators ~ 0 iff deviations ~ 0")
+    report.notes.append(RCC_CONVENTION_NOTE)
     return report
 
 
-def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> DeviationReport:
+def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> CheckReport:
     """Kraus-commutation test for general (possibly non-efficient)
     non-selective measurements.
 
     kappa = max_{jk} max(||[K_{jk}, S]||, ||[K†_{jk}, S]||) vanishing must
-    force both d1 = nsc(S) and d2 = nsc(S^2) to vanish; kappa small also
-    forces the induced effects to commute with S.
+    force both d1 = nsc(S) and d2 = nsc(S^2) to vanish; the ``biconditional``
+    item fails when the two sides disagree at tolerance.  kappa small also
+    forces the induced effects to commute with S, by
+    [K†K, S] = K†[K, S] + [K†, S]K, so that claim needs no check of its own.
     """
     S = as_matrix(S)
     d1 = nsc_deviation(instr, S)
     d2 = nsc_deviation(instr, S @ S)
     kappa = kraus_commutator_residual(instr, S)
-    effect_comm = max(op_norm(commutator(instr.effect(j), S)) for j in range(len(instr)))
     scale = max(op_norm(S), 1e-300)
-    report = DeviationReport(
-        nsc_dev=d1,
-        rcc_dev=0.0,
-        commutator_residual=effect_comm,
-        kraus_commutator_residual=kappa,
-        tol=tol,
-        scale=scale,
-        extras={"nsc_dev_squared": d2},
-    )
     kraus_commuting = kappa <= tol
     deviations_small = d1 <= tol * scale and d2 <= tol * scale
-    report.verdicts["kraus_commuting"] = kraus_commuting
-    report.verdicts["deviations_small"] = deviations_small
-    report.verdicts["biconditional"] = kraus_commuting == deviations_small
-    report.verdicts["effects_commute_when_kraus_do"] = (not kraus_commuting) or (
-        effect_comm <= tol
-    )
-    report.counterexample_candidate = not (
-        report.verdicts["biconditional"]
-        and report.verdicts["effects_commute_when_kraus_do"]
-    )
+    report = CheckReport(name="beck")
+    report.add("nsc_deviation", d1)
+    report.add("nsc_deviation_squared", d2)
+    report.add("kraus_commutator", kappa)
+    report.add("biconditional", 0.0 if kraus_commuting == deviations_small else 1.0, 0.5)
     return report
 
 

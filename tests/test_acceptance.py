@@ -88,15 +88,16 @@ def test_criterion_1_gentle_measurement_bound():
         if float(np.trace(rho @ T).real) <= 1e-9:
             continue
         rep = gentle_bound(T, rho)
-        worst = min(worst, rep.margin)
-        if rep.margin < -1e-9:
+        margin = rep.residual("bound") - rep.residual("trace_distance")
+        worst = min(worst, margin)
+        if margin < -1e-9:
             violations += 1
         checked += 1
     assert violations == 0, f"{violations} gentle-bound violations, worst margin {worst:.3e}"
 
     qubit = gentle_bound(np.diag([1.0, 0.5]), np.eye(2) / 2)
-    assert abs(qubit.lhs_trace_dist - 1.0 / 3.0) <= 1e-12
-    assert abs(qubit.rhs_bound - 1.25) <= 1e-12
+    assert abs(qubit.residual("trace_distance") - 1.0 / 3.0) <= 1e-12
+    assert abs(qubit.residual("bound") - 1.25) <= 1e-12
 
     elapsed = time.time() - start
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
@@ -115,8 +116,9 @@ def test_criterion_2_luders_equivalence():
         dim = 2 + i % 4
         T, S = commuting_povm_pair(dim, rng)
         rep = luders_equivalence_check(T, S)
-        assert rep.nsc_dev <= 1e-10, f"commuting pair {i}: nsc {rep.nsc_dev:.3e}"
-        assert rep.rcc_dev <= 1e-10, f"commuting pair {i}: rcc {rep.rcc_dev:.3e}"
+        nsc, rcc = rep.residual("nsc_deviation"), rep.residual("rcc_deviation")
+        assert nsc <= 1e-10, f"commuting pair {i}: nsc {nsc:.3e}"
+        assert rcc <= 1e-10, f"commuting pair {i}: rcc {rcc:.3e}"
 
     floor = 1e-8
     kept = 0
@@ -138,9 +140,9 @@ def test_criterion_2_luders_equivalence():
     assert not below_floor, f"below-floor samples (idx, nsc, commutator): {below_floor}"
 
     witness = luders_equivalence_check(DiscretePOVM([P0, P1]), DiscretePOVM([PLUS, MINUS]))
-    assert abs(witness.nsc_dev - 0.5) <= 1e-12
-    assert abs(witness.rcc_dev - 0.25) <= 1e-12
-    assert abs(witness.commutator_residual - 0.5) <= 1e-12
+    assert abs(witness.residual("nsc_deviation") - 0.5) <= 1e-12
+    assert abs(witness.residual("rcc_deviation") - 0.25) <= 1e-12
+    assert abs(witness.residual("commutator_residual") - 0.5) <= 1e-12
 
     elapsed = time.time() - start
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 120s"
@@ -158,10 +160,10 @@ def test_criterion_3_beck_direction_and_search():
         T, S_povm = commuting_povm_pair(dim, rng)
         S = S_povm[0]
         rep = beck_check(luders_instrument(T), S, tol=1e-12)
-        if rep.kraus_commutator_residual <= 1e-12:
+        if rep.residual("kraus_commutator") <= 1e-12:
             checked += 1
-            assert rep.nsc_dev <= 1e-10
-            assert rep.extras["nsc_dev_squared"] <= 1e-10
+            assert rep.residual("nsc_deviation") <= 1e-10
+            assert rep.residual("nsc_deviation_squared") <= 1e-10
     assert checked >= 900, f"only {checked} instances reached kappa <= 1e-12"
 
     successes = 0
@@ -373,13 +375,13 @@ def test_criterion_7_audit_and_causality_pattern():
     sharp = build_sharp_system(16, 1.0, 1.0)
     audit = hc_audit(sharp, [[0, 1, 2, 3], [5, 6, 7, 8], [12, 13]],
                      [0.5, 1.0, 3.0], tol=1e-9)
-    assert audit.additivity_residual <= 1e-12
-    assert audit.covariance_residual <= 1e-12
-    assert audit.energy_min_eig >= 1.0 - 1e-9
+    assert audit.residual("additivity_residual") <= 1e-12
+    assert audit.residual("covariance_residual") <= 1e-12
+    assert audit.residual("energy_min_eig") >= 1.0 - 1e-9
     # calibrated floor: residual 0.334 at (delta={0..3}, delta'={5..8}, t=3.0)
-    assert audit.microcausality_residual > 1e-3
-    assert audit.max_effect_norm > 0.9
-    assert audit.consistency_verdict.startswith("hypothesis 4")
+    assert audit.residual("microcausality_residual") > 1e-3
+    assert audit.residual("max_effect_norm") > 0.9
+    assert audit.notes[0].startswith("hypothesis 4")
 
     # recorded causal-condition witness: single cell, one time unit
     witness_value = cc_residual(sharp, {0}, 1.0)
@@ -387,15 +389,17 @@ def test_criterion_7_audit_and_causality_pattern():
 
     alternating = build_alternating_system(16, 1.0, 1.0)
     audit_alt = hc_audit(alternating, [[0, 1, 2, 3], [5, 6, 7, 8]], [0.5, 1.0], tol=1e-9)
-    assert audit_alt.energy_min_eig < 0
-    assert audit_alt.consistency_verdict.startswith("hypothesis 3")
+    assert audit_alt.residual("energy_min_eig") < 0
+    assert audit_alt.notes[0].startswith("hypothesis 3")
     for j in range(16):
         for k in range(j + 1, 16):
             assert op_norm(commutator(alternating.cell_effects[j],
                                       alternating.cell_effects[k])) <= 1e-12
-    report(7, f"sharp: micro residual {audit.microcausality_residual:.3f}, "
+    micro = audit.residual("microcausality_residual")
+    energy_min = audit_alt.residual("energy_min_eig")
+    report(7, f"sharp: micro residual {micro:.3f}, "
               f"cc witness {witness_value:.4f} at (cells={{0}}, t=1); "
-              f"alternating: energy min {audit_alt.energy_min_eig:.3f}, commuting projectors")
+              f"alternating: energy min {energy_min:.3f}, commuting projectors")
 
 
 def test_criterion_8_projector_screening():

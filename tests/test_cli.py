@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ def write_scenarios(tmp_path, payload, name="scenarios.json"):
     path.write_text(json.dumps(payload))
     return str(path)
 
+
+DEMO_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
 GOOD_BATCH = {
     "scenarios": [
@@ -200,13 +203,14 @@ class TestRefusals:
         assert "--tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dims, pointer", [([], "/dims"), ([2, 0], "/dims/1"),
-                                               (["x"], "/dims/0"), (3, "/dims")])
+                                               (["x"], "/dims/0"), (3, "/dims"),
+                                               ([2, 3.0], "/dims/1")])
     def test_gentle_sweep_dims(self, dims, pointer):
         payload = {"scenarios": [{"type": "gentle_sweep", "params": {"dims": dims}}]}
         assert self.refused(payload) == "/scenarios/0/params" + pointer
 
     @pytest.mark.parametrize("stype", ["nsc", "rcc", "beck", "luders_equivalence"])
-    @pytest.mark.parametrize("dim", [0, -3, "two"])
+    @pytest.mark.parametrize("dim", [0, -3, "two", 2.7, True])
     def test_generated_dim_below_one(self, stype, dim):
         payload = {"scenarios": [{"type": stype, "params": {"dim": dim}}]}
         assert self.refused(payload) == "/scenarios/0/params/dim"
@@ -223,6 +227,25 @@ class TestRefusals:
         payload = {"scenarios": [{"type": "cc_residual",
                                   "params": {"n": 8, "kind": "sharp", "delta": [0], "t": t}}]}
         assert self.refused(payload) == "/scenarios/0/params/t"
+
+    @pytest.mark.parametrize("stype, params, field", [
+        ("hc_audit", {"n": 8, "kind": "sharp", "t_grid": []}, "t_grid"),
+        ("hc_audit", {"n": 8, "kind": "sharp", "delta_samples": []}, "delta_samples"),
+        ("gentle_sweep", {"instances": 0}, "instances"),
+        ("gentle_sweep", {"instances": "x"}, "instances"),
+        ("gentle_sweep", {"instances": 40.0}, "instances"),
+        ("hw_search", {"dim": "x"}, "dim"),
+        ("hw_search", {"dim": 2}, "dim"),
+        ("hw_search", {"budget": -5}, "budget"),
+        ("hw_search", {"budget": True}, "budget"),
+        ("cc_residual", {"n": 8.5, "kind": "sharp", "delta": [0]}, "n"),
+        ("hc_audit", {"n": True, "kind": "sharp"}, "n"),
+        ("conditional_build", {"n": "16", "lab": [0]}, "n"),
+        ("conditional_build", {"n": 1, "lab": [0]}, "n"),
+    ])
+    def test_vacuous_or_mistyped_parameter(self, stype, params, field):
+        payload = {"scenarios": [{"type": stype, "params": params}]}
+        assert self.refused(payload) == f"/scenarios/0/params/{field}"
 
     def test_cli_exits_two_on_a_refused_parameter(self, tmp_path, capsys):
         path = write_scenarios(tmp_path, {"scenarios": [{"type": "nsc", "params": {"dim": 0}}]})
@@ -254,3 +277,78 @@ class TestRepeatWitnesses:
         assert list(single.witnesses) == ["effect"]
         assert single.witnesses["effect"] == repeated.witnesses["effect"]
         assert single.items[0].to_dict() == repeated.items[0].to_dict()
+
+
+RCC_NOTE = ("sequential statistics use the unnormalized sub-state convention: the joint "
+            "probability of (j then i) is tr(rho K†_j S_i K_j); the literal product form "
+            "with a normalized conditional state carries a second factor equal to 1")
+
+# per report of scenarios/demo.json: name, verdict, (item, tol, passed) in
+# order, notes, witness keys; residual values are left out on purpose
+DEMO_STRUCTURE = [
+    ("gentle_sweep", "PASS", [("min_margin", 1e-9, True)], [], []),
+    ("luders_equivalence", "PASS",
+     [("nsc_deviation", None, None), ("rcc_deviation", None, None),
+      ("commutator_residual", None, None), ("biconditional", 0.5, True)],
+     [RCC_NOTE], []),
+    ("beck", "PASS",
+     [("nsc_deviation", None, None), ("nsc_deviation_squared", None, None),
+      ("kraus_commutator", None, None), ("biconditional", 0.5, True)], [], []),
+    ("hw_search", "PASS",
+     [("found", 0.5, True), ("d1_reverified", 1e-9, True),
+      ("d2_reverified_above_floor", 0.0, True)], [], ["effect"]),
+    ("hc_audit", "PASS",
+     [("additivity_residual", 1.6e-9, True), ("covariance_residual", 1.6e-9, True),
+      ("energy_min_eig", None, None), ("microcausality_residual", None, None),
+      ("max_effect_norm", None, None)],
+     ["hypothesis 4 (microcausality) fails; nontrivial effects consistent with the "
+      "no-go theorem"], ["microcausality_witness"]),
+    ("cc_residual", "INFO", [("cc_residual", None, None)],
+     ["shadow=[0, 1, 15] saturated=False"], []),
+    ("conditional_build", "PASS",
+     [("lab_normalization", 1e-10, True), ("in_lab_additivity", 1e-10, True),
+      ("effect_bounds", 1e-10, True)], [], []),
+    ("conditional_prob_bound", "PASS",
+     [("delta", None, None), ("conditional_fraction", None, None), ("tr_rho_B", None, None),
+      ("fraction_vs_B_difference", 2.220506286692112, True),
+      ("exact_conditional_identity", 1e-10, True),
+      ("operator_form_bound", 1.2135484732797879, True)],
+     ["vacuous bound: 2*sqrt(delta)+delta = 2.221 >= 1 exceeds any probability difference"],
+     []),
+    ("composition_identity", "PASS",
+     [("identity_residual", 1e-10, True), ("plain_additivity_gap", None, None),
+      ("weighted_additivity_gap", None, None)], [], []),
+    ("cross_lab_commutator", "INFO",
+     [("commutator_norm", None, None), ("lab_spatial_distance", None, None),
+      ("labs_causally_separated_at_equal_time", None, None)], [], []),
+    ("causal_separation", "INFO", [("separated", None, None)], [], []),
+]
+
+
+class TestDemoReportStructure:
+    """The demo file's reports keep their names, verdicts, items, notes and
+    witness keys; a renamed, reordered or re-toleranced item shows here."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        with open(DEMO_FILE) as fh:
+            return run_scenarios(parse_scenarios(json.load(fh)))
+
+    def test_report_count(self, reports):
+        assert [r.name for r in reports] == [row[0] for row in DEMO_STRUCTURE]
+
+    @pytest.mark.parametrize("index", range(len(DEMO_STRUCTURE)),
+                             ids=[row[0] for row in DEMO_STRUCTURE])
+    def test_structure(self, reports, index):
+        name, verdict, items, notes, witnesses = DEMO_STRUCTURE[index]
+        report = reports[index]
+        assert report.name == name
+        assert report.verdict == verdict
+        assert [it.name for it in report.items] == [it[0] for it in items]
+        # computed tolerances may move in the last bits under another BLAS
+        assert [it.tol for it in report.items] == [
+            tol if tol is None else pytest.approx(tol, rel=1e-9) for _, tol, _ in items
+        ]
+        assert [it.passed for it in report.items] == [it[2] for it in items]
+        assert report.notes == notes
+        assert sorted(report.witnesses) == witnesses

@@ -113,23 +113,24 @@ class TestGentleBound:
     def test_identity_effect(self):
         rho = random_state(3, make_rng(61))
         rep = gentle_bound(np.eye(3), rho)
-        assert rep.delta == pytest.approx(0.0, abs=1e-12)
-        assert rep.lhs_trace_dist <= 1e-10
-        assert rep.rhs_bound <= 1e-6
+        assert rep.residual("delta") == pytest.approx(0.0, abs=1e-12)
+        assert rep.residual("trace_distance") <= 1e-10
+        assert rep.residual("bound") <= 1e-6
 
     def test_eigenstate_at_operator_norm(self):
         T = np.diag([1.0, 0.25]).astype(complex)
         rho = np.diag([1.0, 0.0]).astype(complex)
         rep = gentle_bound(T, rho)
-        assert rep.delta == pytest.approx(0.0, abs=1e-12)
-        assert rep.lhs_trace_dist <= 1e-12
+        assert rep.residual("delta") == pytest.approx(0.0, abs=1e-12)
+        assert rep.residual("trace_distance") <= 1e-12
 
     def test_qubit_closed_form(self):
         rep = gentle_bound(np.diag([1.0, 0.5]), np.eye(2) / 2)
-        assert rep.delta == pytest.approx(0.25, abs=1e-14)
-        assert rep.lhs_trace_dist == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert rep.rhs_bound == pytest.approx(1.25, abs=1e-14)
-        assert rep.margin == pytest.approx(1.25 - 1.0 / 3.0, abs=1e-12)
+        assert rep.residual("delta") == pytest.approx(0.25, abs=1e-14)
+        assert rep.residual("trace_distance") == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert rep.residual("bound") == pytest.approx(1.25, abs=1e-14)
+        margin = rep.residual("bound") - rep.residual("trace_distance")
+        assert margin == pytest.approx(1.25 - 1.0 / 3.0, abs=1e-12)
 
     def test_zero_overlap_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -145,7 +146,8 @@ class TestGentleBound:
             rho = random_state(dim, rng)
             if np.trace(rho @ T).real <= 1e-9:
                 continue
-            assert gentle_bound(T, rho).margin >= -1e-9
+            rep = gentle_bound(T, rho)
+            assert rep.residual("bound") - rep.residual("trace_distance") >= -1e-9
 
 
 class TestConditionalProbBound:
@@ -297,11 +299,11 @@ class TestComposition:
         cond2 = build_conditional(smeared16, self.LAB2)
         union = build_conditional(smeared16, self.LAB1 | self.LAB2)
         A1 = effect_of(smeared16, self.LAB1)
-        from povmlab.conditional import _kernel_floor
+        from povmlab.conditional import KERNEL_FLOOR_FACTOR
         from povmlab.linalg import psd_inv_sqrt
 
         Au = effect_of(smeared16, self.LAB1 | self.LAB2)
-        inv_u = psd_inv_sqrt(Au, _kernel_floor(Au))
+        inv_u = psd_inv_sqrt(Au, KERNEL_FLOOR_FACTOR * op_norm(Au))
         s1 = psd_sqrt(A1)
         lhs = union.effect(frozenset())
         rhs = inv_u @ (s1 @ cond1.effect(frozenset()) @ s1) @ inv_u

@@ -183,18 +183,18 @@ class TestAudit:
 
     def test_sharp_system_fails_microcausality(self, sharp16):
         audit = hc_audit(sharp16, self.SAMPLES, self.T_GRID, tol=1e-9)
-        assert audit.additivity_residual <= 1e-12
-        assert audit.covariance_residual <= 1e-12
-        assert audit.energy_min_eig >= 1.0 - 1e-9
-        assert audit.microcausality_residual > 1e-3
-        assert audit.max_effect_norm > 0.9
-        assert audit.consistency_verdict.startswith("hypothesis 4")
+        assert audit.residual("additivity_residual") <= 1e-12
+        assert audit.residual("covariance_residual") <= 1e-12
+        assert audit.residual("energy_min_eig") >= 1.0 - 1e-9
+        assert audit.residual("microcausality_residual") > 1e-3
+        assert audit.residual("max_effect_norm") > 0.9
+        assert audit.notes[0].startswith("hypothesis 4")
 
     def test_alternating_spectrum_fails_energy(self):
         sys = build_alternating_system(16, 1.0, 1.0)
         audit = hc_audit(sys, self.SAMPLES, self.T_GRID, tol=1e-9)
-        assert audit.energy_min_eig < -0.5
-        assert audit.consistency_verdict.startswith("hypothesis 3")
+        assert audit.residual("energy_min_eig") < -0.5
+        assert audit.notes[0].startswith("hypothesis 3")
         # its projector effects commute pairwise regardless of the dynamics
         for j in range(16):
             for k in range(j + 1, 16):
@@ -206,11 +206,11 @@ class TestAudit:
         rep = validate_system(broken)
         assert not rep.passed
         audit = hc_audit(broken, [[0], [2]], [0.5], tol=1e-9)
-        assert audit.consistency_verdict.startswith("effects trivial")
+        assert audit.notes[0].startswith("effects trivial")
 
     def test_frame_smeared_same_verdict(self, smeared16):
         audit = hc_audit(smeared16, self.SAMPLES, self.T_GRID, tol=1e-9)
-        assert audit.consistency_verdict.startswith("hypothesis 4")
+        assert audit.notes[0].startswith("hypothesis 4")
 
 
 class TestLdpRegion:
@@ -372,19 +372,19 @@ class TestAuditAgainstPairwiseResidual:
                  if not set(left) & set(right)]
         residuals = [microcausality_residual(sys, left, right, self.T_GRID)
                      for left, right in pairs]
-        assert audit.microcausality_residual == max(residuals)
+        assert audit.residual("microcausality_residual") == max(residuals)
         if max(residuals) == 0.0:
-            assert audit.witness == {}
+            assert audit.witnesses["microcausality_witness"] == {}
             return
         left, right = pairs[residuals.index(max(residuals))]
         first = next((t for t in sorted(self.T_GRID, key=abs)
                       if microcausality_residual(sys, left, right, [t]) > tol), None)
-        assert audit.witness == {"delta": left, "delta_prime": right,
-                                 "first_violating_t": first}
+        assert audit.witnesses["microcausality_witness"] == {
+            "delta": left, "delta_prime": right, "first_violating_t": first}
 
     def test_witness_time_skips_the_commuting_time_zero(self, sharp16):
         audit = hc_audit(sharp16, self.SAMPLES, self.T_GRID, tol=1e-9)
-        assert audit.witness["first_violating_t"] == -0.5
+        assert audit.witnesses["microcausality_witness"]["first_violating_t"] == -0.5
 
     def test_time_zero_only_never_evolves(self, sharp16, monkeypatch):
         import povmlab.lattice as lattice
@@ -394,4 +394,5 @@ class TestAuditAgainstPairwiseResidual:
 
         monkeypatch.setattr(lattice, "_propagator", refuse)
         audit = hc_audit(sharp16, self.SAMPLES, [0.0], tol=1e-9)
-        assert audit.microcausality_residual == 0.0 and audit.witness == {}
+        assert audit.residual("microcausality_residual") == 0.0
+        assert audit.witnesses["microcausality_witness"] == {}

@@ -132,27 +132,27 @@ class TestLudersEquivalence:
         for _ in range(10):
             T, S = commuting_povm_pair(4, rng)
             rep = luders_equivalence_check(T, S)
-            assert rep.commutator_residual <= 1e-10
-            assert rep.nsc_dev <= 1e-10
-            assert rep.rcc_dev <= 1e-10
-            assert rep.verdicts["biconditional"]
-            assert not rep.counterexample_candidate
+            assert rep.residual("commutator_residual") <= 1e-10
+            assert rep.residual("nsc_deviation") <= 1e-10
+            assert rep.residual("rcc_deviation") <= 1e-10
+            assert rep.residual("biconditional") == 0.0
+            assert rep.passed
 
     def test_qubit_witness_values(self):
         rep = luders_equivalence_check(COMP, HADAMARD)
-        assert rep.nsc_dev == pytest.approx(0.5, abs=1e-12)
-        assert rep.rcc_dev == pytest.approx(0.25, abs=1e-12)
-        assert rep.commutator_residual == pytest.approx(0.5, abs=1e-12)
-        assert rep.verdicts["biconditional"]
+        assert rep.residual("nsc_deviation") == pytest.approx(0.5, abs=1e-12)
+        assert rep.residual("rcc_deviation") == pytest.approx(0.25, abs=1e-12)
+        assert rep.residual("commutator_residual") == pytest.approx(0.5, abs=1e-12)
+        assert rep.residual("biconditional") == 0.0
 
     def test_trivial_povm_commutes_with_anything(self):
         rng = make_rng(36)
         T = DiscretePOVM([np.eye(3)])
         S = random_povm(3, 2, rng)
         rep = luders_equivalence_check(T, S)
-        assert rep.commutator_residual < 1e-12
-        assert rep.nsc_dev < 1e-12
-        assert rep.rcc_dev < 1e-12
+        assert rep.residual("commutator_residual") < 1e-12
+        assert rep.residual("nsc_deviation") < 1e-12
+        assert rep.residual("rcc_deviation") < 1e-12
 
     def test_report_carries_convention_note(self):
         rep = luders_equivalence_check(COMP, HADAMARD)
@@ -164,37 +164,37 @@ class TestBeckCheck:
         T = DiscretePOVM([np.diag([0.3, 0.6, 0.5]), np.diag([0.7, 0.4, 0.5])])
         S = np.diag([0.2, 0.9, 0.4]).astype(complex)
         rep = beck_check(luders_instrument(T), S)
-        assert rep.kraus_commutator_residual < 1e-12
-        assert rep.nsc_dev < 1e-12
-        assert rep.extras["nsc_dev_squared"] < 1e-12
-        assert rep.verdicts["biconditional"]
+        assert rep.residual("kraus_commutator") < 1e-12
+        assert rep.residual("nsc_deviation") < 1e-12
+        assert rep.residual("nsc_deviation_squared") < 1e-12
+        assert rep.residual("biconditional") == 0.0
 
     def test_noncommuting_unitary_detected(self):
         rng = make_rng(37)
         instr = random_unitary_instrument(3, rng)
         S = random_effect(3, rng)
         rep = beck_check(instr, S)
-        assert rep.nsc_dev > 1e-3
-        assert rep.verdicts["biconditional"]
+        assert rep.residual("nsc_deviation") > 1e-3
+        assert rep.residual("biconditional") == 0.0
 
     def test_level_fixing_witness_pattern(self):
         # no-signaling for S yet signaling for S^2, with noncommuting Kraus
         witness = heinosaari_wolf_search(3, seed=5, budget=200)
         assert isinstance(witness, SearchWitness)
         rep = beck_check(witness.instrument, witness.effect, tol=1e-9)
-        assert rep.nsc_dev <= 1e-9
-        assert rep.extras["nsc_dev_squared"] >= 1e-3
-        assert rep.kraus_commutator_residual > 1e-9
-        assert rep.verdicts["biconditional"]  # both sides false
+        assert rep.residual("nsc_deviation") <= 1e-9
+        assert rep.residual("nsc_deviation_squared") >= 1e-3
+        assert rep.residual("kraus_commutator") > 1e-9
+        assert rep.residual("biconditional") == 0.0  # both sides false
 
     def test_forward_direction(self):
         rng = make_rng(38)
         for _ in range(20):
             T, S_povm = commuting_povm_pair(3, rng)
             rep = beck_check(luders_instrument(T), S_povm[0], tol=1e-12)
-            if rep.kraus_commutator_residual <= 1e-12:
-                assert rep.nsc_dev <= 1e-10
-                assert rep.extras["nsc_dev_squared"] <= 1e-10
+            if rep.residual("kraus_commutator") <= 1e-12:
+                assert rep.residual("nsc_deviation") <= 1e-10
+                assert rep.residual("nsc_deviation_squared") <= 1e-10
 
 
 class TestSearch:
