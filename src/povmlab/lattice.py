@@ -322,8 +322,8 @@ def hc_audit(
     nontrivial, and the ``microcausality_witness`` records the worst pair.
     """
     samples = [as_cells(c, sys.n) for c in delta_samples]
-    if not samples:
-        raise ValueError("need at least one sampled region")
+    if not samples or not all(samples):
+        raise ValueError("need at least one sampled region, and no empty one")
     eye = np.eye(sys.n)
 
     additivity = 0.0

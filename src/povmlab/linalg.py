@@ -9,6 +9,12 @@ as ``|eigvalsh(A)|``; every other input goes through the SVD.  The Hermiticity
 guard passes such input at once and otherwise measures ``||A - A†||`` as the
 norm of the exactly Hermitian ``i(A - A†)``, so it takes the same fast path
 while keeping its rule ``||A - A†|| <= tol * max(1, ||A||)``.
+
+The kernels take one (n, n) matrix or a stack of shape (..., n, n), apply
+their rules (fast path, guard, clamp, floor) per matrix, return norms and
+verdicts with the stack's shape, and name the stack index in a refusal.
+numpy runs one LAPACK or BLAS call per matrix of a stack, so each matrix of a
+stacked result is bit-equal to the same call on that matrix alone.
 """
 from __future__ import annotations
 
@@ -16,43 +22,63 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 PROB_FLOOR = 1e-12
+# byte budget of one stack of matrices built from a longer list of them
+STACK_BYTES = 128 * 1024
 
 
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a square complex 2-d array."""
+def stack_size(n: int) -> int:
+    """How many complex (n, n) matrices one stack holds within STACK_BYTES."""
+    return max(1, STACK_BYTES // (16 * n * n))
+
+
+def as_matrix(M, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex 2-d array, or with ``stack`` to (..., n, n)."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(float))):
-        raise ValueError("matrix has non-finite entries")
+    if not np.isfinite(A.view(float)).all():
+        infinite = ~np.isfinite(A.view(float)).all(axis=(-2, -1))
+        raise ValueError(f"matrix{at_index(infinite)} has non-finite entries")
     return A
 
 
+def at_index(flagged) -> str:
+    """' at stack index i' for the first flagged matrix of a stack; '' for one."""
+    if np.ndim(flagged) == 0:
+        return ""
+    return " at stack index " + ", ".join(str(i) for i in np.argwhere(flagged)[0])
+
+
 def dag(M: np.ndarray) -> np.ndarray:
-    return np.asarray(M).conj().T
-
-
-def _exactly_hermitian(A: np.ndarray) -> bool:
-    return np.array_equal(A, dag(A))
+    return np.asarray(M).conj().swapaxes(-1, -2)
 
 
 def _singular_values(M) -> np.ndarray:
-    """Singular values, as absolute eigenvalues when ``M`` is exactly
-    Hermitian."""
+    """Singular values, as absolute eigenvalues of the matrices that are
+    exactly Hermitian."""
     A = np.asarray(M, dtype=complex)
-    if _exactly_hermitian(A):
+    same = A == dag(A)
+    if same.all():
         return np.abs(np.linalg.eigvalsh(A))
-    return np.linalg.svd(A, compute_uv=False)
+    if A.ndim == 2:
+        return np.linalg.svd(A, compute_uv=False)
+    exact = same.all(axis=(-2, -1))
+    values = np.empty(A.shape[:-1])
+    values[exact] = np.abs(np.linalg.eigvalsh(A[exact]))
+    values[~exact] = np.linalg.svd(A[~exact], compute_uv=False)
+    return values
 
 
-def op_norm(M) -> float:
+def op_norm(M):
     """Operator norm (largest singular value)."""
-    return float(_singular_values(M).max())
+    norm = _singular_values(M).max(axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def trace_norm(M) -> float:
+def trace_norm(M):
     """Sum of singular values."""
-    return float(_singular_values(M).sum())
+    norm = _singular_values(M).sum(axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def max_abs(M) -> float:
@@ -61,18 +87,28 @@ def max_abs(M) -> float:
     return float(np.abs(A).max()) if A.size else 0.0
 
 
-def herm_residual(M) -> float:
+def herm_residual(M):
     """||A - A†||, taken as the norm of the exactly Hermitian i(A - A†)."""
     A = np.asarray(M, dtype=complex)
     return op_norm(1j * (A - dag(A)))
 
 
-def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
+def is_hermitian(M, tol: float = DEFAULT_TOL):
     """||A - A†|| <= tol * max(1, ||A||); ||A|| is only computed when the
     residual exceeds tol."""
     A = np.asarray(M, dtype=complex)
-    residual = 0.0 if _exactly_hermitian(A) else herm_residual(A)
-    return residual <= tol or residual <= tol * max(1.0, op_norm(A))
+    same = A == dag(A)
+    if A.ndim == 2:
+        residual = 0.0 if same.all() else herm_residual(A)
+        return residual <= tol or residual <= tol * max(1.0, op_norm(A))
+    residual = np.zeros(A.shape[:-2])
+    inexact = ~same.all(axis=(-2, -1))
+    if inexact.any():
+        residual[inexact] = herm_residual(A[inexact])
+    ok = residual <= tol
+    if not ok.all():
+        ok[~ok] = residual[~ok] <= tol * np.maximum(1.0, op_norm(A[~ok]))
+    return ok
 
 
 def hermitize(M) -> np.ndarray:
@@ -88,10 +124,13 @@ def commutator(A, B) -> np.ndarray:
 
 def eigh_checked(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian input."""
-    A = as_matrix(M)
-    if not is_hermitian(A, tol):
+    A = as_matrix(M, stack=True)
+    ok = is_hermitian(A, tol)
+    if not (ok if A.ndim == 2 else ok.all()):
+        rejected = ~np.asarray(ok)
         raise ValueError(
-            f"matrix is not Hermitian within tolerance: residual {herm_residual(A):.3e}"
+            f"matrix{at_index(rejected)} is not Hermitian within tolerance: "
+            f"residual {herm_residual(A[rejected][0]):.3e}"
         )
     w, V = np.linalg.eigh(hermitize(A))
     return w, V
@@ -104,7 +143,7 @@ def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     so the result R satisfies R >= 0 and ||R @ R - M|| <= dim * tol for PSD M.
     """
     w, V = eigh_checked(M, tol)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ dag(V)
+    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(V)
 
 
 def psd_inv_sqrt(M, floor: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -114,12 +153,13 @@ def psd_inv_sqrt(M, floor: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     the inverse is numerically meaningless and a ValueError is raised.
     """
     w, V = eigh_checked(M, tol)
-    if w[0] <= floor:
+    low = w[..., 0] <= floor
+    if low.any():
         raise ValueError(
-            f"kernel too small for inverse square root: min eigenvalue "
-            f"{w[0]:.3e} <= floor {floor:.3e}"
+            f"kernel too small for inverse square root{at_index(low)}: min eigenvalue "
+            f"{w[..., 0][low][0]:.3e} <= floor {floor:.3e}"
         )
-    return (V * (1.0 / np.sqrt(w))) @ dag(V)
+    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ dag(V)
 
 
 def is_unitary(M, tol: float = DEFAULT_TOL) -> bool:

@@ -8,7 +8,6 @@ worker count yields identical reports, assembled in input order.
 """
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from . import lattice as lat
 from . import signaling as sig
 from .generators import commuting_povm_pair, make_rng, random_effect, random_state
 from .geometry import causally_separated
-from .linalg import DEFAULT_TOL, op_norm
+from .linalg import DEFAULT_TOL, op_norm, stack_size
 from .measurement import luders_instrument
 from .reporting import CheckReport
 from .serialization import (
@@ -84,22 +83,21 @@ def parse_scenarios(data: Any) -> list[Scenario]:
     return out
 
 
-def _number(raw: Any, pointer: str) -> float:
-    """A finite float, or a SchemaError naming the field."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(pointer, f"expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
+def _number(raw: Any, pointer: str, positive: bool = False) -> float:
+    """A finite JSON number (int or float; no bool, no string), > 0 when
+    ``positive``, or a SchemaError naming the field."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise SchemaError(pointer, f"expected a number, got {raw!r}")
+    if not -float_info.max <= raw <= float_info.max:
         raise SchemaError(pointer, f"expected a finite number, got {raw!r}")
-    return value
+    if positive and raw <= 0:
+        raise SchemaError(pointer, f"must be > 0, got {raw!r}")
+    return float(raw)
 
 
 def check_tol(raw: Any, pointer: str) -> float:
     """A scenario tolerance: a finite number > 0."""
-    if not isinstance(raw, (int, float)) or not 0 < raw <= float_info.max:
-        raise SchemaError(pointer, "tol must be a finite number > 0")
-    return float(raw)
+    return _number(raw, pointer, positive=True)
 
 
 def _integer(raw: Any, pointer: str, minimum: int) -> int:
@@ -118,19 +116,19 @@ def _integer(raw: Any, pointer: str, minimum: int) -> int:
 
 def _system_from_params(params: dict[str, Any], pointer: str) -> lat.LatticeLocalizationSystem:
     n = _integer(params.get("n", 16), f"{pointer}/n", 2)
-    mass = params.get("mass", 1.0)
-    a = params.get("a", 1.0)
-    width = params.get("width", 1.5)
+    mass = _number(params.get("mass", 1.0), f"{pointer}/mass", positive=True)
+    a = _number(params.get("a", 1.0), f"{pointer}/a", positive=True)
+    width = _number(params.get("width", 1.5), f"{pointer}/width", positive=True)
     kind = params.get("kind", "frame_smeared")
     try:
         if kind == "sharp":
-            return lat.build_sharp_system(n, float(mass), float(a))
+            return lat.build_sharp_system(n, mass, a)
         if kind == "alternating":
-            return lat.build_alternating_system(n, float(mass), float(a))
+            return lat.build_alternating_system(n, mass, a)
         if kind == "diagonal_smeared":
-            return lat.build_diagonal_smeared_system(n, float(mass), float(a), float(width))
+            return lat.build_diagonal_smeared_system(n, mass, a, width)
         if kind == "frame_smeared":
-            return lat.build_frame_smeared_system(n, float(mass), float(a), float(width))
+            return lat.build_frame_smeared_system(n, mass, a, width)
     except (TypeError, ValueError) as exc:
         raise SchemaError(pointer, str(exc)) from None
     raise SchemaError(f"{pointer}/kind", f"unknown system kind {kind!r}")
@@ -241,7 +239,10 @@ def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
         samples = [list(range(quarter)), list(range(2 * quarter, 3 * quarter))]
     if not isinstance(samples, list) or not samples:
         raise SchemaError(f"{p}/delta_samples", "expected a nonempty list of cell lists")
-    cells = [_cells({"s": s}, "s", sys.n, f"{p}/delta_samples") for s in samples]
+    cells = [_cells({str(j): s}, str(j), sys.n, f"{p}/delta_samples") for j, s in enumerate(samples)]
+    for j, region in enumerate(cells):
+        if not region:
+            raise SchemaError(f"{p}/delta_samples/{j}", "sampled regions must be nonempty")
     times = [_number(t, f"{p}/t_grid/{j}") for j, t in enumerate(t_grid)]
     report = lat.hc_audit(sys, cells, times, sc.tol)
     report.scenario = sc.echo()
@@ -279,6 +280,8 @@ def _check_gentle_sweep(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     dims = [_integer(d, f"{p}/dims/{j}", 1) for j, d in enumerate(dims)]
     instances = _integer(sc.params.get("instances", 1000), f"{p}/instances", 1)
     report = CheckReport(name="gentle_sweep", scenario=sc.echo())
+    # drawn in order, evaluated in one stack per dimension (flushed when full)
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     worst = float("inf")
     for i in range(instances):
         dim = dims[i % len(dims)]
@@ -286,11 +289,24 @@ def _check_gentle_sweep(sc: Scenario, rng: np.random.Generator) -> CheckReport:
         rho = random_state(dim, rng)
         if float(np.trace(rho @ T).real) <= 1e-9:
             continue
-        gb = cond.gentle_bound(T, rho)
-        worst = min(worst, gb.residual("bound") - gb.residual("trace_distance"))
+        stack = pending.setdefault(dim, [])
+        stack.append((T, rho))
+        if len(stack) == stack_size(dim):
+            worst = min(worst, _gentle_margin(stack))
+            stack.clear()
+    for stack in pending.values():
+        if stack:
+            worst = min(worst, _gentle_margin(stack))
     report.add("min_margin", max(0.0, -worst), 1e-9,
                note=f"worst margin {worst:.3e} over {instances} instances")
     return report
+
+
+def _gentle_margin(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The smallest bound - trace_distance over (T, rho) pairs of one size."""
+    _, distance, bound = cond.gentle_sides(np.stack([T for T, _ in pairs]),
+                                           np.stack([rho for _, rho in pairs]))
+    return float((bound - distance).min())
 
 
 def _check_conditional_bound(sc: Scenario, rng: np.random.Generator) -> CheckReport:

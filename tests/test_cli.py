@@ -247,6 +247,34 @@ class TestRefusals:
         payload = {"scenarios": [{"type": stype, "params": params}]}
         assert self.refused(payload) == f"/scenarios/0/params/{field}"
 
+    @pytest.mark.parametrize("samples, index", [([[], []], 0), ([[0, 1], []], 1),
+                                                ([[0], 3], 1), ([[0], [9]], 1)])
+    def test_hc_audit_sampled_region_empty_or_malformed(self, samples, index):
+        payload = {"scenarios": [{"type": "hc_audit", "params": {
+            "n": 8, "kind": "sharp", "delta_samples": samples}}]}
+        assert self.refused(payload) == f"/scenarios/0/params/delta_samples/{index}"
+
+    @pytest.mark.parametrize("stype, params, field", [
+        ("hc_audit", {"n": 8, "kind": "sharp", "mass": True}, "mass"),
+        ("hc_audit", {"n": 8, "kind": "sharp", "mass": "1.0"}, "mass"),
+        ("hc_audit", {"n": 8, "kind": "sharp", "mass": 0}, "mass"),
+        ("hc_audit", {"n": 8, "kind": "alternating", "a": -1.0}, "a"),
+        ("hc_audit", {"n": 8, "kind": "sharp", "a": None}, "a"),
+        ("conditional_build", {"n": 8, "width": -1, "lab": [0, 1]}, "width"),
+        ("conditional_build", {"n": 8, "width": float("inf"), "lab": [0, 1]}, "width"),
+        ("conditional_build", {"n": 8, "kind": "diagonal_smeared", "width": 10**400,
+                               "lab": [0, 1]}, "width"),
+        ("cc_residual", {"n": 8, "kind": "sharp", "delta": [0], "t": "1.0"}, "t"),
+        ("cc_residual", {"n": 8, "kind": "sharp", "delta": [0], "t": False}, "t"),
+        ("hc_audit", {"n": 8, "kind": "sharp", "t_grid": [0.5, True]}, "t_grid/1"),
+    ])
+    def test_number_fields_take_json_numbers_only(self, stype, params, field):
+        payload = {"scenarios": [{"type": stype, "params": params}]}
+        assert self.refused(payload) == f"/scenarios/0/params/{field}"
+
+    def test_boolean_tol_refused(self):
+        assert self.refused([{"type": "nsc", "tol": True}]) == "/0/tol"
+
     def test_cli_exits_two_on_a_refused_parameter(self, tmp_path, capsys):
         path = write_scenarios(tmp_path, {"scenarios": [{"type": "nsc", "params": {"dim": 0}}]})
         assert main(["run", path]) == 2

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from povmlab.conditional import (
+    _sample_subsets,
     build_conditional,
     build_conditional_from_unnormalized,
     composition_identity_check,
     conditional_prob_bound,
     cross_lab_commutator,
     gentle_bound,
+    gentle_sides,
     kernel_min_eig,
     v_conjugation_reduction,
 )
-from povmlab.generators import haar_unitary, make_rng, random_state
+from povmlab.generators import haar_unitary, make_rng, random_effect, random_state
 from povmlab.lattice import (
     build_diagonal_smeared_system,
     build_frame_smeared_system,
@@ -109,7 +111,95 @@ class TestBuildConditional:
         assert np.array_equal(cond.effect({6, 8}), oracle)
 
 
+# an 11-cell laboratory on the n=64 frame-smeared ring: more than 256
+# 2-partitions, so validate() samples its subsets
+LAB11 = frozenset([4, 5, 8, 14, 37, 38, 39, 50, 55, 57, 60])
+
+
+def validate_by_effect(cond, max_subsets=256):
+    """validate() written as one effect() call per subset, the oracle for the
+    stacked evaluation."""
+    eye = np.eye(cond.dim)
+    cells = sorted(cond.lab_cells)
+    if 1 << max(0, len(cells) - 1) <= max_subsets:
+        partitions = [frozenset(c for i, c in enumerate(cells) if (r >> i) & 1)
+                      for r in range(1 << max(0, len(cells) - 1))]
+    else:
+        partitions = _sample_subsets(cond.lab_cells)
+    additivity = bound = 0.0
+    for left in partitions:
+        right = cond.lab_cells - left
+        additivity = max(additivity, op_norm(cond.effect(left) + cond.effect(right)
+                                             - cond.effect(cond.lab_cells)))
+        w = np.linalg.eigvalsh(cond.effect(left))
+        bound = max(bound, max(0.0, -float(w[0])), max(0.0, float(w[-1]) - 1.0))
+    return [op_norm(cond.effect(cond.lab_cells) - eye), additivity, bound]
+
+
+class TestStackedEffects:
+    @pytest.fixture(scope="class")
+    def smeared64(self):
+        return build_frame_smeared_system(64, 1.0, 1.0, 1.5)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_validate_matches_the_per_effect_loop(self, smeared64, conjugated):
+        V = haar_unitary(64, make_rng(5)) if conjugated else None
+        report = build_conditional(smeared64, LAB11, conjugator=V).validate(1e-10)
+        oracle = validate_by_effect(build_conditional(smeared64, LAB11, conjugator=V))
+        assert [item.residual for item in report.items] == oracle
+        assert report.passed
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_validate_matches_on_every_partition(self, smeared16, conjugated):
+        V = haar_unitary(16, make_rng(6)) if conjugated else None
+        lab = frozenset([1, 2, 5, 8, 9, 12, 14])
+        report = build_conditional(smeared16, lab, conjugator=V).validate(1e-10)
+        oracle = validate_by_effect(build_conditional(smeared16, lab, conjugator=V))
+        assert [item.residual for item in report.items] == oracle
+
+    def test_effects_match_effect_and_are_not_cached(self, smeared16):
+        V = haar_unitary(16, make_rng(7))
+        cond = build_conditional(smeared16, LAB6, conjugator=V)
+        cached = cond.effect({5, 6})
+        sets = [{6, 5}, set(), {7, 9, 10}, LAB6, [8]]
+        stack = cond.effects(sets)
+        assert stack.shape == (5, 16, 16)
+        fresh = build_conditional(smeared16, LAB6, conjugator=V)
+        for B, cells in zip(stack, sets):
+            assert np.array_equal(B, fresh.effect(cells))
+        assert cond.effect({5, 6}) is cached
+        assert list(cond._cache) == [frozenset({5, 6})]
+        assert cond.effects([]).shape == (0, 16, 16)
+
+    def test_effect_keeps_returning_the_cached_object(self, smeared16):
+        cond = build_conditional(smeared16, LAB6)
+        first = cond.effect(LAB6)
+        cond.validate()
+        assert cond.effect(LAB6) is first
+
+    def test_effects_outside_the_lab_rejected(self, smeared16):
+        cond = build_conditional(smeared16, LAB6)
+        with pytest.raises(ValueError, match="inside the laboratory"):
+            cond.effects([{5}, {4, 5}])
+
+
 class TestGentleBound:
+    def test_stacked_sides_match_gentle_bound(self):
+        rng = make_rng(63)
+        for dim in (1, 2, 3, 5, 8, 16):
+            pairs = [(random_effect(dim, rng), random_state(dim, rng)) for _ in range(9)]
+            pairs = [(T, rho) for T, rho in pairs if np.trace(rho @ T).real > 1e-9]
+            sides = gentle_sides(np.stack([T for T, _ in pairs]), np.stack([r for _, r in pairs]))
+            reports = [gentle_bound(T, rho) for T, rho in pairs]
+            for values, name in zip(sides, ("delta", "trace_distance", "bound")):
+                assert np.array_equal(values, [rep.residual(name) for rep in reports])
+
+    def test_stacked_zero_overlap_names_the_index(self):
+        T = np.stack([np.eye(2), np.diag([1.0, 0.0])])
+        rho = np.stack([np.eye(2) / 2, np.diag([0.0, 1.0])])
+        with pytest.raises(ValueError, match="at stack index 1 is not positive"):
+            gentle_sides(T, rho)
+
     def test_identity_effect(self):
         rho = random_state(3, make_rng(61))
         rep = gentle_bound(np.eye(3), rho)

@@ -208,6 +208,11 @@ class TestAudit:
         audit = hc_audit(broken, [[0], [2]], [0.5], tol=1e-9)
         assert audit.notes[0].startswith("effects trivial")
 
+    @pytest.mark.parametrize("samples", [[[], []], [[0, 1], []], []])
+    def test_empty_sampled_region_refused(self, sharp16, samples):
+        with pytest.raises(ValueError, match="sampled region"):
+            hc_audit(sharp16, samples, self.T_GRID, tol=1e-9)
+
     def test_frame_smeared_same_verdict(self, smeared16):
         audit = hc_audit(smeared16, self.SAMPLES, self.T_GRID, tol=1e-9)
         assert audit.notes[0].startswith("hypothesis 4")

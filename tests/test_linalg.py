@@ -210,3 +210,89 @@ class TestHermiticityGuard:
                     fn(M)
             with pytest.raises(ValueError, match="non-finite"):
                 psd_inv_sqrt(M, floor=1e-8)
+
+
+def mixed_stack(n, rng, count=6):
+    """PSD matrices of size n, every other one exactly Hermitian and the
+    rest Hermitian only within tolerance (a 1e-14 anti-Hermitian part)."""
+    G = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    H = hermitize(G @ dag(G)) + 0.1 * np.eye(n)
+    K = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    H[1::2] += 1e-14 * (K[1::2] - dag(K[1::2]))
+    return H
+
+
+def loop(fn, stack):
+    return np.array([fn(M) for M in stack])
+
+
+class TestStackOracle:
+    """Each matrix of a stacked result is bit-equal to the 2-d call."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_stacked_kernels_match_the_loop(self, n):
+        rng = make_rng(31)
+        H = mixed_stack(n, rng)
+        if n > 1:
+            assert not np.array_equal(H[1], dag(H[1]))
+        for fn in (op_norm, trace_norm, psd_sqrt, herm_residual, is_hermitian,
+                   hermitize, lambda M: psd_inv_sqrt(M, floor=1e-12)):
+            assert np.array_equal(fn(H), loop(fn, H))
+        w, V = eigh_checked(H)
+        assert np.array_equal(w, loop(lambda M: eigh_checked(M)[0], H))
+        assert np.array_equal(V, loop(lambda M: eigh_checked(M)[1], H))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_stacked_norms_of_general_matrices_match_the_loop(self, n):
+        rng = make_rng(32)
+        G = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        G[::2] = hermitize(G[::2])
+        for fn in (op_norm, trace_norm, herm_residual):
+            values = fn(G)
+            assert values.shape == (5,)
+            assert np.array_equal(values, loop(fn, G))
+
+    def test_stack_of_two_axes(self):
+        H = mixed_stack(4, make_rng(33)).reshape(2, 3, 4, 4)
+        assert op_norm(H).shape == (2, 3)
+        assert np.array_equal(psd_sqrt(H).reshape(6, 4, 4), loop(psd_sqrt, H.reshape(6, 4, 4)))
+
+    @pytest.mark.parametrize("norm", [0.3, 50.0])
+    def test_guard_per_matrix_at_the_boundary(self, norm):
+        rng = make_rng(34)
+        H = mixed_stack(5, rng)
+        H[2] *= norm / op_norm(H[2])
+        K = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        K /= svd_oracle(K - dag(K)).max()
+        for ratio in (0.99, 1.01):
+            H[2] = hermitize(H[2]) + ratio * DEFAULT_TOL * max(1.0, norm) * K
+            assert np.array_equal(is_hermitian(H), loop(is_hermitian, H))
+            assert is_hermitian(H)[2] == (ratio < 1.0)
+        assert not is_hermitian(H, tol=-1.0).any()
+
+    def test_non_hermitian_matrix_refused_by_index(self):
+        H = mixed_stack(3, make_rng(35))
+        H[4, 0, 1] += 1e-3
+        for fn in (eigh_checked, psd_sqrt, lambda M: psd_inv_sqrt(M, floor=1e-12)):
+            with pytest.raises(ValueError, match="matrix at stack index 4 is not Hermitian"):
+                fn(H)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_refused_by_index(self, bad):
+        H = mixed_stack(3, make_rng(36))
+        H[3, 1, 1] = bad
+        for fn in (eigh_checked, psd_sqrt, lambda M: psd_inv_sqrt(M, floor=1e-12)):
+            with pytest.raises(ValueError, match="matrix at stack index 3 has non-finite"):
+                fn(H)
+
+    def test_floor_refusal_names_the_index(self):
+        H = mixed_stack(3, make_rng(37))
+        H[5] = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="inverse square root at stack index 5"):
+            psd_inv_sqrt(H, floor=1e-8)
+
+    def test_one_matrix_messages_carry_no_index(self):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            eigh_checked(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="^kernel too small for inverse square root: "):
+            psd_inv_sqrt(np.diag([1.0, 0.0]), floor=1e-8)
