@@ -66,10 +66,11 @@ class LatticeLocalizationSystem:
 
 def effect_of(sys: LatticeLocalizationSystem, cells: Iterable[int]) -> np.ndarray:
     """A(cells) = sum of the member cell effects; exactly additive over
-    disjoint unions by construction."""
+    disjoint unions by construction.  Summed in sorted cell order, so the
+    bits do not depend on how the cells were listed."""
     cells = as_cells(cells, sys.n)
     out = np.zeros((sys.n, sys.n), dtype=complex)
-    for k in cells:
+    for k in sorted(cells):
         out += sys.cell_effects[k]
     return out
 

@@ -121,6 +121,18 @@ class TestRunCommand:
             for item, wire_item in zip(fresh.to_dict()["items"], wire["items"]):
                 assert wire_item["residual"] == item["residual"]
 
+    def test_report_independent_of_the_order_of_lab_cells(self):
+        lab = [4, 5, 8, 14, 37, 38, 39, 50, 55, 57, 60]
+        reports = []
+        for cells in (lab, lab[::-1]):
+            payload = {"scenarios": [{"type": "conditional_build", "seed": 3, "params": {
+                "n": 64, "kind": "frame_smeared", "width": 1.5, "lab": cells}}]}
+            report = run_scenarios(parse_scenarios(payload))[0].to_dict()
+            report.pop("wall_time")
+            report.pop("scenario")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
     def test_parallel_serial_equivalence(self, tmp_path):
         scenarios = parse_scenarios(GOOD_BATCH)
         serial = run_scenarios(scenarios, workers=1)

@@ -115,6 +115,19 @@ class TestEffectOf:
         total = effect_of(smeared16, cells) + effect_of(smeared16, comp)
         assert op_norm(total - np.eye(16)) <= 1e-12
 
+    def test_independent_of_how_the_cells_are_listed(self):
+        """A(cells) is summed in sorted cell order, so permuting the list or
+        freezing it again gives the same bits."""
+        sys = build_frame_smeared_system(64, 1.0, 1.0, 1.5)
+        rng = make_rng(52)
+        for _ in range(300):
+            size = int(rng.integers(2, 40))
+            cells = [int(k) for k in rng.choice(64, size=size, replace=False)]
+            reference = effect_of(sys, sorted(cells))
+            for listing in (cells, cells[::-1], frozenset(cells), frozenset(cells[::-1]),
+                            frozenset(frozenset(cells) | {cells[0]})):
+                assert np.array_equal(effect_of(sys, listing), reference)
+
     def test_covariance_on_random_sets(self, smeared16):
         rng = make_rng(51)
         for _ in range(100):
