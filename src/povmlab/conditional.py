@@ -38,49 +38,33 @@ from .reporting import CheckReport
 KERNEL_FLOOR_FACTOR = 1e-8
 
 
-def kernel_min_eig(A0, tol: float = DEFAULT_TOL) -> float:
-    """Minimum eigenvalue of a Hermitian operator; the construction below
-    proceeds only when it clears the kernel floor."""
-    w, _ = eigh_checked(A0, tol)
-    return float(w[0])
-
-
-def _lab_inv_sqrt(A0: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """A0^{-1/2} and ||A0|| from one eigendecomposition, which also feeds the
-    kernel check: refuses when the minimum eigenvalue is within the kernel
-    floor, KERNEL_FLOOR_FACTOR * ||A0||."""
-    w, V = eigh_checked(A0, tol)
-    kmin, knorm = float(w[0]), float(max(abs(w[0]), abs(w[-1])))
-    floor = KERNEL_FLOOR_FACTOR * max(knorm, np.finfo(float).tiny)
-    if kmin <= floor:
-        raise ValueError(
-            f"laboratory effect has kernel within tolerance (min eigenvalue "
-            f"{kmin:.3e} <= floor {floor:.3e}); conditional POVM not constructible"
-        )
-    return (V * (1.0 / np.sqrt(w))) @ dag(V), knorm
-
-
 class ConditionalPOVM:
     """Conditional localization effects on a laboratory cell set.
 
-    Effects are computed on demand and cached; the inverse square root of the
-    laboratory effect is fixed at construction, so the cache is immutable
-    afterwards and concurrent evaluation is safe.
+    The laboratory effect A(lab) = ``raw_effect(lab_cells)`` is decomposed
+    once, at construction: ``lab_spectrum`` keeps that decomposition, and
+    ``inv_sqrt`` and ``lab_effect_norm`` come from it.  Construction is
+    refused when A(lab) has a (numerical) kernel, its smallest eigenvalue at
+    or below KERNEL_FLOOR_FACTOR * ||A(lab)||.  Effects are computed on demand
+    and cached; everything they depend on is fixed at construction, so the
+    cache is immutable afterwards and concurrent evaluation is safe.
     """
 
     def __init__(
         self,
         lab_cells: frozenset[int],
         raw_effect: Callable[[frozenset[int]], np.ndarray],
-        inv_sqrt: np.ndarray,
         conjugator: np.ndarray | None = None,
-        lab_effect_norm: float = 1.0,
+        tol: float = DEFAULT_TOL,
     ):
         self.lab_cells = frozenset(lab_cells)
         self._raw_effect = raw_effect
-        self.inv_sqrt = inv_sqrt
         self.conjugator = conjugator
-        self.lab_effect_norm = float(lab_effect_norm)
+        self.lab_spectrum = eigh_checked(raw_effect(self.lab_cells), tol)
+        self.lab_effect_norm = self.lab_spectrum.norm
+        self.inv_sqrt = self.lab_spectrum.inv_sqrt(
+            KERNEL_FLOOR_FACTOR * max(self.lab_effect_norm, np.finfo(float).tiny)
+        )
         self._cache: dict[frozenset[int], np.ndarray] = {}
 
     @property
@@ -173,16 +157,10 @@ def build_conditional(
     systems with a proper laboratory.
     """
     lab = as_cells(lab_cells, sys.n)
-    inv_sqrt, knorm = _lab_inv_sqrt(effect_of(sys, lab), tol)
+    povm = ConditionalPOVM(lab, lambda cells: effect_of(sys, cells), conjugator, tol)
     if conjugator is not None and not is_unitary(conjugator, max(tol, 1e-9)):
         raise ValueError("conjugator must be unitary")
-    return ConditionalPOVM(
-        lab,
-        lambda cells: effect_of(sys, cells),
-        inv_sqrt,
-        conjugator,
-        lab_effect_norm=knorm,
-    )
+    return povm
 
 
 def build_conditional_from_unnormalized(
@@ -226,8 +204,7 @@ def build_conditional_from_unnormalized(
                     f"family is not additive on disjoint cells (residual {residual:.3e})"
                 )
 
-    inv_sqrt, knorm = _lab_inv_sqrt(raw(lab), tol)
-    return ConditionalPOVM(lab, raw, inv_sqrt, None, lab_effect_norm=knorm)
+    return ConditionalPOVM(lab, raw, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +221,14 @@ def gentle_sides(T, rho, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     """
     T = as_matrix(T, stack=True)
     rho = as_matrix(rho, stack=True)
-    norm_T = op_norm(T)
     p = np.trace(rho @ T, axis1=-2, axis2=-1).real
     low = p <= tol
     if np.any(low):
         raise ValueError(f"tr(rho T) = {p[low][0]:.3e}{at_index(low)} is not positive; "
                          "bound undefined")
-    delta = np.maximum(0.0, 1.0 - p / norm_T)
-    root = psd_sqrt(T, tol)
+    eig = eigh_checked(T, tol)
+    delta = np.maximum(0.0, 1.0 - p / eig.norm)
+    root = eig.sqrt()
     conditioned = root @ rho @ root / p[..., None, None]
     return delta, trace_norm(rho - conditioned), 2.0 * np.sqrt(delta) + delta
 
@@ -316,7 +293,7 @@ def conditional_prob_bound(
             "probability difference"
         )
     # conditioned state: sqrt(A_lab) rho sqrt(A_lab) / tr(A_lab rho)
-    root = psd_sqrt(A_lab, tol)
+    root = cond.lab_spectrum.sqrt()
     rho_cond = root @ rho @ root / p_lab
     exact = float(np.trace(rho_cond @ B).real)
     report.add("exact_conditional_identity", abs(exact - fraction), 1e-10,
@@ -416,9 +393,7 @@ def composition_identity_check(
     cond2 = build_conditional(sys, lab2, tol=tol)
     cond_u = build_conditional(sys, union, tol=tol)
 
-    A1 = effect_of(sys, lab1)
-    A2 = effect_of(sys, lab2)
-    s1, s2 = psd_sqrt(A1, tol), psd_sqrt(A2, tol)
+    s1, s2 = cond1.lab_spectrum.sqrt(), cond2.lab_spectrum.sqrt()
     inv_u = cond_u.inv_sqrt
     w1 = psd_sqrt(cond_u.effect(lab1), tol)
     w2 = psd_sqrt(cond_u.effect(lab2), tol)

@@ -11,7 +11,7 @@ from typing import Any
 import numpy as np
 
 from .lattice import build_frame_smeared_system, build_sharp_system
-from .linalg import dag, hermitize, op_norm, psd_inv_sqrt
+from .linalg import dag, eigh_checked, hermitize
 from .measurement import DiscretePOVM, KrausInstrument, luders_instrument
 from .serialization import encode_instrument, encode_matrix, encode_povm
 
@@ -51,8 +51,8 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Discrete
     for _ in range(n_outcomes):
         G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         blocks.append(G @ dag(G))
-    S = sum(blocks)
-    R = psd_inv_sqrt(S, floor=1e-12 * op_norm(S))
+    eig = eigh_checked(sum(blocks))
+    R = eig.inv_sqrt(floor=1e-12 * eig.norm)
     return DiscretePOVM([hermitize(R @ B @ R) for B in blocks])
 
 
@@ -81,11 +81,6 @@ def commuting_povm_pair(
         )
 
     return build(stochastic_profiles(n_first)), build(stochastic_profiles(n_second))
-
-
-def random_unitary_instrument(dim: int, rng: np.random.Generator) -> KrausInstrument:
-    """Single-outcome instrument implemented by one Haar unitary."""
-    return KrausInstrument([[haar_unitary(dim, rng)]])
 
 
 def generate_instance(kind: str, dim: int, seed: int, **params: Any) -> dict[str, Any]:

@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import FourVector, RegionUnion, SpacetimeBox, TIME_AXIS
 from .linalg import (
     DEFAULT_TOL,
+    Eig,
     as_matrix,
     commutator,
     dag,
@@ -47,16 +48,15 @@ class LatticeLocalizationSystem:
     hamiltonian: np.ndarray
     kind: str
 
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _eig: Eig | None = field(default=None, repr=False)
 
     @property
     def hilbert_dim(self) -> int:
         return self.n
 
-    def energy_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    def energy_eigensystem(self) -> Eig:
         if self._eig is None:
-            w, V = np.linalg.eigh(hermitize(self.hamiltonian))
-            self._eig = (w, V)
+            self._eig = Eig(*np.linalg.eigh(hermitize(self.hamiltonian)))
         return self._eig
 
     def complement(self, cells: Iterable[int]) -> frozenset[int]:
@@ -78,14 +78,13 @@ def effect_of(sys: LatticeLocalizationSystem, cells: Iterable[int]) -> np.ndarra
 def heisenberg_evolve(sys: LatticeLocalizationSystem, M: np.ndarray, t: float) -> np.ndarray:
     """exp(-itH) M exp(itH) through the eigendecomposition of H."""
     M = as_matrix(M)
-    U = _propagator(*sys.energy_eigensystem(), t)
+    U = _propagator(sys.energy_eigensystem(), t)
     return U @ M @ dag(U)
 
 
-def _propagator(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
-    """exp(-itH) from the eigendecomposition (w, V) of H."""
-    phases = np.exp(-1j * t * w)
-    return (V * phases) @ dag(V)
+def _propagator(energy: Eig, t: float) -> np.ndarray:
+    """exp(-itH) from the eigendecomposition of H."""
+    return energy.apply(np.exp(-1j * t * energy.w))
 
 
 def _dft(n: int) -> np.ndarray:
@@ -366,7 +365,7 @@ def hc_audit(
         if t == 0:
             evolved.append(regions)
         else:
-            U = _propagator(*sys.energy_eigensystem(), float(t))
+            U = _propagator(sys.energy_eigensystem(), float(t))
             evolved.append({k: U @ B @ dag(U) for k, B in regions.items()})
     by_abs_t = sorted(range(len(t_grid)), key=lambda k: abs(t_grid[k]))
 

@@ -1,8 +1,11 @@
 """Dense complex Hermitian matrix helpers.
 
-Eigendecomposition is the single functional-calculus path used everywhere
-(square roots, inverse square roots), so there is one numerical kernel to
-validate.
+``eigh_checked`` is the single functional-calculus path.  It returns one
+``Eig`` (w, V), which carries the one formula V f(w) V† (``Eig.apply``) and
+gives the clamped square root, the inverse square root and the operator norm
+of the matrix, so a caller that needs several of these decomposes the matrix
+once.  ``Eig.inv_sqrt`` holds the one kernel-floor rule: an inverse square
+root is refused when the smallest eigenvalue is at or below the floor.
 
 Exactly Hermitian input (``A`` bit-equal to ``A†``) takes the singular values
 as ``|eigvalsh(A)|``; every other input goes through the SVD.  The Hermiticity
@@ -17,6 +20,8 @@ numpy runs one LAPACK or BLAS call per matrix of a stack, so each matrix of a
 stacked result is bit-equal to the same call on that matrix alone.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,7 +127,43 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def eigh_checked(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+class Eig(NamedTuple):
+    """Eigendecomposition of a Hermitian matrix or stack: ascending
+    eigenvalues w (..., n) and orthonormal eigenvectors V (..., n, n).
+    Unpacks as ``w, V``."""
+
+    w: np.ndarray
+    V: np.ndarray
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """V diag(values) V†, for values f(w) of the eigenvalues."""
+        return (self.V * values[..., None, :]) @ dag(self.V)
+
+    @property
+    def norm(self):
+        """Operator norm, the largest |eigenvalue|, with the stack's shape."""
+        norm = np.maximum(np.abs(self.w[..., 0]), np.abs(self.w[..., -1]))
+        return float(norm) if norm.ndim == 0 else norm
+
+    def sqrt(self) -> np.ndarray:
+        """PSD square root; eigenvalues below zero (numerical noise on a PSD
+        input) are clamped to 0."""
+        return self.apply(np.sqrt(np.clip(self.w, 0.0, None)))
+
+    def inv_sqrt(self, floor: float) -> np.ndarray:
+        """Inverse square root, refused with a ValueError when the smallest
+        eigenvalue is at or below ``floor``: the inverse is then
+        numerically meaningless."""
+        low = self.w[..., 0] <= floor
+        if low.any():
+            raise ValueError(
+                f"kernel too small for inverse square root{at_index(low)}: min eigenvalue "
+                f"{self.w[..., 0][low][0]:.3e} <= floor {floor:.3e}"
+            )
+        return self.apply(1.0 / np.sqrt(self.w))
+
+
+def eigh_checked(M, tol: float = DEFAULT_TOL) -> Eig:
     """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian input."""
     A = as_matrix(M, stack=True)
     ok = is_hermitian(A, tol)
@@ -132,34 +173,21 @@ def eigh_checked(M, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
             f"matrix{at_index(rejected)} is not Hermitian within tolerance: "
             f"residual {herm_residual(A[rejected][0]):.3e}"
         )
-    w, V = np.linalg.eigh(hermitize(A))
-    return w, V
+    return Eig(*np.linalg.eigh(hermitize(A)))
 
 
 def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+    """Hermitian PSD square root, ``Eig.sqrt``.
 
-    Eigenvalues below zero (numerical noise on a PSD input) are clamped to 0,
-    so the result R satisfies R >= 0 and ||R @ R - M|| <= dim * tol for PSD M.
+    The result R satisfies R >= 0 and ||R @ R - M|| <= dim * tol for PSD M.
     """
-    w, V = eigh_checked(M, tol)
-    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(V)
+    return eigh_checked(M, tol).sqrt()
 
 
 def psd_inv_sqrt(M, floor: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root of a strictly positive Hermitian matrix.
-
-    ``floor`` is the smallest admissible eigenvalue; anything below it means
-    the inverse is numerically meaningless and a ValueError is raised.
-    """
-    w, V = eigh_checked(M, tol)
-    low = w[..., 0] <= floor
-    if low.any():
-        raise ValueError(
-            f"kernel too small for inverse square root{at_index(low)}: min eigenvalue "
-            f"{w[..., 0][low][0]:.3e} <= floor {floor:.3e}"
-        )
-    return (V * (1.0 / np.sqrt(w))[..., None, :]) @ dag(V)
+    """Inverse square root of a strictly positive Hermitian matrix,
+    ``Eig.inv_sqrt``: refused below ``floor``."""
+    return eigh_checked(M, tol).inv_sqrt(floor)
 
 
 def is_unitary(M, tol: float = DEFAULT_TOL) -> bool:

@@ -211,8 +211,8 @@ def polar_kraus(T, V, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     T = as_matrix(T)
     V = as_matrix(V)
-    w, W = eigh_checked(T, tol)
-    support = W[:, w > tol * max(1.0, float(w[-1]))]
+    eig = eigh_checked(T, tol)
+    support = eig.V[:, eig.w > tol * max(1.0, float(eig.w[-1]))]
     if support.size:
         gram = dag(support) @ dag(V) @ V @ support
         residual = op_norm(gram - np.eye(support.shape[1]))
@@ -220,7 +220,7 @@ def polar_kraus(T, V, tol: float = DEFAULT_TOL) -> np.ndarray:
             raise ValueError(
                 f"V is not isometric on the range of sqrt(T): residual {residual:.3e}"
             )
-    return V @ psd_sqrt(T, tol)
+    return V @ eig.sqrt()
 
 
 def outcome_probability(rho, instr: KrausInstrument, j: int) -> float:

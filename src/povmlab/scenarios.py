@@ -236,7 +236,8 @@ def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     samples = sc.params.get("delta_samples")
     if samples is None:
         quarter = max(1, sys.n // 4)
-        samples = [list(range(quarter)), list(range(2 * quarter, 3 * quarter))]
+        samples = [list(range(quarter)),
+                   list(range(min(2 * quarter, sys.n - quarter), min(3 * quarter, sys.n)))]
     if not isinstance(samples, list) or not samples:
         raise SchemaError(f"{p}/delta_samples", "expected a nonempty list of cell lists")
     cells = [_cells({str(j): s}, str(j), sys.n, f"{p}/delta_samples") for j, s in enumerate(samples)]

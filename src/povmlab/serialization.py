@@ -54,10 +54,6 @@ def decode_matrix(data: Any, pointer: str = "") -> np.ndarray:
     return A.reshape(dim, dim)
 
 
-def encode_state(M: np.ndarray) -> dict[str, Any]:
-    return {"kind": "state", "matrix": encode_matrix(M)}
-
-
 def encode_povm(p: DiscretePOVM) -> dict[str, Any]:
     return {
         "kind": "povm",
@@ -162,20 +158,3 @@ def decode_region(data: Any, pointer: str = "") -> RegionUnion:
         return RegionUnion(out, frame)
     except ValueError as exc:
         raise SchemaError(pointer, str(exc)) from None
-
-
-DECODERS = {
-    "effect": decode_effect,
-    "state": decode_state,
-    "povm": decode_povm,
-    "instrument": decode_instrument,
-}
-
-
-def decode_tagged(data: Any, pointer: str = ""):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise SchemaError(pointer, "expected a tagged object with a 'kind' field")
-    kind = data["kind"]
-    if kind not in DECODERS:
-        raise SchemaError(f"{pointer}/kind", f"unknown kind {kind!r}")
-    return DECODERS[kind](data, pointer)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from povmlab.cli import main
+from povmlab.reporting import CheckReport
 from povmlab.scenarios import parse_scenarios, run_scenarios
 from povmlab.serialization import SchemaError
 
@@ -298,6 +299,30 @@ class TestRefusals:
             {"type": "hc_audit", "params": {"n": 8, "kind": "sharp", "t_grid": [0, 1.0]}},
         ]}
         assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == ["PASS", "PASS"]
+
+
+class TestHcAuditDefaultRegions:
+    @pytest.mark.parametrize("kind", ["sharp", "alternating", "diagonal_smeared",
+                                      "frame_smeared"])
+    def test_two_cells_end_in_a_verdict(self, tmp_path, kind):
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": "hc_audit", "params": {"n": 2, "kind": kind}}]})
+        out = str(tmp_path / "report.json")
+        assert main(["run", path, "--out", out]) == 0
+        assert json.loads(open(out).read())["reports"][0]["verdict"] == "PASS"
+
+    def test_regions_from_three_cells_on_are_unchanged(self, monkeypatch):
+        import povmlab.lattice as lattice
+
+        seen = []
+        monkeypatch.setattr(lattice, "hc_audit",
+                            lambda sys, cells, times, tol: seen.append(cells) or CheckReport("hc_audit"))
+        for n in range(3, 65):
+            run_scenarios(parse_scenarios([{"type": "hc_audit",
+                                            "params": {"n": n, "kind": "sharp"}}]))
+            quarter = max(1, n // 4)
+            assert seen.pop() == [frozenset(range(quarter)),
+                                  frozenset(range(2 * quarter, 3 * quarter))]
 
 
 class TestRepeatWitnesses:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from povmlab.conditional import (
+    KERNEL_FLOOR_FACTOR,
     _sample_subsets,
     build_conditional,
     build_conditional_from_unnormalized,
@@ -10,7 +11,6 @@ from povmlab.conditional import (
     cross_lab_commutator,
     gentle_bound,
     gentle_sides,
-    kernel_min_eig,
     v_conjugation_reduction,
 )
 from povmlab.generators import haar_unitary, make_rng, random_effect, random_state
@@ -20,7 +20,7 @@ from povmlab.lattice import (
     build_sharp_system,
     effect_of,
 )
-from povmlab.linalg import dag, hermitize, op_norm, psd_sqrt
+from povmlab.linalg import dag, hermitize, op_norm, psd_inv_sqrt, psd_sqrt
 
 LAB6 = frozenset(range(5, 11))
 
@@ -46,22 +46,22 @@ def localized_state(sys, lab, floor=0.99):
     return rho
 
 
-class TestKernelMinEig:
-    def test_identity(self):
-        assert kernel_min_eig(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_projector_kernel(self):
-        assert kernel_min_eig(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
-
-    def test_frame_smeared_lab_strictly_positive(self, smeared16):
-        assert kernel_min_eig(effect_of(smeared16, LAB6)) > 1e-3
-
-
 class TestBuildConditional:
+    def test_frame_smeared_lab_strictly_positive(self, smeared16):
+        assert build_conditional(smeared16, LAB6).lab_spectrum.w[0] > 1e-3
+
     def test_sharp_lab_refused(self):
         sharp = build_sharp_system(8, 1.0, 1.0)
         with pytest.raises(ValueError, match="kernel"):
             build_conditional(sharp, {2, 3, 4})
+
+    def test_lab_spectrum_is_the_lab_effects_decomposition(self, smeared16):
+        cond = build_conditional(smeared16, LAB6)
+        A_lab = effect_of(smeared16, LAB6)
+        assert np.array_equal(cond.lab_spectrum.sqrt(), psd_sqrt(A_lab))
+        assert np.array_equal(cond.inv_sqrt,
+                              psd_inv_sqrt(A_lab, KERNEL_FLOOR_FACTOR * op_norm(A_lab)))
+        assert cond.lab_effect_norm == cond.lab_spectrum.norm
 
     def test_lab_effect_is_identity(self, smeared16):
         cond = build_conditional(smeared16, LAB6)
@@ -389,9 +389,6 @@ class TestComposition:
         cond2 = build_conditional(smeared16, self.LAB2)
         union = build_conditional(smeared16, self.LAB1 | self.LAB2)
         A1 = effect_of(smeared16, self.LAB1)
-        from povmlab.conditional import KERNEL_FLOOR_FACTOR
-        from povmlab.linalg import psd_inv_sqrt
-
         Au = effect_of(smeared16, self.LAB1 | self.LAB2)
         inv_u = psd_inv_sqrt(Au, KERNEL_FLOOR_FACTOR * op_norm(Au))
         s1 = psd_sqrt(A1)

@@ -13,7 +13,7 @@ from povmlab.generators import (
     random_povm,
     random_state,
 )
-from povmlab.linalg import dag, op_norm
+from povmlab.linalg import dag, hermitize, op_norm
 from povmlab.measurement import validate_effect, validate_povm, validate_state
 from povmlab.signaling import commutator_residual
 
@@ -35,6 +35,29 @@ class TestDeterminism:
         _ = make_rng(5, 1, 0).normal(size=100)
         r2 = make_rng(5, 0, 0).normal(size=3)
         assert np.array_equal(r1, r2)
+
+
+def two_decomposition_random_povm(dim, n_outcomes, rng):
+    """random_povm with its floor from op_norm(S) and the inverse square
+    root from a second, separate decomposition."""
+    blocks = []
+    for _ in range(n_outcomes):
+        G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        blocks.append(G @ dag(G))
+    S = sum(blocks)
+    assert np.linalg.eigvalsh(hermitize(S))[0] > 1e-12 * op_norm(S)
+    w, V = np.linalg.eigh(hermitize(S))
+    R = (V * (1.0 / np.sqrt(w))[..., None, :]) @ dag(V)
+    return [hermitize(R @ B @ R) for B in blocks]
+
+
+class TestRandomPovm:
+    @pytest.mark.parametrize("dim, outcomes", [(1, 2), (2, 2), (3, 4), (8, 3), (16, 2)])
+    def test_bit_equal_to_two_decompositions(self, dim, outcomes):
+        for seed in range(5):
+            povm = random_povm(dim, outcomes, make_rng(seed, dim))
+            expected = two_decomposition_random_povm(dim, outcomes, make_rng(seed, dim))
+            assert all(np.array_equal(a, b) for a, b in zip(povm.effects, expected, strict=True))
 
 
 class TestGeneratedObjectsValidate:

@@ -296,3 +296,92 @@ class TestStackOracle:
             eigh_checked(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="^kernel too small for inverse square root: "):
             psd_inv_sqrt(np.diag([1.0, 0.0]), floor=1e-8)
+
+
+class TestEig:
+    """Eig's functions are bit-equal to the formulas they replaced, V f(w) V†
+    on the same decomposition, for one matrix and for a stack."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_matches_the_replaced_formulas(self, n):
+        H = mixed_stack(n, make_rng(38))
+        for M in (H[0], H[1], H):
+            eig = eigh_checked(M)
+            w, V = np.linalg.eigh(hermitize(M))
+            assert np.array_equal(eig.w, w) and np.array_equal(eig.V, V)
+            assert np.array_equal(eig.sqrt(),
+                                  (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(V))
+            assert np.array_equal(eig.inv_sqrt(1e-12),
+                                  (V * (1.0 / np.sqrt(w))[..., None, :]) @ dag(V))
+            assert np.array_equal(eig.norm,
+                                  np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
+
+    def test_one_matrix_matches_the_laboratory_formulas(self):
+        M = mixed_stack(5, make_rng(39))[1]
+        eig = eigh_checked(M)
+        w, V = np.linalg.eigh(hermitize(M))
+        assert eig.norm == float(max(abs(w[0]), abs(w[-1])))
+        assert isinstance(eig.norm, float)
+        assert np.array_equal(eig.inv_sqrt(1e-8), (V * (1.0 / np.sqrt(w))) @ dag(V))
+
+    def test_floor_is_inclusive(self):
+        eig = eigh_checked(np.diag([0.25, 1.0]))
+        with pytest.raises(ValueError, match=r"min eigenvalue 2\.500e-01 <= floor 2\.500e-01$"):
+            eig.inv_sqrt(0.25)
+        assert np.array_equal(eig.inv_sqrt(0.2499), np.diag([2.0, 1.0]))
+
+    def test_floor_refusal_names_the_index(self):
+        H = mixed_stack(3, make_rng(40))
+        H[2] = np.diag([2.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=r"^kernel too small for inverse square root "
+                                             r"at stack index 2: min eigenvalue "):
+            eigh_checked(H).inv_sqrt(1e-8)
+
+    def test_negative_eigenvalues_clamped_in_sqrt(self):
+        assert np.array_equal(eigh_checked(np.diag([-1e-17, 4.0])).sqrt(), np.diag([0.0, 2.0]))
+
+
+class TestDecompositionCounts:
+    """Each operator is decomposed once: the np.linalg.eigh and eigvalsh
+    calls of each entry point that needs more than one function of it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {}
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("entry, eigh, eigvalsh", [
+        ("composition_identity_check", 5, 7),
+        ("conditional_prob_bound", 1, 1),
+        ("gentle_bound", 1, 0),
+        ("polar_kraus", 1, 1),
+        ("random_povm", 1, 0),
+        ("build_conditional", 1, 0),
+    ])
+    def test_counts(self, counts, entry, eigh, eigvalsh):
+        from povmlab import conditional
+        from povmlab.generators import random_effect, random_povm, random_state
+        from povmlab.lattice import build_frame_smeared_system
+        from povmlab.measurement import polar_kraus
+
+        sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
+        rng = make_rng(41)
+        T, rho, rho16 = random_effect(4, rng), random_state(4, rng), random_state(16, rng)
+        call = {
+            "composition_identity_check":
+                lambda: conditional.composition_identity_check(sys, {1, 2, 3}, {6, 7}),
+            "conditional_prob_bound":
+                lambda: conditional.conditional_prob_bound(sys, {5, 6}, {4, 5, 6, 7, 8}, rho16),
+            "gentle_bound": lambda: conditional.gentle_bound(T, rho),
+            "polar_kraus": lambda: polar_kraus(T, np.eye(4)),
+            "random_povm": lambda: random_povm(4, 3, make_rng(42)),
+            "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),
+        }[entry]
+        counts.clear()
+        call()
+        assert (counts.get("eigh", 0), counts.get("eigvalsh", 0)) == (eigh, eigvalsh)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmlab.generators import make_rng, random_luders_instrument, random_povm, random_state
-from povmlab.linalg import dag, op_norm
+from povmlab.linalg import dag, hermitize, op_norm
 from povmlab.measurement import (
     DiscretePOVM,
     KrausInstrument,
@@ -109,6 +109,18 @@ class TestPolarKraus:
             V = haar_unitary(dim, rng)
             K = polar_kraus(T, V)
             assert op_norm(dag(K) @ K - T) <= 1e-10
+
+    def test_bit_equal_to_two_decompositions(self):
+        """One decomposition of T gives the same K as the isometry check's
+        decomposition followed by a second one for sqrt(T)."""
+        from povmlab.generators import haar_unitary, random_effect
+
+        rng = make_rng(23)
+        for dim in (1, 2, 3, 5, 8):
+            T, V = random_effect(dim, rng), haar_unitary(dim, rng)
+            w, W = np.linalg.eigh(hermitize(T))
+            root = (W * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(W)
+            assert np.array_equal(polar_kraus(T, V), V @ root)
 
     def test_non_isometric_rejected(self):
         with pytest.raises(ValueError, match="isometric"):

@@ -11,12 +11,10 @@ from povmlab.serialization import (
     decode_matrix,
     decode_povm,
     decode_region,
-    decode_tagged,
     encode_instrument,
     encode_matrix,
     encode_povm,
     encode_region,
-    encode_state,
 )
 
 
@@ -62,16 +60,6 @@ class TestTaggedObjects:
         for fa, fb in zip(back.families, instr.families):
             for a, b in zip(fa, fb):
                 assert np.array_equal(a, b)
-
-    def test_dispatch_by_kind(self):
-        rho = random_state(2, make_rng(74))
-        obj = decode_tagged(json.loads(json.dumps(encode_state(rho))))
-        assert np.array_equal(obj, rho)
-
-    def test_unknown_kind(self):
-        with pytest.raises(SchemaError) as err:
-            decode_tagged({"kind": "wormhole"}, "/x")
-        assert err.value.pointer == "/x/kind"
 
 
 class TestRegions:

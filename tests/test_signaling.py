@@ -8,7 +8,6 @@ from povmlab.generators import (
     random_effect,
     random_povm,
     random_state,
-    random_unitary_instrument,
 )
 from povmlab.linalg import dag
 from povmlab.measurement import DiscretePOVM, KrausInstrument, identity_instrument, luders_instrument
@@ -171,7 +170,7 @@ class TestBeckCheck:
 
     def test_noncommuting_unitary_detected(self):
         rng = make_rng(37)
-        instr = random_unitary_instrument(3, rng)
+        instr = KrausInstrument([[haar_unitary(3, rng)]])
         S = random_effect(3, rng)
         rep = beck_check(instr, S)
         assert rep.residual("nsc_deviation") > 1e-3
