@@ -36,6 +36,8 @@ from .linalg import (
 from .reporting import CheckReport
 
 KERNEL_FLOOR_FACTOR = 1e-8
+MAX_PARTITIONS = 256  # validate enumerates every 2-partition up to this many
+SAMPLE_STEPS = 16  # sampled subsets take every step-th cell, 2 <= step < SAMPLE_STEPS
 
 
 class ConditionalPOVM:
@@ -109,11 +111,11 @@ class ConditionalPOVM:
     def complement_in_lab(self, cells: Iterable[int]) -> frozenset[int]:
         return self.lab_cells - frozenset(int(k) for k in cells)
 
-    def validate(self, tol: float = DEFAULT_TOL, max_subsets: int = 256) -> CheckReport:
+    def validate(self, tol: float = DEFAULT_TOL) -> CheckReport:
         """Normalization on the lab, in-lab additivity over 2-partitions, and
         effect bounds.
 
-        All 2-partitions are enumerated when there are at most ``max_subsets``
+        All 2-partitions are enumerated when there are at most MAX_PARTITIONS
         of them; larger laboratories fall back to stride-sampled subsets.  The
         two sides of the partitions come from ``effects`` in stacks of at most
         ``stack_size(d)`` effects.
@@ -122,7 +124,7 @@ class ConditionalPOVM:
         B_lab = self.effect(self.lab_cells)
         report.add("lab_normalization", op_norm(B_lab - np.eye(self.dim)), tol)
         cells = sorted(self.lab_cells)
-        if 1 << max(0, len(cells) - 1) <= max_subsets:
+        if 1 << max(0, len(cells) - 1) <= MAX_PARTITIONS:
             partitions = [
                 frozenset(c for i, c in enumerate(cells) if (r >> i) & 1)
                 for r in range(1 << max(0, len(cells) - 1))
@@ -175,9 +177,9 @@ def build_conditional_from_unnormalized(
     scale-invariant, and the report-level gentle condition uses the recorded
     ||T(lab)|| for the rescaling A(cells) = T(cells) / ||T(lab)||.
 
-    ``family`` is either a per-cell mapping (additivity automatic) or a
-    callable on cell sets, in which case additivity over disjoint splits of
-    the laboratory is verified.
+    ``family`` is either a per-cell mapping (additivity automatic; summed in
+    sorted cell order) or a callable on cell sets, in which case additivity
+    over disjoint splits of the laboratory is verified.
     """
     lab = as_cells(lab_cells, n)
     if isinstance(family, Mapping):
@@ -189,7 +191,7 @@ def build_conditional_from_unnormalized(
 
         def raw(cells: frozenset[int]) -> np.ndarray:
             out = np.zeros((dim, dim), dtype=complex)
-            for k in cells:
+            for k in sorted(cells):
                 out += mats[k]
             return out
 
@@ -311,10 +313,10 @@ def conditional_prob_bound(
 # conjugation reduction, cross-laboratory composition
 # ---------------------------------------------------------------------------
 
-def _sample_subsets(lab: frozenset[int], limit: int = 16) -> list[frozenset[int]]:
+def _sample_subsets(lab: frozenset[int]) -> list[frozenset[int]]:
     cells = sorted(lab)
     out = [frozenset(), frozenset(cells), frozenset(cells[:1]), frozenset(cells[: len(cells) // 2])]
-    for step in range(2, min(len(cells), limit)):
+    for step in range(2, min(len(cells), SAMPLE_STEPS)):
         out.append(frozenset(cells[::step]))
     seen: list[frozenset[int]] = []
     for s in out:

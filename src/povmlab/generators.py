@@ -10,7 +10,7 @@ from typing import Any
 
 import numpy as np
 
-from .lattice import build_frame_smeared_system, build_sharp_system
+from .lattice import build_frame_smeared_system
 from .linalg import dag, eigh_checked, hermitize
 from .measurement import DiscretePOVM, KrausInstrument, luders_instrument
 from .serialization import encode_instrument, encode_matrix, encode_povm
@@ -62,28 +62,21 @@ def random_luders_instrument(
     return luders_instrument(random_povm(dim, n_outcomes, rng))
 
 
-def commuting_povm_pair(
-    dim: int, rng: np.random.Generator, n_first: int = 2, n_second: int = 2
-) -> tuple[DiscretePOVM, DiscretePOVM]:
-    """Simultaneously diagonalizable POVM pair: a common Haar-random
-    eigenbasis with independent random eigenvalue profiles (column-stochastic
-    over outcomes)."""
+def commuting_povm_pair(dim: int, rng: np.random.Generator) -> tuple[DiscretePOVM, DiscretePOVM]:
+    """Simultaneously diagonalizable two-outcome POVM pair: a common
+    Haar-random eigenbasis with independent random eigenvalue profiles
+    (column-stochastic over outcomes)."""
     U = haar_unitary(dim, rng)
 
-    def stochastic_profiles(n: int) -> list[np.ndarray]:
-        W = rng.uniform(0.05, 1.0, size=(n, dim))
+    def build() -> DiscretePOVM:
+        W = rng.uniform(0.05, 1.0, size=(2, dim))
         W /= W.sum(axis=0, keepdims=True)
-        return [W[j] for j in range(n)]
+        return DiscretePOVM([hermitize(U @ np.diag(p).astype(complex) @ dag(U)) for p in W])
 
-    def build(profiles: list[np.ndarray]) -> DiscretePOVM:
-        return DiscretePOVM(
-            [hermitize(U @ np.diag(p).astype(complex) @ dag(U)) for p in profiles]
-        )
-
-    return build(stochastic_profiles(n_first)), build(stochastic_profiles(n_second))
+    return build(), build()
 
 
-def generate_instance(kind: str, dim: int, seed: int, **params: Any) -> dict[str, Any]:
+def generate_instance(kind: str, dim: int, seed: int) -> dict[str, Any]:
     """Deterministic serialized instance of the requested kind.
 
     Generated objects pass their validators; the same (kind, dim, seed)
@@ -97,28 +90,19 @@ def generate_instance(kind: str, dim: int, seed: int, **params: Any) -> dict[str
     if kind == "effect":
         return {"kind": "effect", "matrix": encode_matrix(random_effect(dim, rng))}
     if kind == "povm":
-        n_outcomes = int(params.get("outcomes", 2))
-        return encode_povm(random_povm(dim, n_outcomes, rng))
+        return encode_povm(random_povm(dim, 2, rng))
     if kind == "luders_instrument":
-        n_outcomes = int(params.get("outcomes", 2))
-        return encode_instrument(random_luders_instrument(dim, n_outcomes, rng))
+        return encode_instrument(random_luders_instrument(dim, 2, rng))
     if kind == "commuting_pair":
         T, S = commuting_povm_pair(dim, rng)
         return {"kind": "commuting_pair", "first": encode_povm(T), "second": encode_povm(S)}
     # lattice_system: dim is the cell count
-    mass = float(params.get("mass", 1.0))
-    a = float(params.get("a", 1.0))
-    width = float(params.get("width", 1.5))
-    system_kind = params.get("system", "frame_smeared")
-    if system_kind == "sharp":
-        sys = build_sharp_system(dim, mass, a)
-    else:
-        sys = build_frame_smeared_system(dim, mass, a, width)
+    sys = build_frame_smeared_system(dim, 1.0, 1.0, 1.5)
     return {
         "kind": "lattice_system",
         "n": sys.n,
         "a": sys.a,
-        "system": system_kind,
+        "system": "frame_smeared",
         "cell_effects": [encode_matrix(E) for E in sys.cell_effects],
         "shift": encode_matrix(sys.shift),
         "hamiltonian": encode_matrix(sys.hamiltonian),

@@ -45,9 +45,6 @@ class FourVector:
     def spatial(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-    def spatial_norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -56,9 +53,6 @@ class FourVector:
 
     def __neg__(self) -> "FourVector":
         return FourVector(-self.t, -self.x, -self.y, -self.z)
-
-    def scaled(self, c: float) -> "FourVector":
-        return FourVector(c * self.t, c * self.x, c * self.y, c * self.z)
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.t, self.x, self.y, self.z)

@@ -50,10 +50,6 @@ class LatticeLocalizationSystem:
 
     _eig: Eig | None = field(default=None, repr=False)
 
-    @property
-    def hilbert_dim(self) -> int:
-        return self.n
-
     def energy_eigensystem(self) -> Eig:
         if self._eig is None:
             self._eig = Eig(*np.linalg.eigh(hermitize(self.hamiltonian)))
@@ -152,8 +148,11 @@ def gaussian_frame_vector(n: int, center: int, width: float) -> np.ndarray:
     """Periodized Gaussian profile centered at a cell, width in cells."""
     x = np.arange(n, dtype=float)
     g = np.zeros(n)
-    for m in (-2, -1, 0, 1, 2):
-        g += np.exp(-((x - center + m * n) ** 2) / (2.0 * width * width))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for m in (-2, -1, 0, 1, 2):
+            g += np.exp(-((x - center + m * n) ** 2) / (2.0 * width * width))
+    if not np.isfinite(g).all():
+        raise ValueError(f"width {width!r} gives a non-finite Gaussian profile")
     return g
 
 

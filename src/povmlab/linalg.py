@@ -142,8 +142,9 @@ class Eig(NamedTuple):
     @property
     def norm(self):
         """Operator norm, the largest |eigenvalue|, with the stack's shape."""
-        norm = np.maximum(np.abs(self.w[..., 0]), np.abs(self.w[..., -1]))
-        return float(norm) if norm.ndim == 0 else norm
+        if self.w.ndim == 1:  # one matrix: Python floats, no ufuncs on 0-d arrays
+            return max(abs(float(self.w[0])), abs(float(self.w[-1])))
+        return np.maximum(np.abs(self.w[..., 0]), np.abs(self.w[..., -1]))
 
     def sqrt(self) -> np.ndarray:
         """PSD square root; eigenvalues below zero (numerical noise on a PSD
@@ -154,8 +155,9 @@ class Eig(NamedTuple):
         """Inverse square root, refused with a ValueError when the smallest
         eigenvalue is at or below ``floor``: the inverse is then
         numerically meaningless."""
-        low = self.w[..., 0] <= floor
-        if low.any():
+        one = self.w.ndim == 1
+        low = float(self.w[0]) <= float(floor) if one else self.w[..., 0] <= floor
+        if low if one else low.any():
             raise ValueError(
                 f"kernel too small for inverse square root{at_index(low)}: min eigenvalue "
                 f"{self.w[..., 0][low][0]:.3e} <= floor {floor:.3e}"
@@ -182,12 +184,6 @@ def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     The result R satisfies R >= 0 and ||R @ R - M|| <= dim * tol for PSD M.
     """
     return eigh_checked(M, tol).sqrt()
-
-
-def psd_inv_sqrt(M, floor: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse square root of a strictly positive Hermitian matrix,
-    ``Eig.inv_sqrt``: refused below ``floor``."""
-    return eigh_checked(M, tol).inv_sqrt(floor)
 
 
 def is_unitary(M, tol: float = DEFAULT_TOL) -> bool:

@@ -143,7 +143,6 @@ def validate_state(M, tol: float = DEFAULT_TOL, name: str = "state") -> CheckRep
 def validate_povm(
     povm: DiscretePOVM,
     tol: float = DEFAULT_TOL,
-    allow_zero_effects: bool = True,
     require_strict_positive: bool = False,
     name: str = "povm",
 ) -> CheckReport:
@@ -156,7 +155,7 @@ def validate_povm(
     for j, E in enumerate(povm.effects):
         sub = validate_effect(E, tol, name=f"effect[{j}]")
         report.items.extend(sub.items)
-        if require_strict_positive or not allow_zero_effects:
+        if require_strict_positive:
             report.add(f"effect[{j}] nonzero", 0.0 if op_norm(E) > tol else 1.0, 0.5,
                        note="strict positivity toggle")
     report.add("normalization", povm.normalization_residual(), tol * max(1.0, len(povm)))

@@ -66,9 +66,8 @@ class CheckReport:
         residual: float,
         tol: float | None = None,
         note: str = "",
-        passed: bool | None = None,
     ) -> CheckItem:
-        item = CheckItem(name=name, residual=residual, tol=tol, passed=passed, note=note)
+        item = CheckItem(name=name, residual=residual, tol=tol, note=note)
         self.items.append(item)
         return item
 

@@ -2,9 +2,11 @@
 
 A scenario file is a JSON object {"scenarios": [...]} (or a bare list).  Each
 scenario carries a check type, a params payload, a seed, a tolerance, and a
-repeat count.  Execution is deterministic: every (scenario, repeat) derives
-its own counter-based RNG from (seed, scenario index, repeat index), so any
-worker count yields identical reports, assembled in input order.
+repeat count.  ``CHECKS`` declares each check type's parameters in read order,
+and ``parse_scenarios`` reads every scenario through it before anything runs.
+Execution is deterministic: every (scenario, repeat) derives its own
+counter-based RNG from (seed, scenario index, repeat index), so any worker
+count yields identical reports, assembled in input order.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from sys import float_info
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from . import conditional as cond
 from . import lattice as lat
 from . import signaling as sig
 from .generators import commuting_povm_pair, make_rng, random_effect, random_state
-from .geometry import causally_separated
+from .geometry import RegionUnion, causally_separated, spatial_distance
 from .linalg import DEFAULT_TOL, op_norm, stack_size
 from .measurement import luders_instrument
 from .reporting import CheckReport
@@ -38,19 +40,20 @@ from .serialization import (
 @dataclass
 class Scenario:
     type: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any] = field(default_factory=dict)  # the values the table read
     seed: int = 0
     tol: float = DEFAULT_TOL
     repeat: int = 1
     index: int = 0
+    pointer: str = ""
 
     def echo(self) -> dict[str, Any]:
         return {"type": self.type, "seed": self.seed, "tol": self.tol, "repeat": self.repeat}
 
 
 def parse_scenarios(data: Any) -> list[Scenario]:
-    """Validate the scenario file structure; schema violations carry
-    JSON-pointer paths."""
+    """Validate the scenario file and read every scenario's parameters;
+    schema violations carry JSON-pointer paths."""
     if isinstance(data, dict):
         if "scenarios" not in data:
             raise SchemaError("/scenarios", "missing field")
@@ -69,79 +72,143 @@ def parse_scenarios(data: Any) -> list[Scenario]:
         stype = entry.get("type")
         if not isinstance(stype, str) or stype not in CHECKS:
             raise SchemaError(f"{pointer}/type", f"unknown check type {stype!r}")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise SchemaError(f"{pointer}/params", "params must be an object")
-        seed = entry.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+        params = CHECKS[stype].read(entry.get("params", {}), f"{pointer}/params")
+        seed = Integer(0)(entry.get("seed", 0), f"{pointer}/seed")
+        if seed >= 2**64:
             raise SchemaError(f"{pointer}/seed", "seed must be a 64-bit unsigned integer")
         tol = check_tol(entry.get("tol", DEFAULT_TOL), f"{pointer}/tol")
-        repeat = entry.get("repeat", 1)
-        if not isinstance(repeat, int) or repeat < 1:
-            raise SchemaError(f"{pointer}/repeat", "repeat must be >= 1")
-        out.append(Scenario(stype, params, seed, tol, repeat, index=i))
+        repeat = Integer(1)(entry.get("repeat", 1), f"{pointer}/repeat")
+        out.append(Scenario(stype, params, seed, tol, repeat, index=i, pointer=pointer))
     return out
 
 
-def _number(raw: Any, pointer: str, positive: bool = False) -> float:
-    """A finite JSON number (int or float; no bool, no string), > 0 when
-    ``positive``, or a SchemaError naming the field."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise SchemaError(pointer, f"expected a number, got {raw!r}")
-    if not -float_info.max <= raw <= float_info.max:
-        raise SchemaError(pointer, f"expected a finite number, got {raw!r}")
-    if positive and raw <= 0:
-        raise SchemaError(pointer, f"must be > 0, got {raw!r}")
-    return float(raw)
+# readers: called with the raw JSON value, its pointer and the values read before it
+class Integer(NamedTuple):
+    """A JSON integer >= minimum (no bool, float or string)."""
+    minimum: int
+
+    def __call__(self, raw: Any, pointer: str, values: dict | None = None) -> int:
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise SchemaError(pointer, f"expected an integer, got {raw!r}")
+        if raw < self.minimum:
+            raise SchemaError(pointer, f"must be >= {self.minimum}, got {raw}")
+        return raw
 
 
-def check_tol(raw: Any, pointer: str) -> float:
-    """A scenario tolerance: a finite number > 0."""
-    return _number(raw, pointer, positive=True)
+class Number(NamedTuple):
+    """A finite JSON number (int or float; no bool, no string), > 0 when ``positive``."""
+    positive: bool = False
+
+    def __call__(self, raw: Any, pointer: str, values: dict | None = None) -> float:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise SchemaError(pointer, f"expected a number, got {raw!r}")
+        if not -float_info.max <= raw <= float_info.max:
+            raise SchemaError(pointer, f"expected a finite number, got {raw!r}")
+        if self.positive and raw <= 0:
+            raise SchemaError(pointer, f"must be > 0, got {raw!r}")
+        return float(raw)
 
 
-def _integer(raw: Any, pointer: str, minimum: int) -> int:
-    """A JSON integer >= minimum (no bool, float or string), or a
-    SchemaError naming the field."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise SchemaError(pointer, f"expected an integer, got {raw!r}")
-    if raw < minimum:
-        raise SchemaError(pointer, f"must be >= {minimum}, got {raw}")
-    return raw
+class SystemKind(NamedTuple):
+    """The kind of a lattice system, one of SYSTEM_KINDS."""
+
+    def __call__(self, raw: Any, pointer: str, values: dict) -> str:
+        if raw not in SYSTEM_KINDS:
+            raise SchemaError(pointer, f"unknown system kind {raw!r}")
+        return raw
 
 
-# ---------------------------------------------------------------------------
-# lattice-system payloads
-# ---------------------------------------------------------------------------
+class Cells(NamedTuple):
+    """A list of JSON integers, cells of the ring of the ``n`` read before it."""
+    nonempty: bool = False
 
-def _system_from_params(params: dict[str, Any], pointer: str) -> lat.LatticeLocalizationSystem:
-    n = _integer(params.get("n", 16), f"{pointer}/n", 2)
-    mass = _number(params.get("mass", 1.0), f"{pointer}/mass", positive=True)
-    a = _number(params.get("a", 1.0), f"{pointer}/a", positive=True)
-    width = _number(params.get("width", 1.5), f"{pointer}/width", positive=True)
-    kind = params.get("kind", "frame_smeared")
+    def __call__(self, raw: Any, pointer: str, values: dict) -> frozenset[int]:
+        if not isinstance(raw, list) or not all(type(k) is int for k in raw):
+            raise SchemaError(pointer, "expected a list of cell indices")
+        if self.nonempty and not raw:
+            raise SchemaError(pointer, "sampled regions must be nonempty")
+        try:
+            return lat.as_cells(raw, values["n"])
+        except ValueError as exc:
+            raise SchemaError(pointer, str(exc)) from None
+
+
+class Nonempty(NamedTuple):
+    """A nonempty JSON list, each element read by ``item`` at its own pointer."""
+    item: Callable[[Any, str, dict], Any]
+    what: str
+
+    def __call__(self, raw: Any, pointer: str, values: dict) -> list:
+        if not isinstance(raw, list) or not raw:
+            raise SchemaError(pointer, f"expected a nonempty list of {self.what}")
+        return [self.item(x, f"{pointer}/{j}", values) for j, x in enumerate(raw)]
+
+
+class Decoded(NamedTuple):
+    """An object read by one of the ``serialization`` decoders."""
+    decode: Callable[[Any, str], Any]
+
+    def __call__(self, raw: Any, pointer: str, values: dict) -> Any:
+        return self.decode(raw, pointer)
+
+
+REQUIRED = object()  # the default of a parameter that must be given
+check_tol = Number(positive=True)  # a scenario tolerance
+SYSTEM_KINDS = ("sharp", "alternating", "diagonal_smeared", "frame_smeared")
+
+
+class Param(NamedTuple):
+    """A scenario parameter: its key, its reader, and its value when absent."""
+    name: str
+    read: Callable[[Any, str, dict], Any]
+    default: Any = REQUIRED
+
+
+class CheckType(NamedTuple):
+    """An adapter, its parameters in read order, and a pair given both or neither."""
+    run: Callable[[Scenario, np.random.Generator], CheckReport]
+    params: tuple[Param, ...]
+    pair: tuple[str, str] | None = None
+
+    def read(self, raw: Any, pointer: str) -> dict[str, Any]:
+        """The values of one scenario's params, read in the table's order."""
+        if not isinstance(raw, dict):
+            raise SchemaError(pointer, "params must be an object")
+        names = [p.name for p in self.params]
+        for key in raw:
+            if key not in names:
+                escaped = key.replace("~", "~0").replace("/", "~1")
+                raise SchemaError(f"{pointer}/{escaped}",
+                                  f"unknown parameter; expected one of {', '.join(names)}")
+        if self.pair and (self.pair[0] in raw) != (self.pair[1] in raw):
+            given, missing = self.pair if self.pair[0] in raw else self.pair[::-1]
+            raise SchemaError(f"{pointer}/{missing}", f"missing field: given {given!r} without it")
+        values: dict[str, Any] = {}
+        for p in self.params:
+            if p.name in raw:
+                values[p.name] = p.read(raw[p.name], f"{pointer}/{p.name}", values)
+            elif p.default is REQUIRED:
+                raise SchemaError(f"{pointer}/{p.name}", "missing field")
+            else:
+                values[p.name] = p.default
+        return values
+
+
+# read first by every check on a lattice system
+SYSTEM_PARAMS = (Param("n", Integer(2), 16), Param("mass", Number(positive=True), 1.0),
+                 Param("a", Number(positive=True), 1.0),
+                 Param("width", Number(positive=True), 1.5),
+                 Param("kind", SystemKind(), "frame_smeared"))
+
+
+def _system(sc: Scenario) -> lat.LatticeLocalizationSystem:
+    """The scenario's lattice system, its builder looked up on ``lattice`` at call time."""
+    n, mass, a, width, kind = (sc.params[p.name] for p in SYSTEM_PARAMS)
+    args = (n, mass, a) if kind in ("sharp", "alternating") else (n, mass, a, width)
     try:
-        if kind == "sharp":
-            return lat.build_sharp_system(n, mass, a)
-        if kind == "alternating":
-            return lat.build_alternating_system(n, mass, a)
-        if kind == "diagonal_smeared":
-            return lat.build_diagonal_smeared_system(n, mass, a, width)
-        if kind == "frame_smeared":
-            return lat.build_frame_smeared_system(n, mass, a, width)
+        return getattr(lat, f"build_{kind}_system")(*args)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(pointer, str(exc)) from None
-    raise SchemaError(f"{pointer}/kind", f"unknown system kind {kind!r}")
-
-
-def _cells(params: dict[str, Any], key: str, n: int, pointer: str) -> frozenset[int]:
-    raw = params.get(key)
-    if not isinstance(raw, list):
-        raise SchemaError(f"{pointer}/{key}", "expected a list of cell indices")
-    try:
-        return lat.as_cells(raw, n)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{pointer}/{key}", str(exc)) from None
+        raise SchemaError(f"{sc.pointer}/params", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +216,12 @@ def _cells(params: dict[str, Any], key: str, n: int, pointer: str) -> frozenset[
 # ---------------------------------------------------------------------------
 
 def _check_nsc(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    if "instrument" in sc.params:
-        instr = decode_instrument(sc.params["instrument"], f"{p}/instrument")
-        S = decode_effect(sc.params["effect"], f"{p}/effect")
+    if sc.params["instrument"] is not None:
+        instr, S = sc.params["instrument"], sc.params["effect"]
     else:
-        dim = _integer(sc.params.get("dim", 3), f"{p}/dim", 1)
-        instr = luders_instrument(commuting_povm_pair(dim, rng)[0])
-        S = random_effect(dim, rng)
-    report = CheckReport(name="nsc", scenario=sc.echo())
+        instr = luders_instrument(commuting_povm_pair(sc.params["dim"], rng)[0])
+        S = random_effect(sc.params["dim"], rng)
+    report = CheckReport(name="nsc")
     dev = sig.nsc_deviation(instr, S)
     report.add("nsc_deviation", dev, sc.tol * max(1.0, op_norm(S)))
     if not report.passed:
@@ -166,55 +230,38 @@ def _check_nsc(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 
 
 def _check_rcc(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    if "first" in sc.params:
-        first = decode_instrument(sc.params["first"], f"{p}/first")
-        second = decode_instrument(sc.params["second"], f"{p}/second")
+    if sc.params["first"] is not None:
+        first, second = sc.params["first"], sc.params["second"]
     else:
-        dim = _integer(sc.params.get("dim", 3), f"{p}/dim", 1)
-        T, S = commuting_povm_pair(dim, rng)
+        T, S = commuting_povm_pair(sc.params["dim"], rng)
         first, second = luders_instrument(T), luders_instrument(S)
-    report = CheckReport(name="rcc", scenario=sc.echo())
+    report = CheckReport(name="rcc")
     report.add("rcc_deviation", sig.rcc_deviation(first, second), sc.tol)
     report.notes.append(sig.RCC_CONVENTION_NOTE)
     return report
 
 
 def _check_luders_equivalence(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    if "first" in sc.params:
-        T = decode_povm(sc.params["first"], f"{p}/first")
-        S = decode_povm(sc.params["second"], f"{p}/second")
+    if sc.params["first"] is not None:
+        T, S = sc.params["first"], sc.params["second"]
     else:
-        dim = _integer(sc.params.get("dim", 3), f"{p}/dim", 1)
-        T, S = commuting_povm_pair(dim, rng)
-    report = sig.luders_equivalence_check(T, S, sc.tol)
-    report.scenario = sc.echo()
-    return report
+        T, S = commuting_povm_pair(sc.params["dim"], rng)
+    return sig.luders_equivalence_check(T, S, sc.tol)
 
 
 def _check_beck(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    if "instrument" in sc.params:
-        instr = decode_instrument(sc.params["instrument"], f"{p}/instrument")
-        S = decode_effect(sc.params["effect"], f"{p}/effect")
+    if sc.params["instrument"] is not None:
+        instr, S = sc.params["instrument"], sc.params["effect"]
     else:
-        dim = _integer(sc.params.get("dim", 3), f"{p}/dim", 1)
-        T, S_povm = commuting_povm_pair(dim, rng)
+        T, S_povm = commuting_povm_pair(sc.params["dim"], rng)
         instr = luders_instrument(T)
         S = S_povm[0]
-    report = sig.beck_check(instr, S, sc.tol)
-    report.scenario = sc.echo()
-    return report
+    return sig.beck_check(instr, S, sc.tol)
 
 
 def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    # the search's level-splitting construction needs three distinct levels
-    dim = _integer(sc.params.get("dim", 3), f"{p}/dim", 3)
-    budget = _integer(sc.params.get("budget", 1000), f"{p}/budget", 1)
-    report = CheckReport(name="hw_search", scenario=sc.echo())
-    result = sig.heinosaari_wolf_search(dim, sc.seed, budget)
+    report = CheckReport(name="hw_search")
+    result = sig.heinosaari_wolf_search(sc.params["dim"], sc.seed, sc.params["budget"])
     if result == sig.NOT_FOUND:
         report.add("found", 1.0, 0.5, note="NOT_FOUND within budget; increase budget")
         return report
@@ -228,59 +275,34 @@ def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 
 
 def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    sys = _system_from_params(sc.params, p)
-    t_grid = sc.params.get("t_grid", [0.5, 1.0, 2.0])
-    if not isinstance(t_grid, list) or not t_grid:
-        raise SchemaError(f"{p}/t_grid", "expected a nonempty list of times")
-    samples = sc.params.get("delta_samples")
+    sys, samples = _system(sc), sc.params["delta_samples"]
     if samples is None:
         quarter = max(1, sys.n // 4)
-        samples = [list(range(quarter)),
-                   list(range(min(2 * quarter, sys.n - quarter), min(3 * quarter, sys.n)))]
-    if not isinstance(samples, list) or not samples:
-        raise SchemaError(f"{p}/delta_samples", "expected a nonempty list of cell lists")
-    cells = [_cells({str(j): s}, str(j), sys.n, f"{p}/delta_samples") for j, s in enumerate(samples)]
-    for j, region in enumerate(cells):
-        if not region:
-            raise SchemaError(f"{p}/delta_samples/{j}", "sampled regions must be nonempty")
-    times = [_number(t, f"{p}/t_grid/{j}") for j, t in enumerate(t_grid)]
-    report = lat.hc_audit(sys, cells, times, sc.tol)
-    report.scenario = sc.echo()
-    return report
+        samples = [frozenset(range(quarter)), frozenset(
+            range(min(2 * quarter, sys.n - quarter), min(3 * quarter, sys.n)))]
+    return lat.hc_audit(sys, samples, sc.params["t_grid"], sc.tol)
 
 
 def _check_cc_residual(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    sys = _system_from_params(sc.params, p)
-    cells = _cells(sc.params, "delta", sys.n, p)
-    t = _number(sc.params.get("t", 0.0), f"{p}/t")
+    sys = _system(sc)
+    cells, t = sc.params["delta"], sc.params["t"]
     shadow, saturated = lat.causal_shadow(sys, cells, t)
-    report = CheckReport(name="cc_residual", scenario=sc.echo(), info_only=True)
+    report = CheckReport(name="cc_residual", info_only=True)
     report.add("cc_residual", lat.cc_residual(sys, cells, t), tol=None)
     report.notes.append(f"shadow={sorted(shadow)} saturated={saturated}")
     return report
 
 
 def _check_conditional_build(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    sys = _system_from_params(sc.params, p)
-    lab = _cells(sc.params, "lab", sys.n, p)
-    povm = cond.build_conditional(sys, lab, tol=sc.tol)
+    povm = cond.build_conditional(_system(sc), sc.params["lab"], tol=sc.tol)
     report = povm.validate(sc.tol)
     report.name = "conditional_build"
-    report.scenario = sc.echo()
     return report
 
 
 def _check_gentle_sweep(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    dims = sc.params.get("dims", [2, 3, 4, 5, 6, 7, 8])
-    if not isinstance(dims, list) or not dims:
-        raise SchemaError(f"{p}/dims", "expected a nonempty list of dimensions")
-    dims = [_integer(d, f"{p}/dims/{j}", 1) for j, d in enumerate(dims)]
-    instances = _integer(sc.params.get("instances", 1000), f"{p}/instances", 1)
-    report = CheckReport(name="gentle_sweep", scenario=sc.echo())
+    dims, instances = sc.params["dims"], sc.params["instances"]
+    report = CheckReport(name="gentle_sweep")
     # drawn in order, evaluated in one stack per dimension (flushed when full)
     pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     worst = float("inf")
@@ -311,45 +333,30 @@ def _gentle_margin(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
 
 
 def _check_conditional_bound(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    sys = _system_from_params(sc.params, p)
-    lab = _cells(sc.params, "lab", sys.n, p)
-    cells = _cells(sc.params, "delta", sys.n, p)
-    if "state" in sc.params:
-        rho = decode_state(sc.params["state"], f"{p}/state")
-    else:
+    sys = _system(sc)
+    rho = sc.params["state"]
+    if rho is None:
         rho = random_state(sys.n, rng)
-    report = cond.conditional_prob_bound(sys, cells, lab, rho, sc.tol)
-    report.scenario = sc.echo()
-    return report
+    return cond.conditional_prob_bound(sys, sc.params["delta"], sc.params["lab"], rho, sc.tol)
 
 
 def _check_composition(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    sys = _system_from_params(sc.params, p)
-    lab1 = _cells(sc.params, "lab1", sys.n, p)
-    lab2 = _cells(sc.params, "lab2", sys.n, p)
-    report = cond.composition_identity_check(sys, lab1, lab2, sc.tol)
-    report.scenario = sc.echo()
-    return report
+    return cond.composition_identity_check(_system(sc), sc.params["lab1"], sc.params["lab2"],
+                                           sc.tol)
 
 
 def _check_cross_lab_commutator(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    sys = _system_from_params(sc.params, p)
-    lab1 = _cells(sc.params, "lab1", sys.n, p)
-    lab2 = _cells(sc.params, "lab2", sys.n, p)
-    cells1 = _cells(sc.params, "delta1", sys.n, p) if "delta1" in sc.params else lab1
-    cells2 = _cells(sc.params, "delta2", sys.n, p) if "delta2" in sc.params else lab2
-    value = cond.cross_lab_commutator(sys, lab1, cells1, sys, lab2, cells2, sc.tol)
-    report = CheckReport(name="cross_lab_commutator", scenario=sc.echo(), info_only=True)
+    sys = _system(sc)
+    lab1, lab2 = sc.params["lab1"], sc.params["lab2"]
+    cells1, cells2 = sc.params["delta1"], sc.params["delta2"]
+    value = cond.cross_lab_commutator(sys, lab1, lab1 if cells1 is None else cells1,
+                                      sys, lab2, lab2 if cells2 is None else cells2, sc.tol)
+    report = CheckReport(name="cross_lab_commutator", info_only=True)
     report.add("commutator_norm", value, tol=None,
                note="measurement only; commutativity across laboratories is not asserted")
     if lab1 and lab2 and not (lab1 & lab2):
         box1 = lat.cells_bounding_box(sys, lab1)
         box2 = lat.cells_bounding_box(sys, lab2)
-        from .geometry import RegionUnion, spatial_distance
-
         report.add("lab_spatial_distance", spatial_distance(box1, box2), tol=None)
         report.add(
             "labs_causally_separated_at_equal_time",
@@ -360,28 +367,47 @@ def _check_cross_lab_commutator(sc: Scenario, rng: np.random.Generator) -> Check
 
 
 def _check_causal_separation(sc: Scenario, rng: np.random.Generator) -> CheckReport:
-    p = f"/scenarios/{sc.index}/params"
-    a = decode_region(sc.params.get("first"), f"{p}/first")
-    b = decode_region(sc.params.get("second"), f"{p}/second")
-    report = CheckReport(name="causal_separation", scenario=sc.echo(), info_only=True)
-    report.add("separated", 1.0 if causally_separated(a, b) else 0.0, tol=None)
+    separated = causally_separated(sc.params["first"], sc.params["second"])
+    report = CheckReport(name="causal_separation", info_only=True)
+    report.add("separated", 1.0 if separated else 0.0, tol=None)
     return report
 
 
-CHECKS: dict[str, Callable[[Scenario, np.random.Generator], CheckReport]] = {
-    "nsc": _check_nsc,
-    "rcc": _check_rcc,
-    "luders_equivalence": _check_luders_equivalence,
-    "beck": _check_beck,
-    "hw_search": _check_hw_search,
-    "hc_audit": _check_hc_audit,
-    "cc_residual": _check_cc_residual,
-    "conditional_build": _check_conditional_build,
-    "gentle_sweep": _check_gentle_sweep,
-    "conditional_bound": _check_conditional_bound,
-    "composition": _check_composition,
-    "cross_lab_commutator": _check_cross_lab_commutator,
-    "causal_separation": _check_causal_separation,
+_DIM = Param("dim", Integer(1), 3)
+_INSTRUMENT_EFFECT = (_DIM, Param("instrument", Decoded(decode_instrument), None),
+                      Param("effect", Decoded(decode_effect), None))
+_LABS = SYSTEM_PARAMS + (Param("lab1", Cells()), Param("lab2", Cells()))
+
+CHECKS: dict[str, CheckType] = {
+    "nsc": CheckType(_check_nsc, _INSTRUMENT_EFFECT, ("instrument", "effect")),
+    "rcc": CheckType(_check_rcc, (_DIM, Param("first", Decoded(decode_instrument), None),
+                                  Param("second", Decoded(decode_instrument), None)),
+                     ("first", "second")),
+    "luders_equivalence": CheckType(_check_luders_equivalence, (
+        _DIM, Param("first", Decoded(decode_povm), None),
+        Param("second", Decoded(decode_povm), None)), ("first", "second")),
+    "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
+    # the search's level-splitting construction needs three distinct levels
+    "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3), 3),
+                                              Param("budget", Integer(1), 1000))),
+    "hc_audit": CheckType(_check_hc_audit, SYSTEM_PARAMS + (
+        Param("t_grid", Nonempty(Number(), "times"), [0.5, 1.0, 2.0]),
+        Param("delta_samples", Nonempty(Cells(nonempty=True), "cell lists"), None))),
+    "cc_residual": CheckType(_check_cc_residual, SYSTEM_PARAMS + (
+        Param("delta", Cells()), Param("t", Number(), 0.0))),
+    "conditional_build": CheckType(_check_conditional_build,
+                                   SYSTEM_PARAMS + (Param("lab", Cells()),)),
+    "gentle_sweep": CheckType(_check_gentle_sweep, (
+        Param("dims", Nonempty(Integer(1), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
+        Param("instances", Integer(1), 1000))),
+    "conditional_bound": CheckType(_check_conditional_bound, SYSTEM_PARAMS + (
+        Param("lab", Cells()), Param("delta", Cells()),
+        Param("state", Decoded(decode_state), None))),
+    "composition": CheckType(_check_composition, _LABS),
+    "cross_lab_commutator": CheckType(_check_cross_lab_commutator, _LABS + (
+        Param("delta1", Cells(), None), Param("delta2", Cells(), None))),
+    "causal_separation": CheckType(_check_causal_separation, (
+        Param("first", Decoded(decode_region)), Param("second", Decoded(decode_region)))),
 }
 
 
@@ -392,7 +418,7 @@ def run_one(sc: Scenario) -> CheckReport:
     report: CheckReport | None = None
     for r in range(sc.repeat):
         rng = make_rng(sc.seed, sc.index, r)
-        rep = CHECKS[sc.type](sc, rng)
+        rep = CHECKS[sc.type].run(sc, rng)
         if report is None:
             report = rep
         else:
@@ -400,6 +426,7 @@ def run_one(sc: Scenario) -> CheckReport:
             report.notes.extend(rep.notes)
             report.witnesses.update({f"{key}#{r}": w for key, w in rep.witnesses.items()})
     assert report is not None
+    report.scenario = sc.echo()
     report.wall_time = time.perf_counter() - start
     return report
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from povmlab.cli import main
+from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
-from povmlab.scenarios import parse_scenarios, run_scenarios
+from povmlab.scenarios import CHECKS, REQUIRED, SYSTEM_PARAMS, parse_scenarios, run_scenarios
 from povmlab.serialization import SchemaError
 
 
@@ -192,6 +194,13 @@ class TestSchemaValidation:
             parse_scenarios({"scenarios": [{"type": "nsc", "repeat": 0}]})
         assert err.value.pointer.endswith("/repeat")
 
+    @pytest.mark.parametrize("field, value", [("seed", True), ("seed", 2**64), ("seed", 1.0),
+                                              ("repeat", True), ("repeat", 2.0)])
+    def test_seed_and_repeat_are_json_integers(self, field, value):
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios([{"type": "nsc", field: value}])
+        assert err.value.pointer == f"/0/{field}"
+
     def test_bare_list_accepted(self):
         assert len(parse_scenarios([{"type": "gentle_sweep"}])) == 1
 
@@ -299,6 +308,128 @@ class TestRefusals:
             {"type": "hc_audit", "params": {"n": 8, "kind": "sharp", "t_grid": [0, 1.0]}},
         ]}
         assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == ["PASS", "PASS"]
+
+
+class TestParameterTable:
+    """Every parameter is read through the table at parse time: unknown keys,
+    missing fields, half pairs and bad values exit 2 at their pointer."""
+
+    @staticmethod
+    def exits_two(tmp_path, capsys, payload):
+        path = write_scenarios(tmp_path, payload)
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("stype, params, field", [
+        ("gentle_sweep", {"instance": 3, "dimz": [2]}, "instance"),
+        ("nsc", {"dim": 3, "dims": [3]}, "dims"),
+        ("hc_audit", {"n": 8, "kind": "sharp", "tgrid": [1.0]}, "tgrid"),
+        ("causal_separation", {"first": {}, "second": {}, "third": {}}, "third"),
+        ("conditional_build", {"n": 8, "lab": [0], "a/b": 1}, "a~1b"),
+    ])
+    def test_unknown_key(self, tmp_path, capsys, stype, params, field):
+        err = self.exits_two(tmp_path, capsys, {"scenarios": [{"type": stype, "params": params}]})
+        assert f"/scenarios/0/params/{field}: unknown parameter" in err
+
+    @pytest.mark.parametrize("stype, params, field", [
+        ("conditional_build", {"n": 8, "kind": "frame_smeared"}, "lab"),
+        ("conditional_bound", {"n": 8, "lab": [0, 1]}, "delta"),
+        ("composition", {"n": 8, "lab2": [3]}, "lab1"),
+        ("cc_residual", {"n": 8}, "delta"),
+        ("causal_separation", {}, "first"),
+    ])
+    def test_missing_required_field(self, tmp_path, capsys, stype, params, field):
+        err = self.exits_two(tmp_path, capsys, {"scenarios": [{"type": stype, "params": params}]})
+        assert f"/scenarios/0/params/{field}: missing field" in err
+
+    @pytest.mark.parametrize("stype, given, missing", [
+        ("nsc", "instrument", "effect"), ("nsc", "effect", "instrument"),
+        ("beck", "instrument", "effect"), ("beck", "effect", "instrument"),
+        ("rcc", "first", "second"), ("rcc", "second", "first"),
+        ("luders_equivalence", "first", "second"), ("luders_equivalence", "second", "first"),
+    ])
+    def test_half_pair(self, tmp_path, capsys, stype, given, missing):
+        kind = ("effect" if given == "effect" else
+                "povm" if stype == "luders_equivalence" else "luders_instrument")
+        value = generate_instance(kind, 2, 1)
+        payload = {"scenarios": [{"type": stype, "params": {"dim": 2, given: value}}]}
+        err = self.exits_two(tmp_path, capsys, payload)
+        assert f"/scenarios/0/params/{missing}: missing field: given {given!r}" in err
+
+    def test_bare_list_pointer(self, tmp_path, capsys):
+        err = self.exits_two(tmp_path, capsys, [{"type": "nsc", "params": {"dim": 0}}])
+        assert err.startswith("error: /0/params/dim: ")
+
+    @pytest.mark.parametrize("kind", ["frame_smeared", "diagonal_smeared"])
+    @pytest.mark.parametrize("bare", [False, True])
+    def test_width_whose_profile_underflows(self, tmp_path, capsys, kind, bare):
+        scenarios = [{"type": "conditional_build",
+                      "params": {"n": 8, "kind": kind, "width": 1e-200, "lab": [0, 1]}}]
+        err = self.exits_two(tmp_path, capsys, scenarios if bare else {"scenarios": scenarios})
+        pointer = "/0/params" if bare else "/scenarios/0/params"
+        assert err.startswith(f"error: {pointer}: width 1e-200 ")
+
+    def test_bad_parameter_in_the_last_scenario_is_refused_at_parse_time(self):
+        payload = {"scenarios": [dict(entry, params=dict(entry["params"]))
+                                 for entry in GOOD_BATCH["scenarios"]]}
+        payload["scenarios"][-1]["params"]["lab2"] = [7, 8, 99]
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios(payload)
+        assert err.value.pointer == "/scenarios/3/params/lab2"
+
+    def test_params_hold_the_values_read(self):
+        sc = parse_scenarios([{"type": "hc_audit", "params": {
+            "n": 8, "kind": "sharp", "t_grid": [0, 1], "delta_samples": [[3, 1]]}}])[0]
+        assert sc.params == {"n": 8, "mass": 1.0, "a": 1.0, "width": 1.5, "kind": "sharp",
+                             "t_grid": [0.0, 1.0], "delta_samples": [frozenset({1, 3})]}
+        assert [type(t) for t in sc.params["t_grid"]] == [float, float]
+
+    @pytest.mark.parametrize("cells", [[1.0], [True], ["2"], [[0]]])
+    def test_cells_are_json_integers(self, cells):
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios([{"type": "conditional_build", "params": {"n": 8, "lab": cells}}])
+        assert err.value.pointer == "/0/params/lab"
+
+
+def readme_parameters() -> dict[str, list[tuple[str, str]]]:
+    """(parameter, default) per check type, from the README's parameter
+    lists; a check marked "after the lattice system" starts with the
+    lattice system's list."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Scenario parameters", 1)[1].split("\n## ", 1)[0]
+    lists: dict[str, list[tuple[str, str]]] = {}
+    for line in section.splitlines():
+        if line.startswith("- "):
+            name = "lattice system" if line == "- lattice system" else line.split("`")[1]
+            lists[name] = list(lists["lattice system"]) if "after the lattice system" in line else []
+        elif line.startswith("  - "):
+            match = re.fullmatch(r"  - `(\w+)`: .+?; (required|default (`[^`]*`|none)).*", line)
+            assert match, line
+            lists[name].append((match[1], match[2]))
+    return lists
+
+
+class TestReadme:
+    @staticmethod
+    def default_text(default):
+        if default is REQUIRED:
+            return "required"
+        return "default none" if default is None else f"default `{json.dumps(default)}`"
+
+    def test_readme_lists_exactly_the_table(self):
+        table = {stype: [(p.name, self.default_text(p.default)) for p in check.params]
+                 for stype, check in CHECKS.items()}
+        table["lattice system"] = [(p.name, self.default_text(p.default)) for p in SYSTEM_PARAMS]
+        assert readme_parameters() == table
+
+    def test_lattice_checks_read_the_system_first(self):
+        for check in CHECKS.values():
+            names = [p.name for p in check.params]
+            if "n" in names:
+                assert all(a is b for a, b in zip(check.params, SYSTEM_PARAMS, strict=False))
+                assert names.index("kind") == len(SYSTEM_PARAMS) - 1
 
 
 class TestHcAuditDefaultRegions:

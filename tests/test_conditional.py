@@ -3,6 +3,7 @@ import pytest
 
 from povmlab.conditional import (
     KERNEL_FLOOR_FACTOR,
+    MAX_PARTITIONS,
     _sample_subsets,
     build_conditional,
     build_conditional_from_unnormalized,
@@ -20,7 +21,7 @@ from povmlab.lattice import (
     build_sharp_system,
     effect_of,
 )
-from povmlab.linalg import dag, hermitize, op_norm, psd_inv_sqrt, psd_sqrt
+from povmlab.linalg import dag, eigh_checked, hermitize, op_norm, psd_sqrt
 
 LAB6 = frozenset(range(5, 11))
 
@@ -60,7 +61,7 @@ class TestBuildConditional:
         A_lab = effect_of(smeared16, LAB6)
         assert np.array_equal(cond.lab_spectrum.sqrt(), psd_sqrt(A_lab))
         assert np.array_equal(cond.inv_sqrt,
-                              psd_inv_sqrt(A_lab, KERNEL_FLOOR_FACTOR * op_norm(A_lab)))
+                              eigh_checked(A_lab).inv_sqrt(KERNEL_FLOOR_FACTOR * op_norm(A_lab)))
         assert cond.lab_effect_norm == cond.lab_spectrum.norm
 
     def test_lab_effect_is_identity(self, smeared16):
@@ -116,12 +117,12 @@ class TestBuildConditional:
 LAB11 = frozenset([4, 5, 8, 14, 37, 38, 39, 50, 55, 57, 60])
 
 
-def validate_by_effect(cond, max_subsets=256):
+def validate_by_effect(cond):
     """validate() written as one effect() call per subset, the oracle for the
     stacked evaluation."""
     eye = np.eye(cond.dim)
     cells = sorted(cond.lab_cells)
-    if 1 << max(0, len(cells) - 1) <= max_subsets:
+    if 1 << max(0, len(cells) - 1) <= MAX_PARTITIONS:
         partitions = [frozenset(c for i, c in enumerate(cells) if (r >> i) & 1)
                       for r in range(1 << max(0, len(cells) - 1))]
     else:
@@ -332,6 +333,20 @@ class TestUnnormalizedFamily:
             0.4 * op_norm(effect_of(smeared16, LAB6)), abs=1e-12
         )
 
+    def test_independent_of_how_the_lab_is_listed(self):
+        """A per-cell family is summed in sorted cell order, so a reversed
+        listing of the laboratory gives the same bits."""
+        sys = build_frame_smeared_system(64, 1.0, 1.0, 1.5)
+        family = {k: 0.4 * E for k, E in enumerate(sys.cell_effects)}
+        rng = make_rng(61)
+        for _ in range(100):
+            size = int(rng.integers(2, 40))
+            lab = [int(k) for k in rng.choice(64, size=size, replace=False)]
+            forward = build_conditional_from_unnormalized(family, lab, 64)
+            backward = build_conditional_from_unnormalized(family, lab[::-1], 64)
+            assert np.array_equal(forward.inv_sqrt, backward.inv_sqrt)
+            assert np.array_equal(forward.effect(lab[:3]), backward.effect(lab[:3][::-1]))
+
     def test_missing_cells_rejected(self, smeared16):
         family = {k: smeared16.cell_effects[k] for k in {5, 6}}
         with pytest.raises(ValueError, match="cover"):
@@ -390,7 +405,7 @@ class TestComposition:
         union = build_conditional(smeared16, self.LAB1 | self.LAB2)
         A1 = effect_of(smeared16, self.LAB1)
         Au = effect_of(smeared16, self.LAB1 | self.LAB2)
-        inv_u = psd_inv_sqrt(Au, KERNEL_FLOOR_FACTOR * op_norm(Au))
+        inv_u = eigh_checked(Au).inv_sqrt(KERNEL_FLOOR_FACTOR * op_norm(Au))
         s1 = psd_sqrt(A1)
         lhs = union.effect(frozenset())
         rhs = inv_u @ (s1 @ cond1.effect(frozenset()) @ s1) @ inv_u

@@ -87,6 +87,17 @@ class TestFrameSmearedSystem:
         with pytest.raises(ValueError):
             build_frame_smeared_system(8, 1.0, 1.0, width=0.0)
 
+    @pytest.mark.parametrize("build", [build_frame_smeared_system,
+                                       build_diagonal_smeared_system])
+    @pytest.mark.parametrize("width", [1e-200, 1e-170, float("nan")])
+    def test_width_whose_profile_is_not_finite_is_refused(self, build, width):
+        with pytest.raises(ValueError, match="^width .* non-finite Gaussian profile"):
+            build(8, 1.0, 1.0, width)
+
+    def test_smallest_width_with_a_finite_profile_is_sharp(self):
+        g = gaussian_frame_vector(8, 0, 1e-160)
+        assert np.array_equal(g, np.eye(8)[0])
+
     def test_nonempty_effect_sums_have_trivial_kernel(self, smeared16):
         A = effect_of(smeared16, {3})
         assert np.linalg.eigvalsh(A)[0] > 1e-4

@@ -11,7 +11,6 @@ from povmlab.linalg import (
     is_hermitian,
     max_abs,
     op_norm,
-    psd_inv_sqrt,
     psd_sqrt,
     trace_norm,
 )
@@ -58,12 +57,12 @@ class TestInvSqrt:
     def test_inverse_of_sqrt(self):
         rng = make_rng(13)
         M = random_psd(4, rng) + 0.5 * np.eye(4)
-        R = psd_inv_sqrt(M, floor=1e-8)
+        R = eigh_checked(M).inv_sqrt(1e-8)
         assert op_norm(R @ M @ R - np.eye(4)) < 1e-10
 
     def test_kernel_floor_rejection(self):
         with pytest.raises(ValueError, match="kernel too small"):
-            psd_inv_sqrt(np.diag([1.0, 0.0]), floor=1e-8)
+            eigh_checked(np.diag([1.0, 0.0])).inv_sqrt(1e-8)
 
 
 class TestTraceNorm:
@@ -209,7 +208,7 @@ class TestHermiticityGuard:
                 with pytest.raises(ValueError, match="non-finite"):
                     fn(M)
             with pytest.raises(ValueError, match="non-finite"):
-                psd_inv_sqrt(M, floor=1e-8)
+                eigh_checked(M).inv_sqrt(1e-8)
 
 
 def mixed_stack(n, rng, count=6):
@@ -236,7 +235,7 @@ class TestStackOracle:
         if n > 1:
             assert not np.array_equal(H[1], dag(H[1]))
         for fn in (op_norm, trace_norm, psd_sqrt, herm_residual, is_hermitian,
-                   hermitize, lambda M: psd_inv_sqrt(M, floor=1e-12)):
+                   hermitize, lambda M: eigh_checked(M).inv_sqrt(1e-12)):
             assert np.array_equal(fn(H), loop(fn, H))
         w, V = eigh_checked(H)
         assert np.array_equal(w, loop(lambda M: eigh_checked(M)[0], H))
@@ -273,7 +272,7 @@ class TestStackOracle:
     def test_non_hermitian_matrix_refused_by_index(self):
         H = mixed_stack(3, make_rng(35))
         H[4, 0, 1] += 1e-3
-        for fn in (eigh_checked, psd_sqrt, lambda M: psd_inv_sqrt(M, floor=1e-12)):
+        for fn in (eigh_checked, psd_sqrt, lambda M: eigh_checked(M).inv_sqrt(1e-12)):
             with pytest.raises(ValueError, match="matrix at stack index 4 is not Hermitian"):
                 fn(H)
 
@@ -281,7 +280,7 @@ class TestStackOracle:
     def test_non_finite_matrix_refused_by_index(self, bad):
         H = mixed_stack(3, make_rng(36))
         H[3, 1, 1] = bad
-        for fn in (eigh_checked, psd_sqrt, lambda M: psd_inv_sqrt(M, floor=1e-12)):
+        for fn in (eigh_checked, psd_sqrt, lambda M: eigh_checked(M).inv_sqrt(1e-12)):
             with pytest.raises(ValueError, match="matrix at stack index 3 has non-finite"):
                 fn(H)
 
@@ -289,13 +288,13 @@ class TestStackOracle:
         H = mixed_stack(3, make_rng(37))
         H[5] = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="inverse square root at stack index 5"):
-            psd_inv_sqrt(H, floor=1e-8)
+            eigh_checked(H).inv_sqrt(1e-8)
 
     def test_one_matrix_messages_carry_no_index(self):
         with pytest.raises(ValueError, match="^matrix is not Hermitian"):
             eigh_checked(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="^kernel too small for inverse square root: "):
-            psd_inv_sqrt(np.diag([1.0, 0.0]), floor=1e-8)
+            eigh_checked(np.diag([1.0, 0.0])).inv_sqrt(1e-8)
 
 
 class TestEig:
