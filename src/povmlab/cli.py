@@ -19,7 +19,7 @@ from typing import Any
 from . import __version__
 from .generators import KINDS, generate_instance
 from .reporting import CheckReport
-from .scenarios import check_tol, parse_scenarios, run_scenarios
+from .scenarios import check_seed, check_tol, parse_scenarios, run_scenarios
 from .serialization import SchemaError
 
 EXIT_OK = 0
@@ -74,8 +74,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for sc in scenarios:
                 sc.tol = tol
         if args.seed is not None:
+            seed = check_seed(args.seed, "--seed")
             for sc in scenarios:
-                sc.seed = args.seed
+                sc.seed = seed
         reports = run_scenarios(scenarios, workers=args.workers)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--tol", type=float, default=None,
                        help="override every scenario tolerance")
     run_p.add_argument("--seed", type=int, default=None,
-                       help="override every scenario seed")
+                       help="override every scenario seed (an integer in 0..2**64 - 1)")
     run_p.set_defaults(func=_cmd_run)
 
     gen_p = sub.add_parser("gen", help="generate a serialized random instance")

@@ -8,8 +8,8 @@ dynamics commutes with translations.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,19 +31,52 @@ DIAGONAL_SMEARED = "diagonal_smeared"
 
 
 def as_cells(cells: Iterable[int], n: int) -> frozenset[int]:
-    out = frozenset(int(k) for k in cells)
-    if any(k < 0 or k >= n for k in out):
+    out = frozenset(map(int, cells))
+    if out and (min(out) < 0 or max(out) >= n):
         raise ValueError(f"cell indices must lie in 0..{n - 1}")
     return out
 
 
+class CellEffects(Sequence):
+    """The cell effects E_0, ..., E_{n-1} of a system, each built by
+    ``build(k)`` on first read and kept.
+
+    A laboratory reads only its own cells, so no E_k is built before it is
+    read.  ``build`` is deterministic, so two threads racing on one cell
+    build the same bits and either copy is kept.  Slices are lists.
+    """
+
+    def __init__(self, n: int, build: Callable[[int], np.ndarray]):
+        self._build = build
+        self._built: list[np.ndarray | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, key):
+        cells = range(len(self._built))[key]
+        return self.take(cells) if isinstance(key, slice) else self.take((cells,))[0]
+
+    def take(self, cells: Sequence[int]) -> list[np.ndarray]:
+        """E_k for each k of ``cells``, in one call; each k in 0..n-1."""
+        built = self._built
+        for k in cells:
+            if built[k] is None:
+                built[k] = self._build(k)
+        return [built[k] for k in cells]
+
+
 @dataclass
 class LatticeLocalizationSystem:
-    """Cell effects, shift unitary, and Hamiltonian on an n-cell ring."""
+    """Cell effects, shift unitary, and Hamiltonian on an n-cell ring.
+
+    The builders give ``cell_effects`` as ``CellEffects``; any sequence of
+    n matrices, a plain list included, works as well.
+    """
 
     n: int
     a: float
-    cell_effects: list[np.ndarray]
+    cell_effects: Sequence[np.ndarray]
     shift: np.ndarray
     hamiltonian: np.ndarray
     kind: str
@@ -64,10 +97,15 @@ def effect_of(sys: LatticeLocalizationSystem, cells: Iterable[int]) -> np.ndarra
     """A(cells) = sum of the member cell effects; exactly additive over
     disjoint unions by construction.  Summed in sorted cell order, so the
     bits do not depend on how the cells were listed."""
-    cells = as_cells(cells, sys.n)
+    order = sorted(as_cells(cells, sys.n))
+    effects = sys.cell_effects
+    if isinstance(effects, CellEffects):
+        members = effects.take(order)
+    else:  # a plain sequence a caller assigned
+        members = [effects[k] for k in order]
     out = np.zeros((sys.n, sys.n), dtype=complex)
-    for k in sorted(cells):
-        out += sys.cell_effects[k]
+    for E in members:
+        out += E
     return out
 
 
@@ -103,8 +141,8 @@ def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
     return np.sqrt(mass * mass + p * p)
 
 
-def _hamiltonian_from_spectrum(n: int, omega: np.ndarray) -> np.ndarray:
-    F = _dft(n)
+def _hamiltonian_from_spectrum(F: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """F† diag(omega) F for the DFT matrix F of ``_dft``."""
     return hermitize((dag(F) * omega) @ F)
 
 
@@ -116,11 +154,11 @@ def _position_basis_system(
     if n < 2 or mass <= 0 or a <= 0:
         raise ValueError("need n >= 2, mass > 0, a > 0")
     eye = np.eye(n, dtype=complex)
-    effects = [np.outer(eye[:, k], eye[:, k].conj()) for k in range(n)]
+    effects = CellEffects(n, lambda k: np.outer(eye[:, k], eye[:, k].conj()))
     omega = lattice_dispersion(n, mass, a)
     if alternating:
         omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    H = _hamiltonian_from_spectrum(n, omega)
+    H = _hamiltonian_from_spectrum(_dft(n), omega)
     return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, SHARP)
 
 
@@ -195,8 +233,8 @@ def build_frame_smeared_system(
     # alpha |g_k><g_k| is alpha |g><g| rolled by k along both axes; it and D
     # are exactly Hermitian, so each effect is too, with no hermitize
     P = alpha * np.outer(g, g.conj())
-    effects = [np.roll(P, (k, k), axis=(0, 1)) + D for k in range(n)]
-    H = _hamiltonian_from_spectrum(n, lattice_dispersion(n, mass, a))
+    effects = CellEffects(n, lambda k: np.roll(P, (k, k), axis=(0, 1)) + D)
+    H = _hamiltonian_from_spectrum(F, lattice_dispersion(n, mass, a))
     return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, FRAME_SMEARED)
 
 
@@ -216,8 +254,8 @@ def build_diagonal_smeared_system(
         raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
     w = gaussian_frame_vector(n, 0, width)
     w = w / w.sum()
-    effects = [np.diag(np.roll(w, k)).astype(complex) for k in range(n)]
-    H = _hamiltonian_from_spectrum(n, lattice_dispersion(n, mass, a))
+    effects = CellEffects(n, lambda k: np.diag(np.roll(w, k)).astype(complex))
+    H = _hamiltonian_from_spectrum(_dft(n), lattice_dispersion(n, mass, a))
     return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, DIAGONAL_SMEARED)
 
 

@@ -72,26 +72,36 @@ def parse_scenarios(data: Any) -> list[Scenario]:
         stype = entry.get("type")
         if not isinstance(stype, str) or stype not in CHECKS:
             raise SchemaError(f"{pointer}/type", f"unknown check type {stype!r}")
+        for key in entry:
+            if key not in ENTRY_KEYS:
+                raise SchemaError(f"{pointer}/{_escape(key)}",
+                                  f"unknown key; expected one of {', '.join(ENTRY_KEYS)}")
         params = CHECKS[stype].read(entry.get("params", {}), f"{pointer}/params")
-        seed = Integer(0)(entry.get("seed", 0), f"{pointer}/seed")
-        if seed >= 2**64:
-            raise SchemaError(f"{pointer}/seed", "seed must be a 64-bit unsigned integer")
+        seed = check_seed(entry.get("seed", 0), f"{pointer}/seed")
         tol = check_tol(entry.get("tol", DEFAULT_TOL), f"{pointer}/tol")
         repeat = Integer(1)(entry.get("repeat", 1), f"{pointer}/repeat")
         out.append(Scenario(stype, params, seed, tol, repeat, index=i, pointer=pointer))
     return out
 
 
+def _escape(key: str) -> str:
+    """A key as one JSON-pointer token."""
+    return key.replace("~", "~0").replace("/", "~1")
+
+
 # readers: called with the raw JSON value, its pointer and the values read before it
 class Integer(NamedTuple):
-    """A JSON integer >= minimum (no bool, float or string)."""
+    """A JSON integer >= minimum, and <= maximum when given (no bool, float or string)."""
     minimum: int
+    maximum: int | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict | None = None) -> int:
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise SchemaError(pointer, f"expected an integer, got {raw!r}")
         if raw < self.minimum:
             raise SchemaError(pointer, f"must be >= {self.minimum}, got {raw}")
+        if self.maximum is not None and raw > self.maximum:
+            raise SchemaError(pointer, f"must be <= {self.maximum}, got {raw}")
         return raw
 
 
@@ -119,8 +129,12 @@ class SystemKind(NamedTuple):
 
 
 class Cells(NamedTuple):
-    """A list of JSON integers, cells of the ring of the ``n`` read before it."""
+    """A list of JSON integers, cells of the ring of the ``n`` read before it;
+    inside the cells read as ``inside``, and disjoint from those read as
+    ``disjoint_from``, when given."""
     nonempty: bool = False
+    inside: str | None = None
+    disjoint_from: str | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict) -> frozenset[int]:
         if not isinstance(raw, list) or not all(type(k) is int for k in raw):
@@ -128,9 +142,17 @@ class Cells(NamedTuple):
         if self.nonempty and not raw:
             raise SchemaError(pointer, "sampled regions must be nonempty")
         try:
-            return lat.as_cells(raw, values["n"])
+            cells = lat.as_cells(raw, values["n"])
         except ValueError as exc:
             raise SchemaError(pointer, str(exc)) from None
+        if self.inside is not None and not cells <= values[self.inside]:
+            outside = sorted(cells - values[self.inside])
+            raise SchemaError(pointer, f"must lie inside {self.inside!r}; cells {outside} do not")
+        if self.disjoint_from is not None and cells & values[self.disjoint_from]:
+            shared = sorted(cells & values[self.disjoint_from])
+            raise SchemaError(pointer,
+                              f"must be disjoint from {self.disjoint_from!r}; both hold {shared}")
+        return cells
 
 
 class Nonempty(NamedTuple):
@@ -145,15 +167,23 @@ class Nonempty(NamedTuple):
 
 
 class Decoded(NamedTuple):
-    """An object read by one of the ``serialization`` decoders."""
+    """An object read by one of the ``serialization`` decoders; with ``dim``,
+    a matrix of the dimension read under that key."""
     decode: Callable[[Any, str], Any]
+    dim: str | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict) -> Any:
-        return self.decode(raw, pointer)
+        out = self.decode(raw, pointer)
+        if self.dim is not None and out.shape[0] != values[self.dim]:
+            raise SchemaError(pointer, f"expected dimension {self.dim} = {values[self.dim]}, "
+                                       f"got {out.shape[0]}")
+        return out
 
 
 REQUIRED = object()  # the default of a parameter that must be given
 check_tol = Number(positive=True)  # a scenario tolerance
+check_seed = Integer(0, 2**64 - 1)  # a scenario seed
+ENTRY_KEYS = ("type", "params", "seed", "tol", "repeat")  # the keys of a scenario entry
 SYSTEM_KINDS = ("sharp", "alternating", "diagonal_smeared", "frame_smeared")
 
 
@@ -177,8 +207,7 @@ class CheckType(NamedTuple):
         names = [p.name for p in self.params]
         for key in raw:
             if key not in names:
-                escaped = key.replace("~", "~0").replace("/", "~1")
-                raise SchemaError(f"{pointer}/{escaped}",
+                raise SchemaError(f"{pointer}/{_escape(key)}",
                                   f"unknown parameter; expected one of {', '.join(names)}")
         if self.pair and (self.pair[0] in raw) != (self.pair[1] in raw):
             given, missing = self.pair if self.pair[0] in raw else self.pair[::-1]
@@ -376,7 +405,6 @@ def _check_causal_separation(sc: Scenario, rng: np.random.Generator) -> CheckRep
 _DIM = Param("dim", Integer(1), 3)
 _INSTRUMENT_EFFECT = (_DIM, Param("instrument", Decoded(decode_instrument), None),
                       Param("effect", Decoded(decode_effect), None))
-_LABS = SYSTEM_PARAMS + (Param("lab1", Cells()), Param("lab2", Cells()))
 
 CHECKS: dict[str, CheckType] = {
     "nsc": CheckType(_check_nsc, _INSTRUMENT_EFFECT, ("instrument", "effect")),
@@ -401,11 +429,14 @@ CHECKS: dict[str, CheckType] = {
         Param("dims", Nonempty(Integer(1), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
         Param("instances", Integer(1), 1000))),
     "conditional_bound": CheckType(_check_conditional_bound, SYSTEM_PARAMS + (
-        Param("lab", Cells()), Param("delta", Cells()),
-        Param("state", Decoded(decode_state), None))),
-    "composition": CheckType(_check_composition, _LABS),
-    "cross_lab_commutator": CheckType(_check_cross_lab_commutator, _LABS + (
-        Param("delta1", Cells(), None), Param("delta2", Cells(), None))),
+        Param("lab", Cells()), Param("delta", Cells(inside="lab")),
+        Param("state", Decoded(decode_state, dim="n"), None))),
+    "composition": CheckType(_check_composition, SYSTEM_PARAMS + (
+        Param("lab1", Cells()), Param("lab2", Cells(disjoint_from="lab1")))),
+    "cross_lab_commutator": CheckType(_check_cross_lab_commutator, SYSTEM_PARAMS + (
+        Param("lab1", Cells()), Param("lab2", Cells()),
+        Param("delta1", Cells(inside="lab1"), None),
+        Param("delta2", Cells(inside="lab2"), None))),
     "causal_separation": CheckType(_check_causal_separation, (
         Param("first", Decoded(decode_region)), Param("second", Decoded(decode_region)))),
 }

@@ -393,6 +393,75 @@ class TestParameterTable:
         assert err.value.pointer == "/0/params/lab"
 
 
+class TestCrossFieldConstraints:
+    """A parameter that breaks a constraint on one read before it exits 2 at
+    its own pointer, before the scenarios ahead of it run."""
+
+    SWEEP = {"type": "gentle_sweep", "params": {"instances": 4}}
+
+    @pytest.mark.parametrize("stype, params, field, message", [
+        ("composition", {"n": 64, "lab1": [1, 2, 3], "lab2": [3, 4]}, "lab2",
+         "must be disjoint from 'lab1'; both hold [3]"),
+        ("conditional_bound", {"n": 16, "lab": [4, 5, 6], "delta": [6, 7]}, "delta",
+         "must lie inside 'lab'; cells [7] do not"),
+        ("cross_lab_commutator", {"n": 16, "lab1": [1, 2], "lab2": [9, 10], "delta1": [3]},
+         "delta1", "must lie inside 'lab1'; cells [3] do not"),
+        ("cross_lab_commutator", {"n": 16, "lab1": [1, 2], "lab2": [9, 10], "delta2": [1]},
+         "delta2", "must lie inside 'lab2'; cells [1] do not"),
+        ("conditional_bound", {"n": 8, "lab": [1, 2, 3], "delta": [2],
+                               "state": generate_instance("state", 3, 1)},
+         "state", "expected dimension n = 8, got 3"),
+    ])
+    def test_refused_before_anything_runs(self, tmp_path, capsys, stype, params, field,
+                                          message):
+        path = write_scenarios(tmp_path, {"scenarios": [
+            self.SWEEP, {"type": stype, "params": params}]})
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: /scenarios/1/params/{field}: {message}\n"
+
+    def test_values_that_meet_the_constraints_run(self):
+        payload = [
+            {"type": "composition", "params": {"n": 8, "lab1": [1, 2], "lab2": [3, 4]}},
+            {"type": "conditional_bound", "params": {"n": 8, "lab": [1, 2, 3], "delta": [2, 3],
+                                                     "state": generate_instance("state", 8, 1)}},
+            {"type": "cross_lab_commutator", "params": {"n": 8, "lab1": [1, 2], "lab2": [2, 5],
+                                                        "delta1": [2], "delta2": [2, 5]}},
+        ]
+        reports = run_scenarios(parse_scenarios(payload))
+        assert [r.verdict for r in reports] == ["PASS", "PASS", "INFO"]
+
+
+class TestScenarioEntry:
+    def test_unknown_key_of_an_entry_exits_two(self, tmp_path, capsys):
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": "gentle_sweep", "repeats": 5, "sed": 3}]})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /scenarios/0/repeats: unknown key; expected one of type, "
+                              "params, seed, tol, repeat")
+
+    def test_unknown_key_pointer_is_escaped(self):
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios([{"type": "nsc", "a/b~": 1}])
+        assert err.value.pointer == "/0/a~1b~0"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "-18446744073709551616"])
+    def test_cli_seed_out_of_range_exits_two(self, tmp_path, capsys, seed):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "rcc", "params": {"dim": 2}}]})
+        assert main(["run", path, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --seed: must be ")
+
+    def test_cli_seed_takes_the_file_range(self, tmp_path, capsys):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "rcc", "params": {"dim": 2}}]})
+        for seed in (0, 2**64 - 1):
+            assert main(["run", path, "--seed", str(seed)]) == 0
+        with pytest.raises(SchemaError):
+            parse_scenarios([{"type": "rcc", "seed": 2**64}])
+
+
 def readme_parameters() -> dict[str, list[tuple[str, str]]]:
     """(parameter, default) per check type, from the README's parameter
     lists; a check marked "after the lattice system" starts with the

@@ -425,3 +425,120 @@ class TestAuditAgainstPairwiseResidual:
         audit = hc_audit(sharp16, self.SAMPLES, [0.0], tol=1e-9)
         assert audit.residual("microcausality_residual") == 0.0
         assert audit.witnesses["microcausality_witness"] == {}
+
+
+# ---------------------------------------------------------------------------
+# cell effects built on first read, against the eager builders they replaced
+# ---------------------------------------------------------------------------
+
+def _eager_system(kind, n, width):
+    """(effects, H, shift) as the builders made them when every E_k was
+    built up front: the same expressions, evaluated for k = 0..n-1."""
+    j = np.arange(n)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    shift = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        shift[(k + 1) % n, k] = 1.0
+    omega = lattice_dispersion(n, 1.0, 1.0)
+    if kind in ("sharp", "alternating"):
+        eye = np.eye(n, dtype=complex)
+        effects = [np.outer(eye[:, k], eye[:, k].conj()) for k in range(n)]
+        if kind == "alternating":
+            omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    elif kind == "diagonal_smeared":
+        w = gaussian_frame_vector(n, 0, width)
+        w = w / w.sum()
+        effects = [np.diag(np.roll(w, k)).astype(complex) for k in range(n)]
+    else:
+        g = gaussian_frame_vector(n, 0, width)
+        g = (g / np.linalg.norm(g)).astype(complex)
+        power = np.abs(F @ g) ** 2
+        alpha = 0.9 / (n * float(power.max()))
+        D = hermitize((dag(F) * (1.0 / n - alpha * power)) @ F)
+        P = alpha * np.outer(g, g.conj())
+        effects = [np.roll(P, (k, k), axis=(0, 1)) + D for k in range(n)]
+    return effects, hermitize((dag(F) * omega) @ F), shift
+
+
+def _built(sys):
+    return [k for k, E in enumerate(sys.cell_effects._built) if E is not None]
+
+
+LAZY_CASES = [
+    (kind, n, width)
+    for kind in MAKE_SYSTEM
+    for n in (2, 3, 5, 16, 64, 100)
+    for width in ((0.3, 1.5, 40.0) if kind.endswith("smeared") else (None,))
+]
+
+
+class TestCellEffectsOnFirstRead:
+    @pytest.mark.parametrize("kind, n, width", LAZY_CASES)
+    def test_bytes_equal_the_eager_builder(self, kind, n, width):
+        sys = MAKE_SYSTEM[kind](n, width)
+        effects, H, shift = _eager_system(kind, n, width)
+        assert _built(sys) == []
+        assert sys.hamiltonian.tobytes() == H.tobytes()
+        assert sys.shift.tobytes() == shift.tobytes()
+        order = [int(k) for k in make_rng(n).permutation(n)]
+        for k in order:
+            assert sys.cell_effects[k].tobytes() == effects[k].tobytes()
+        assert [E.tobytes() for E in sys.cell_effects] == [E.tobytes() for E in effects]
+
+    @pytest.mark.parametrize("kind", ["diagonal_smeared", "frame_smeared"])
+    def test_a_laboratory_builds_only_its_cells(self, kind):
+        from povmlab.conditional import build_conditional
+
+        sys = MAKE_SYSTEM[kind](64, 8.0)  # wide enough that A(lab) has no kernel
+        lab = [3, 17, 18, 40, 63]
+        build_conditional(sys, lab)
+        assert _built(sys) == lab
+        effect_of(sys, [17, 20])
+        assert _built(sys) == [3, 17, 18, 20, 40, 63]
+
+    def test_sequence_protocol(self):
+        sys = build_frame_smeared_system(8, 1.0, 1.0, 1.5)
+        effects, _, _ = _eager_system("frame_smeared", 8, 1.5)
+        assert len(sys.cell_effects) == 8
+        assert np.array_equal(sys.cell_effects[-1], effects[7])
+        with pytest.raises(IndexError):
+            sys.cell_effects[8]
+        assert isinstance(sys.cell_effects[2:5], list)
+        assert all(np.array_equal(a, b) for a, b in zip(sys.cell_effects[2:5], effects[2:5],
+                                                        strict=True))
+        assert np.array_equal(sum(sys.cell_effects), sum(effects))
+        assert sys.cell_effects[3] is sys.cell_effects[3]
+
+    def test_a_plain_list_still_serves_effect_of(self):
+        sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
+        reference = effect_of(sys, [2, 5, 9])
+        sys.cell_effects = list(sys.cell_effects)
+        assert np.array_equal(effect_of(sys, [9, 2, 5]), reference)
+
+    def test_threads_on_one_fresh_system_get_identical_bytes(self):
+        import threading
+        from sys import getswitchinterval, setswitchinterval
+
+        lab = list(range(0, 64, 3))
+        expected = effect_of(build_frame_smeared_system(64, 1.0, 1.0, 1.5), lab).tobytes()
+        switch = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                system = build_frame_smeared_system(64, 1.0, 1.0, 1.5)
+                barrier = threading.Barrier(4)
+                results = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    results.append(effect_of(system, lab).tobytes())
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 4
+        finally:
+            setswitchinterval(switch)

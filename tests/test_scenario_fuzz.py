@@ -2,7 +2,8 @@
 parameter table: a valid file parses to the declared types, and a file with
 one fault (a bad value, a missing field, half a pair, an unknown key) is
 refused with a ``SchemaError`` at the faulty field, never with another
-exception."""
+exception.  A constraint across fields (cells inside another cell list or
+disjoint from it, a state of dimension ``n``) is a fault of the later field."""
 import math
 from functools import lru_cache
 
@@ -39,6 +40,8 @@ from povmlab.serialization import (  # noqa: E402
 
 REGION = {"frame": [1.0, 0.0, 0.0, 0.0],
           "boxes": [{"lo": [0.0, 0.0, 0.0, 0.0], "hi": [0.0, 1.0, 1.0, 1.0]}]}
+# the generator kind of a decoder read with a dimension
+SQUARE = {decode_state: "state"}
 # a few valid objects per decoder, and the type each one decodes to
 OBJECTS = {
     decode_instrument: ([generate_instance("luders_instrument", d, 1) for d in (1, 2, 3)],
@@ -80,9 +83,27 @@ def valid(reader, n: int) -> st.SearchStrategy:
         return st.lists(st.integers(0, n - 1), min_size=int(reader.nonempty), max_size=6)
     if isinstance(reader, Nonempty):
         return st.lists(valid(reader.item, n), min_size=1, max_size=3)
+    if isinstance(reader, Decoded) and reader.dim:
+        return st.just(generate_instance(SQUARE[reader.decode], n, 4))
     if isinstance(reader, Decoded):
         return st.sampled_from(OBJECTS[reader.decode][0])
     raise AssertionError(f"no strategy for {reader!r}")
+
+
+def fit(reader, value, params: dict):
+    """A valid cell list cut to the cells another cell list allows."""
+    if isinstance(reader, Cells) and reader.inside:
+        return [k for k in value if k in params[reader.inside]]
+    if isinstance(reader, Cells) and reader.disjoint_from:
+        return [k for k in value if k not in params[reader.disjoint_from]]
+    return value
+
+
+def relation(reader) -> str | None:
+    """The field a value is constrained by, if any."""
+    if isinstance(reader, Cells):
+        return reader.inside or reader.disjoint_from
+    return reader.dim if isinstance(reader, Decoded) else None
 
 
 def either(*strategies: st.SearchStrategy) -> st.SearchStrategy:
@@ -145,23 +166,26 @@ def scenario(draw, stype: str | None = None) -> dict:
         else:
             given = p.default is REQUIRED or draw(st.booleans())
         if given:
-            params[p.name] = draw(valid(p.read, params.get("n", 16)))
+            params[p.name] = fit(p.read, draw(valid(p.read, params.get("n", 16))), params)
     return {"type": stype, "seed": draw(st.integers(0, 2**32)), "params": params}
 
 
 FIELDS = [(stype, p) for stype, check in CHECKS.items() for p in check.params]
-FAULTS = ["none", "invalid", "invalid", "invalid", "missing", "half", "unknown"]
+FAULTS = ["none", "invalid", "invalid", "invalid", "missing", "half", "unknown", "conflict",
+          "conflict"]
 
 
 @st.composite
 def faulty_file(draw):
     """Valid scenarios around one scenario with at most one fault: a bad
-    value, a missing required field, half a pair or an unknown key.
+    value, a missing required field, half a pair, an unknown key or a value
+    that breaks its constraint on another field.
     Returns the file, the faulty scenario's index and the field the fault
     lies in (None for a valid file)."""
     fault = draw(st.sampled_from(FAULTS))
-    if fault == "invalid":
-        stype, bad = draw(st.sampled_from(FIELDS))
+    if fault in ("invalid", "conflict"):
+        stype, bad = draw(st.sampled_from(
+            FIELDS if fault == "invalid" else [(t, p) for t, p in FIELDS if relation(p.read)]))
     else:
         stype = draw(st.sampled_from(sorted(
             stype for stype, check in CHECKS.items()
@@ -187,6 +211,17 @@ def faulty_file(draw):
         names = {p.name for p in check.params}
         field = draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in names))
         params[field] = draw(JUNK)
+    elif fault == "conflict":
+        field, other = bad.name, relation(bad.read)
+        if isinstance(bad.read, Decoded):  # of the dimension after n
+            params[field] = generate_instance(SQUARE[bad.read.decode], n + 1, 4)
+        else:
+            cell = draw(st.integers(0, n - 1))
+            if bad.read.inside:  # the other list without the cell, this one with it
+                params[other] = [k for k in params[other] if k != cell]
+            else:  # both lists with the cell
+                params[other] = params[other] + [cell]
+            params[field] = draw(valid(bad.read, n)) + [cell]
     entries = draw(st.lists(scenario(), max_size=2))
     index = draw(st.integers(0, len(entries)))
     entries.insert(index, entry)
