@@ -94,12 +94,15 @@ class ConditionalPOVM:
         missing = [i for i, key in enumerate(keys) if key not in self._cache]
         if missing and len(missing) == len(keys):
             return self._sandwich(np.stack([self._raw_effect(key) for key in keys]))
-        out = np.empty((len(keys), self.dim, self.dim), dtype=complex)
-        for i, key in enumerate(keys):
-            if key in self._cache:
-                out[i] = self._cache[key]
+        cached = {i: self._cache[key] for i, key in enumerate(keys) if key in self._cache}
+        blocks = list(cached.values())
         if missing:
-            out[missing] = self._sandwich(np.stack([self._raw_effect(keys[i]) for i in missing]))
+            blocks.append(self._sandwich(np.stack([self._raw_effect(keys[i]) for i in missing])))
+        out = np.empty((len(keys), self.dim, self.dim), dtype=np.result_type(float, *blocks))
+        for i, B in cached.items():
+            out[i] = B
+        if missing:
+            out[missing] = blocks[-1]
         return out
 
     def _sandwich(self, A: np.ndarray) -> np.ndarray:
@@ -188,9 +191,10 @@ def build_conditional_from_unnormalized(
             raise ValueError(f"family does not cover the laboratory cells {sorted(missing)}")
         mats = {int(k): as_matrix(M) for k, M in family.items()}
         dim = next(iter(mats.values())).shape[0]
+        dtype = np.result_type(*mats.values())
 
         def raw(cells: frozenset[int]) -> np.ndarray:
-            out = np.zeros((dim, dim), dtype=complex)
+            out = np.zeros((dim, dim), dtype=dtype)
             for k in sorted(cells):
                 out += mats[k]
             return out

@@ -4,7 +4,8 @@ One spatial dimension with cyclic boundary: translations form Z_n, standing
 in for the continuum translation group, which buys exact covariance with
 finite matrices.  Cell effects sum to the identity (the discrete analogue of
 POVM normalization on a rest space), the one-cell shift is unitary, and the
-dynamics commutes with translations.
+dynamics commutes with translations.  The cell effects are real symmetric
+float64 matrices; the shift and the Hamiltonian are complex.
 """
 from __future__ import annotations
 
@@ -103,7 +104,7 @@ def effect_of(sys: LatticeLocalizationSystem, cells: Iterable[int]) -> np.ndarra
         members = effects.take(order)
     else:  # a plain sequence a caller assigned
         members = [effects[k] for k in order]
-    out = np.zeros((sys.n, sys.n), dtype=complex)
+    out = np.zeros((sys.n, sys.n), dtype=np.result_type(float, *members))
     for E in members:
         out += E
     return out
@@ -153,8 +154,8 @@ def _position_basis_system(
     its signs alternating when asked."""
     if n < 2 or mass <= 0 or a <= 0:
         raise ValueError("need n >= 2, mass > 0, a > 0")
-    eye = np.eye(n, dtype=complex)
-    effects = CellEffects(n, lambda k: np.outer(eye[:, k], eye[:, k].conj()))
+    eye = np.eye(n)
+    effects = CellEffects(n, lambda k: np.outer(eye[:, k], eye[:, k]))
     omega = lattice_dispersion(n, mass, a)
     if alternating:
         omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
@@ -222,17 +223,18 @@ def build_frame_smeared_system(
     if not 0.0 < sharpness < 1.0:
         raise ValueError("sharpness must lie strictly between 0 and 1")
     g = gaussian_frame_vector(n, 0, width)
-    g = (g / np.linalg.norm(g)).astype(complex)
+    g = g / np.linalg.norm(g)
     F = _dft(n)
     power = np.abs(F @ g) ** 2  # sums to 1
     if power.max() <= 0:
         raise ValueError("degenerate frame vector")
     alpha = sharpness / (n * float(power.max()))
     dvals = 1.0 / n - alpha * power  # >= (1 - sharpness)/n > 0
-    D = hermitize((dag(F) * dvals) @ F)
+    # D is real (d_j = d_{n-j}); its computed imaginary parts are rounding
+    D = hermitize((dag(F) * dvals) @ F).real
     # alpha |g_k><g_k| is alpha |g><g| rolled by k along both axes; it and D
-    # are exactly Hermitian, so each effect is too, with no hermitize
-    P = alpha * np.outer(g, g.conj())
+    # are exactly symmetric, so each effect is too, with no hermitize
+    P = alpha * np.outer(g, g)
     effects = CellEffects(n, lambda k: np.roll(P, (k, k), axis=(0, 1)) + D)
     H = _hamiltonian_from_spectrum(F, lattice_dispersion(n, mass, a))
     return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, FRAME_SMEARED)
@@ -254,7 +256,7 @@ def build_diagonal_smeared_system(
         raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
     w = gaussian_frame_vector(n, 0, width)
     w = w / w.sum()
-    effects = CellEffects(n, lambda k: np.diag(np.roll(w, k)).astype(complex))
+    effects = CellEffects(n, lambda k: np.diag(np.roll(w, k)))
     H = _hamiltonian_from_spectrum(_dft(n), lattice_dispersion(n, mass, a))
     return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, DIAGONAL_SMEARED)
 

@@ -1,4 +1,10 @@
-"""Dense complex Hermitian matrix helpers.
+"""Dense Hermitian matrix helpers, real or complex.
+
+Every kernel keeps the dtype of its input: complex input is read as
+complex128, bit for bit, and any other input as float64 (``_as_array``).  A
+real symmetric matrix therefore runs real LAPACK and BLAS, and its square
+roots, inverse square roots and products stay real; a complex operand
+anywhere in a product upcasts the result as numpy does.
 
 ``eigh_checked`` is the single functional-calculus path.  It returns one
 ``Eig`` (w, V), which carries the one formula V f(w) V† (``Eig.apply``) and
@@ -36,12 +42,19 @@ def stack_size(n: int) -> int:
     return max(1, STACK_BYTES // (16 * n * n))
 
 
+def _as_array(M) -> np.ndarray:
+    """``M`` as complex128 when it is complex, as float64 otherwise."""
+    A = np.asarray(M)
+    return A.astype(complex if np.iscomplexobj(A) else float, copy=False)
+
+
 def as_matrix(M, stack: bool = False) -> np.ndarray:
-    """Coerce to a square complex 2-d array, or with ``stack`` to (..., n, n)."""
-    A = np.asarray(M, dtype=complex)
+    """Coerce by ``_as_array`` to a square 2-d array, or with ``stack`` to
+    (..., n, n)."""
+    A = _as_array(M)
     if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.isfinite(A.view(float)).all():
+    if not np.isfinite(A.view(float)).all():  # a complex view holds both parts
         infinite = ~np.isfinite(A.view(float)).all(axis=(-2, -1))
         raise ValueError(f"matrix{at_index(infinite)} has non-finite entries")
     return A
@@ -61,7 +74,7 @@ def dag(M: np.ndarray) -> np.ndarray:
 def _singular_values(M) -> np.ndarray:
     """Singular values, as absolute eigenvalues of the matrices that are
     exactly Hermitian."""
-    A = np.asarray(M, dtype=complex)
+    A = _as_array(M)
     same = A == dag(A)
     if same.all():
         return np.abs(np.linalg.eigvalsh(A))
@@ -88,20 +101,20 @@ def trace_norm(M):
 
 def max_abs(M) -> float:
     """Largest entrywise modulus."""
-    A = np.asarray(M, dtype=complex)
+    A = _as_array(M)
     return float(np.abs(A).max()) if A.size else 0.0
 
 
 def herm_residual(M):
     """||A - A†||, taken as the norm of the exactly Hermitian i(A - A†)."""
-    A = np.asarray(M, dtype=complex)
+    A = _as_array(M)
     return op_norm(1j * (A - dag(A)))
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL):
     """||A - A†|| <= tol * max(1, ||A||); ||A|| is only computed when the
     residual exceeds tol."""
-    A = np.asarray(M, dtype=complex)
+    A = _as_array(M)
     same = A == dag(A)
     if A.ndim == 2:
         residual = 0.0 if same.all() else herm_residual(A)
@@ -117,13 +130,13 @@ def is_hermitian(M, tol: float = DEFAULT_TOL):
 
 
 def hermitize(M) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
+    A = _as_array(M)
     return 0.5 * (A + dag(A))
 
 
 def commutator(A, B) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    A = _as_array(A)
+    B = _as_array(B)
     return A @ B - B @ A
 
 

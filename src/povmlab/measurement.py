@@ -1,8 +1,9 @@
 """Effects, finite discrete POVMs, Kraus instruments, and post-measurement
 states.
 
-Effects and density states are plain complex ndarrays; their contracts
-(Hermiticity, positivity, trace) live in the ``validate_*`` functions.
+Effects and density states are plain real or complex ndarrays; their
+contracts (Hermiticity, positivity, trace) live in the ``validate_*``
+functions.
 :class:`DiscretePOVM` and :class:`KrausInstrument` wrap the structured
 families.
 """

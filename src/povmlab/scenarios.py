@@ -168,16 +168,25 @@ class Nonempty(NamedTuple):
 
 class Decoded(NamedTuple):
     """An object read by one of the ``serialization`` decoders; with ``dim``,
-    a matrix of the dimension read under that key."""
+    of the dimension of the value read under that key: an integer, or a
+    decoded matrix, instrument or POVM."""
     decode: Callable[[Any, str], Any]
     dim: str | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict) -> Any:
         out = self.decode(raw, pointer)
-        if self.dim is not None and out.shape[0] != values[self.dim]:
-            raise SchemaError(pointer, f"expected dimension {self.dim} = {values[self.dim]}, "
-                                       f"got {out.shape[0]}")
+        if self.dim is not None:
+            want, got = _dimension(values[self.dim]), _dimension(out)
+            if got != want:
+                raise SchemaError(pointer, f"expected dimension {self.dim} = {want}, got {got}")
         return out
+
+
+def _dimension(value: Any) -> int:
+    """An integer itself, an instrument's or POVM's ``dim``, a matrix's size."""
+    if isinstance(value, int):
+        return value
+    return value.dim if hasattr(value, "dim") else value.shape[0]
 
 
 REQUIRED = object()  # the default of a parameter that must be given
@@ -404,16 +413,16 @@ def _check_causal_separation(sc: Scenario, rng: np.random.Generator) -> CheckRep
 
 _DIM = Param("dim", Integer(1), 3)
 _INSTRUMENT_EFFECT = (_DIM, Param("instrument", Decoded(decode_instrument), None),
-                      Param("effect", Decoded(decode_effect), None))
+                      Param("effect", Decoded(decode_effect, dim="instrument"), None))
 
 CHECKS: dict[str, CheckType] = {
     "nsc": CheckType(_check_nsc, _INSTRUMENT_EFFECT, ("instrument", "effect")),
-    "rcc": CheckType(_check_rcc, (_DIM, Param("first", Decoded(decode_instrument), None),
-                                  Param("second", Decoded(decode_instrument), None)),
-                     ("first", "second")),
+    "rcc": CheckType(_check_rcc, (
+        _DIM, Param("first", Decoded(decode_instrument), None),
+        Param("second", Decoded(decode_instrument, dim="first"), None)), ("first", "second")),
     "luders_equivalence": CheckType(_check_luders_equivalence, (
         _DIM, Param("first", Decoded(decode_povm), None),
-        Param("second", Decoded(decode_povm), None)), ("first", "second")),
+        Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second")),
     "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     # the search's level-splitting construction needs three distinct levels
     "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3), 3),

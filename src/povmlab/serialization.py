@@ -94,8 +94,10 @@ def decode_povm(data: Any, pointer: str = "") -> DiscretePOVM:
     if not isinstance(effects, list) or not effects:
         raise SchemaError(f"{pointer}/effects", "expected a nonempty list")
     mats = [decode_matrix(E, f"{pointer}/effects/{i}") for i, E in enumerate(effects)]
-    labels = data.get("labels")
-    return DiscretePOVM(mats, labels)
+    try:
+        return DiscretePOVM(mats, data.get("labels"))
+    except (TypeError, ValueError) as exc:  # mixed dimensions, or labels that do not fit
+        raise SchemaError(pointer, str(exc)) from None
 
 
 def decode_instrument(data: Any, pointer: str = "") -> KrausInstrument:
@@ -108,7 +110,10 @@ def decode_instrument(data: Any, pointer: str = "") -> KrausInstrument:
         if not isinstance(fam, list) or not fam:
             raise SchemaError(f"{pointer}/families/{j}", "expected a nonempty list")
         fams.append([decode_matrix(K, f"{pointer}/families/{j}/{k}") for k, K in enumerate(fam)])
-    return KrausInstrument(fams, data.get("labels"))
+    try:
+        return KrausInstrument(fams, data.get("labels"))
+    except (TypeError, ValueError) as exc:  # mixed dimensions, or labels that are no list
+        raise SchemaError(pointer, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,8 +11,27 @@ import pytest
 from povmlab.cli import main
 from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
-from povmlab.scenarios import CHECKS, REQUIRED, SYSTEM_PARAMS, parse_scenarios, run_scenarios
-from povmlab.serialization import SchemaError
+from povmlab.scenarios import (
+    CHECKS,
+    REQUIRED,
+    SYSTEM_PARAMS,
+    Cells,
+    Decoded,
+    Integer,
+    Nonempty,
+    Number,
+    SystemKind,
+    parse_scenarios,
+    run_scenarios,
+)
+from povmlab.serialization import (
+    SchemaError,
+    decode_effect,
+    decode_instrument,
+    decode_povm,
+    decode_region,
+    decode_state,
+)
 
 
 def write_scenarios(tmp_path, payload, name="scenarios.json"):
@@ -411,6 +431,18 @@ class TestCrossFieldConstraints:
         ("conditional_bound", {"n": 8, "lab": [1, 2, 3], "delta": [2],
                                "state": generate_instance("state", 3, 1)},
          "state", "expected dimension n = 8, got 3"),
+        ("nsc", {"instrument": generate_instance("luders_instrument", 2, 1),
+                 "effect": generate_instance("effect", 3, 1)},
+         "effect", "expected dimension instrument = 2, got 3"),
+        ("beck", {"instrument": generate_instance("luders_instrument", 3, 1),
+                  "effect": generate_instance("effect", 2, 1)},
+         "effect", "expected dimension instrument = 3, got 2"),
+        ("rcc", {"first": generate_instance("luders_instrument", 2, 1),
+                 "second": generate_instance("luders_instrument", 3, 1)},
+         "second", "expected dimension first = 2, got 3"),
+        ("luders_equivalence", {"first": generate_instance("povm", 3, 1),
+                                "second": generate_instance("povm", 2, 1)},
+         "second", "expected dimension first = 3, got 2"),
     ])
     def test_refused_before_anything_runs(self, tmp_path, capsys, stype, params, field,
                                           message):
@@ -431,6 +463,78 @@ class TestCrossFieldConstraints:
         ]
         reports = run_scenarios(parse_scenarios(payload))
         assert [r.verdict for r in reports] == ["PASS", "PASS", "INFO"]
+
+
+# the generator kind of each decoded object a scenario can hold
+DECODED_KIND = {decode_instrument: "luders_instrument", decode_effect: "effect",
+                decode_povm: "povm", decode_state: "state"}
+REGION = {"boxes": [{"lo": [0.0, 0.0, 0.0, 0.0], "hi": [0.0, 1.0, 1.0, 1.0]}]}
+
+
+def accepted(reader, values: dict):
+    """A JSON value ``reader`` accepts after the JSON ``values`` read before
+    it; a decoded object has dimension ``n``, or 2 where there is no ``n``."""
+    n = values.get("n", 2)
+    if isinstance(reader, Integer):
+        return reader.minimum
+    if isinstance(reader, Number):
+        return 1.0
+    if isinstance(reader, SystemKind):
+        return "sharp"
+    if isinstance(reader, Cells):
+        if reader.inside:
+            return values[reader.inside][:1]
+        return [k for k in range(n) if k not in values.get(reader.disjoint_from, [])][:1]
+    if isinstance(reader, Nonempty):
+        return [accepted(reader.item, values)]
+    if isinstance(reader, Decoded):
+        return REGION if reader.decode is decode_region else generate_instance(
+            DECODED_KIND[reader.decode], n, 1)
+    raise AssertionError(f"no accepted value for {reader!r}")
+
+
+def refused(reader, values: dict):
+    """A JSON value ``reader`` must refuse at its own pointer after the JSON
+    ``values``: one that breaks the field's constraint on an earlier field
+    when it has one, else one outside the reader's range or type."""
+    n = values.get("n", 2)
+    if isinstance(reader, Integer):
+        return reader.minimum - 1
+    if isinstance(reader, Number):
+        return 0.0 if reader.positive else math.inf
+    if isinstance(reader, SystemKind):
+        return "quantum"
+    if isinstance(reader, Cells):
+        if reader.inside:
+            return [k for k in range(n) if k not in values[reader.inside]][:1]
+        if reader.disjoint_from:
+            return values[reader.disjoint_from][:1]
+        return [] if reader.nonempty else [n]
+    if isinstance(reader, Nonempty):
+        return []
+    if isinstance(reader, Decoded) and reader.dim:
+        return generate_instance(DECODED_KIND[reader.decode], n + 1, 1)
+    if isinstance(reader, Decoded):
+        return 5
+    raise AssertionError(f"no refused value for {reader!r}")
+
+
+class TestEveryField:
+    """Every parameter of every check type refuses a bad value at its own
+    pointer, its constraint on an earlier field included."""
+
+    @pytest.mark.parametrize("stype, name", [(stype, p.name) for stype, check in CHECKS.items()
+                                             for p in check.params])
+    def test_refused_at_its_pointer(self, stype, name):
+        params: dict = {}
+        for p in CHECKS[stype].params:
+            params[p.name] = accepted(p.read, params)
+        parse_scenarios([{"type": stype, "params": params}])
+        reader = next(p.read for p in CHECKS[stype].params if p.name == name)
+        params[name] = refused(reader, params)
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios([{"type": stype, "params": params}])
+        assert err.value.pointer == f"/0/params/{name}"
 
 
 class TestScenarioEntry:

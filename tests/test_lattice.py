@@ -384,8 +384,14 @@ def test_systems_bit_equal_to_the_formulas(kind, n, width):
     assert np.array_equal(sys.hamiltonian, H)
     assert len(sys.cell_effects) == n
     for E, oracle in zip(sys.cell_effects, effects):
-        assert np.array_equal(E, oracle)
-        assert np.array_equal(E, dag(E))
+        # the builders keep the real part of the complex textbook formula; its
+        # imaginary part is rounding of the real circulant D
+        assert E.dtype == np.float64
+        assert E.tobytes() == np.ascontiguousarray(oracle.real).tobytes()
+        assert np.abs(oracle.imag).max() <= 1e-15
+        assert np.array_equal(E, E.T)
+    assert effect_of(sys, range(0, n, 2)).dtype == np.float64
+    assert sys.hamiltonian.dtype == sys.shift.dtype == np.complex128
 
 
 class TestAuditAgainstPairwiseResidual:
@@ -441,21 +447,21 @@ def _eager_system(kind, n, width):
         shift[(k + 1) % n, k] = 1.0
     omega = lattice_dispersion(n, 1.0, 1.0)
     if kind in ("sharp", "alternating"):
-        eye = np.eye(n, dtype=complex)
-        effects = [np.outer(eye[:, k], eye[:, k].conj()) for k in range(n)]
+        eye = np.eye(n)
+        effects = [np.outer(eye[:, k], eye[:, k]) for k in range(n)]
         if kind == "alternating":
             omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     elif kind == "diagonal_smeared":
         w = gaussian_frame_vector(n, 0, width)
         w = w / w.sum()
-        effects = [np.diag(np.roll(w, k)).astype(complex) for k in range(n)]
+        effects = [np.diag(np.roll(w, k)) for k in range(n)]
     else:
         g = gaussian_frame_vector(n, 0, width)
-        g = (g / np.linalg.norm(g)).astype(complex)
+        g = g / np.linalg.norm(g)
         power = np.abs(F @ g) ** 2
         alpha = 0.9 / (n * float(power.max()))
-        D = hermitize((dag(F) * (1.0 / n - alpha * power)) @ F)
-        P = alpha * np.outer(g, g.conj())
+        D = hermitize((dag(F) * (1.0 / n - alpha * power)) @ F).real
+        P = alpha * np.outer(g, g)
         effects = [np.roll(P, (k, k), axis=(0, 1)) + D for k in range(n)]
     return effects, hermitize((dag(F) * omega) @ F), shift
 
@@ -542,3 +548,34 @@ class TestCellEffectsOnFirstRead:
                 assert results == [expected] * 4
         finally:
             setswitchinterval(switch)
+
+
+# ---------------------------------------------------------------------------
+# real models stay real from the builders to the kernels
+# ---------------------------------------------------------------------------
+
+class TestRealModels:
+    def test_lab_enumeration_decomposes_only_real_matrices(self, monkeypatch):
+        from itertools import combinations
+
+        from povmlab.conditional import build_conditional
+
+        sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            def recorded(A, *args, _call=getattr(np.linalg, name), **kwargs):
+                seen.append(np.asarray(A).dtype)
+                return _call(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        eye = np.eye(16)
+        for lab in list(combinations(range(16), 4))[::97]:
+            cond = build_conditional(sys, lab)
+            left = frozenset(lab[:2])
+            B_lab, B_left = cond.effect(lab), cond.effect(left)
+            B_right = cond.effect(cond.complement_in_lab(left))
+            assert B_lab.dtype == B_left.dtype == B_right.dtype == np.float64
+            op_norm(B_lab - eye)
+            op_norm(B_left + B_right - B_lab)
+            np.linalg.eigvalsh(B_left)
+            assert cond.validate().passed
+        assert seen and set(seen) == {np.dtype(np.float64)}

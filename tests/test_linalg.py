@@ -4,6 +4,8 @@ import pytest
 from povmlab.generators import haar_unitary, make_rng
 from povmlab.linalg import (
     DEFAULT_TOL,
+    as_matrix,
+    commutator,
     dag,
     eigh_checked,
     herm_residual,
@@ -384,3 +386,78 @@ class TestDecompositionCounts:
         counts.clear()
         call()
         assert (counts.get("eigh", 0), counts.get("eigvalsh", 0)) == (eigh, eigvalsh)
+
+
+# ---------------------------------------------------------------------------
+# the dtype follows the input: real stays real, complex stays complex128
+# ---------------------------------------------------------------------------
+
+def real_cases(rng):
+    """Real symmetric positive definite matrices of three sizes, and a stack."""
+    out = []
+    for shape in ((1, 1), (3, 3), (16, 16), (4, 5, 5)):
+        G = rng.normal(size=shape)
+        out.append(G @ G.swapaxes(-1, -2) + 0.1 * np.eye(shape[-1]))
+    return out
+
+
+def kernels(M):
+    """Every kernel on M, or on a non-symmetric matrix built from it, by name."""
+    other = np.roll(M, 1, axis=-1)
+    eig = eigh_checked(M)
+    return {
+        "as_matrix": as_matrix(M, stack=True),
+        "hermitize": hermitize(other),
+        "commutator": commutator(M, other),
+        "op_norm": op_norm(M),
+        "trace_norm": trace_norm(other),
+        "max_abs": max_abs(M),
+        "herm_residual": herm_residual(other),
+        "w": eig.w,
+        "apply": eig.apply(eig.w ** 2),
+        "sqrt": eig.sqrt(),
+        "inv_sqrt": eig.inv_sqrt(0.0),
+        "psd_sqrt": psd_sqrt(M),
+    }
+
+
+class TestDtypeFollowsInput:
+    def test_real_symmetric_input_gives_real_results_that_match_the_complex_call(self):
+        for M in real_cases(make_rng(61)):
+            real, cplx = kernels(M), kernels(M.astype(complex))
+            scale = 1e-12 * max(1.0, float(np.max(op_norm(M))))
+            for name, value in real.items():
+                assert not np.iscomplexobj(value), name
+                assert np.asarray(value).dtype == np.float64, name
+                assert np.max(np.abs(value - cplx[name])) <= scale, name
+
+    def test_real_input_passes_the_hermiticity_guard_as_before(self):
+        M = np.diag([1.0, 2.0])
+        M[0, 1] = 1e-12
+        assert is_hermitian(M) and is_hermitian(M.astype(complex))
+        M[0, 1] = 1e-6
+        assert not is_hermitian(M) and not is_hermitian(M.astype(complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh_checked(M)
+
+    def test_complex_input_stays_complex128(self):
+        rng = make_rng(62)
+        M = random_psd(4, rng)
+        assert as_matrix(M) is M
+        eig = eigh_checked(M)
+        for value in (hermitize(M), commutator(M, M.T), eig.V, eig.sqrt(), eig.inv_sqrt(0.0),
+                      psd_sqrt(M), as_matrix(M.astype(np.complex64))):
+            assert value.dtype == np.complex128
+
+    def test_other_input_becomes_float64(self):
+        for M in ([[1, 0], [0, 2]], np.eye(2, dtype=np.float32), np.eye(2, dtype=bool)):
+            assert as_matrix(M).dtype == np.float64
+            assert hermitize(M).dtype == np.float64
+            assert eigh_checked(M).V.dtype == np.float64
+
+    def test_a_complex_operand_upcasts_a_product(self):
+        rng = make_rng(63)
+        real = real_cases(rng)[1]
+        cplx = random_psd(3, rng)
+        assert commutator(real, cplx).dtype == np.complex128
+        assert np.array_equal(commutator(real, cplx), commutator(real.astype(complex), cplx))

@@ -3,7 +3,8 @@ parameter table: a valid file parses to the declared types, and a file with
 one fault (a bad value, a missing field, half a pair, an unknown key) is
 refused with a ``SchemaError`` at the faulty field, never with another
 exception.  A constraint across fields (cells inside another cell list or
-disjoint from it, a state of dimension ``n``) is a fault of the later field."""
+disjoint from it, a state of dimension ``n``, the second object of a pair of
+the first one's dimension) is a fault of the later field."""
 import math
 from functools import lru_cache
 
@@ -41,7 +42,8 @@ from povmlab.serialization import (  # noqa: E402
 REGION = {"frame": [1.0, 0.0, 0.0, 0.0],
           "boxes": [{"lo": [0.0, 0.0, 0.0, 0.0], "hi": [0.0, 1.0, 1.0, 1.0]}]}
 # the generator kind of a decoder read with a dimension
-SQUARE = {decode_state: "state"}
+KIND = {decode_state: "state", decode_effect: "effect", decode_instrument: "luders_instrument",
+        decode_povm: "povm"}
 # a few valid objects per decoder, and the type each one decodes to
 OBJECTS = {
     decode_instrument: ([generate_instance("luders_instrument", d, 1) for d in (1, 2, 3)],
@@ -83,20 +85,31 @@ def valid(reader, n: int) -> st.SearchStrategy:
         return st.lists(st.integers(0, n - 1), min_size=int(reader.nonempty), max_size=6)
     if isinstance(reader, Nonempty):
         return st.lists(valid(reader.item, n), min_size=1, max_size=3)
-    if isinstance(reader, Decoded) and reader.dim:
-        return st.just(generate_instance(SQUARE[reader.decode], n, 4))
+    if isinstance(reader, Decoded) and reader.dim == "n":
+        return st.just(generate_instance(KIND[reader.decode], n, 4))
     if isinstance(reader, Decoded):
         return st.sampled_from(OBJECTS[reader.decode][0])
     raise AssertionError(f"no strategy for {reader!r}")
 
 
 def fit(reader, value, params: dict):
-    """A valid cell list cut to the cells another cell list allows."""
+    """A valid cell list cut to the cells another cell list allows, and a
+    valid object of the dimension of the object it is paired with."""
     if isinstance(reader, Cells) and reader.inside:
         return [k for k in value if k in params[reader.inside]]
     if isinstance(reader, Cells) and reader.disjoint_from:
         return [k for k in value if k not in params[reader.disjoint_from]]
+    if isinstance(reader, Decoded) and reader.dim not in (None, "n"):
+        return generate_instance(KIND[reader.decode], dimension(params[reader.dim]), 4)
     return value
+
+
+def dimension(raw: dict) -> int:
+    """The dimension of an encoded matrix, or of the first matrix of an encoded object."""
+    while isinstance(raw, list) or "dim" not in raw:
+        raw = raw[0] if isinstance(raw, list) else (
+            raw.get("matrix") or raw.get("effects") or raw["families"])
+    return raw["dim"]
 
 
 def relation(reader) -> str | None:
@@ -213,8 +226,12 @@ def faulty_file(draw):
         params[field] = draw(JUNK)
     elif fault == "conflict":
         field, other = bad.name, relation(bad.read)
-        if isinstance(bad.read, Decoded):  # of the dimension after n
-            params[field] = generate_instance(SQUARE[bad.read.decode], n + 1, 4)
+        if isinstance(bad.read, Decoded):  # one dimension above the other field's
+            if other != "n" and other not in params:
+                first = next(p.read for p in check.params if p.name == other)
+                params[other] = draw(valid(first, n))
+            size = n if other == "n" else dimension(params[other])
+            params[field] = generate_instance(KIND[bad.read.decode], size + 1, 4)
         else:
             cell = draw(st.integers(0, n - 1))
             if bad.read.inside:  # the other list without the cell, this one with it

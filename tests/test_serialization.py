@@ -46,6 +46,9 @@ class TestMatrixRoundTrip:
             encode_matrix(np.ones((2, 3)))
 
 
+EYE2, EYE3 = encode_matrix(np.eye(2)), encode_matrix(np.eye(3))
+
+
 class TestTaggedObjects:
     def test_povm_round_trip(self):
         povm = random_povm(3, 2, make_rng(72))
@@ -60,6 +63,18 @@ class TestTaggedObjects:
         for fa, fb in zip(back.families, instr.families):
             for a, b in zip(fa, fb):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("decode, data", [
+        (decode_povm, {"kind": "povm", "effects": [EYE2, EYE3]}),
+        (decode_instrument, {"kind": "instrument", "families": [[EYE2], [EYE2, EYE3]]}),
+        (decode_povm, {"kind": "povm", "effects": [EYE2, EYE2], "labels": ["only one"]}),
+        (decode_povm, {"kind": "povm", "effects": [EYE2, EYE2], "labels": 5}),
+        (decode_instrument, {"kind": "instrument", "families": [[EYE2]], "labels": 5}),
+    ])
+    def test_parts_that_do_not_fit_together_refused_at_the_object(self, decode, data):
+        with pytest.raises(SchemaError) as err:
+            decode(data, "/x")
+        assert err.value.pointer == "/x"
 
 
 class TestRegions:
