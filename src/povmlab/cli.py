@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Any
 
@@ -25,8 +24,6 @@ from .serialization import SchemaError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
-
-WORKERS_ENV = "POVMLAB_WORKERS"
 
 
 def emit_report(reports: list[CheckReport], fmt: str, path: str) -> None:
@@ -47,14 +44,6 @@ def emit_report(reports: list[CheckReport], fmt: str, path: str) -> None:
                 writer.writerow(r.summary_row())
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -112,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("file", help="scenario JSON file")
     run_p.add_argument("--out", help="write full JSON report here")
     run_p.add_argument("--csv", help="write CSV summary here")
-    run_p.add_argument("--workers", type=int, default=_default_workers(),
-                       help=f"parallel scenario workers (default ${WORKERS_ENV} or 1)")
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="parallel scenario workers (default 1)")
     run_p.add_argument("--tol", type=float, default=None,
                        help="override every scenario tolerance")
     run_p.add_argument("--seed", type=int, default=None,

@@ -13,12 +13,12 @@ approximates the plain detection fraction.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping, Sequence
 from typing import Iterable
 
 import numpy as np
 
-from .lattice import LatticeLocalizationSystem, as_cells, effect_of
+from .lattice import LatticeLocalizationSystem, as_cells, cell_sum, effect_of
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
@@ -43,76 +43,59 @@ SAMPLE_STEPS = 16  # sampled subsets take every step-th cell, 2 <= step < SAMPLE
 class ConditionalPOVM:
     """Conditional localization effects on a laboratory cell set.
 
-    The laboratory effect A(lab) = ``raw_effect(lab_cells)`` is decomposed
-    once, at construction: ``lab_spectrum`` keeps that decomposition, and
+    A(cells) is ``cell_sum(cell_effects, cells, dim)``, the rule of
+    ``lattice.effect_of``.  The laboratory effect A(lab) is decomposed once,
+    at construction: ``lab_spectrum`` keeps that decomposition, and
     ``inv_sqrt`` and ``lab_effect_norm`` come from it.  Construction is
     refused when A(lab) has a (numerical) kernel, its smallest eigenvalue at
-    or below KERNEL_FLOOR_FACTOR * ||A(lab)||.  Effects are computed on demand
-    and cached; everything they depend on is fixed at construction, so the
-    cache is immutable afterwards and concurrent evaluation is safe.
+    or below KERNEL_FLOOR_FACTOR * ||A(lab)||.  ``effect`` caches each cell
+    set's effect on this POVM, so the cache grows with use; two threads
+    racing on one cell set compute the same bits and either copy is kept.
+    ``effects`` neither reads nor fills the cache.
     """
 
     def __init__(
         self,
         lab_cells: frozenset[int],
-        raw_effect: Callable[[frozenset[int]], np.ndarray],
+        cell_effects: Sequence[np.ndarray] | Mapping[int, np.ndarray],
+        dim: int,
         conjugator: np.ndarray | None = None,
         tol: float = DEFAULT_TOL,
     ):
         self.lab_cells = frozenset(lab_cells)
-        self._raw_effect = raw_effect
+        self.cell_effects = cell_effects
+        self.dim = dim
         self.conjugator = conjugator
-        self.lab_spectrum = eigh_checked(raw_effect(self.lab_cells), tol)
+        self.lab_spectrum = eigh_checked(cell_sum(cell_effects, self.lab_cells, dim), tol)
         self.lab_effect_norm = self.lab_spectrum.norm
         self.inv_sqrt = self.lab_spectrum.inv_sqrt(
             KERNEL_FLOOR_FACTOR * max(self.lab_effect_norm, np.finfo(float).tiny)
         )
         self._cache: dict[frozenset[int], np.ndarray] = {}
 
-    @property
-    def dim(self) -> int:
-        return self.inv_sqrt.shape[0]
+    def _inside(self, cells: Iterable[int]) -> frozenset[int]:
+        key = frozenset(int(k) for k in cells)
+        if not key <= self.lab_cells:
+            raise ValueError("cells must lie inside the laboratory region")
+        return key
 
     def effect(self, cells: Iterable[int]) -> np.ndarray:
-        cells = frozenset(int(k) for k in cells)
-        if not cells <= self.lab_cells:
-            raise ValueError("cells must lie inside the laboratory region")
-        if cells not in self._cache:
-            self._cache[cells] = self._sandwich(self._raw_effect(cells))
-        return self._cache[cells]
+        key = self._inside(cells)
+        if key not in self._cache:
+            self._cache[key] = self._sandwich(cell_sum(self.cell_effects, key, self.dim))
+        return self._cache[key]
 
     def effects(self, cell_sets: Iterable[Iterable[int]]) -> np.ndarray:
-        """The effects of several cell sets as one (B, d, d) stack.
-
-        Cached effects are read from the cache; the others are computed in
-        one stacked sandwich, each bit-equal to what ``effect`` computes,
-        and are not cached.
-        """
-        keys = [frozenset(int(k) for k in cells) for cells in cell_sets]
-        if not all(key <= self.lab_cells for key in keys):
-            raise ValueError("cells must lie inside the laboratory region")
-        missing = [i for i, key in enumerate(keys) if key not in self._cache]
-        if missing and len(missing) == len(keys):
-            return self._sandwich(np.stack([self._raw_effect(key) for key in keys]))
-        cached = {i: self._cache[key] for i, key in enumerate(keys) if key in self._cache}
-        blocks = list(cached.values())
-        if missing:
-            blocks.append(self._sandwich(np.stack([self._raw_effect(keys[i]) for i in missing])))
-        out = np.empty((len(keys), self.dim, self.dim), dtype=np.result_type(float, *blocks))
-        for i, B in cached.items():
-            out[i] = B
-        if missing:
-            out[missing] = blocks[-1]
-        return out
+        """The effects of several cell sets as one (B, d, d) stack, computed
+        in one stacked sandwich, each bit-equal to what ``effect`` computes."""
+        raw = [cell_sum(self.cell_effects, self._inside(cells), self.dim) for cells in cell_sets]
+        return self._sandwich(np.stack(raw) if raw else np.zeros((0, self.dim, self.dim)))
 
     def _sandwich(self, A: np.ndarray) -> np.ndarray:
         """hermitize(R A R), or with a conjugator V, hermitize(V R A R V†),
         for one raw effect or a stack of them."""
         R, V = self.inv_sqrt, self.conjugator
         return hermitize(R @ A @ R if V is None else V @ R @ A @ R @ dag(V))
-
-    def complement_in_lab(self, cells: Iterable[int]) -> frozenset[int]:
-        return self.lab_cells - frozenset(int(k) for k in cells)
 
     def validate(self, tol: float = DEFAULT_TOL) -> CheckReport:
         """Normalization on the lab, in-lab additivity over 2-partitions, and
@@ -162,55 +145,31 @@ def build_conditional(
     systems with a proper laboratory.
     """
     lab = as_cells(lab_cells, sys.n)
-    povm = ConditionalPOVM(lab, lambda cells: effect_of(sys, cells), conjugator, tol)
+    povm = ConditionalPOVM(lab, sys.cell_effects, sys.n, conjugator, tol)
     if conjugator is not None and not is_unitary(conjugator, max(tol, 1e-9)):
         raise ValueError("conjugator must be unitary")
     return povm
 
 
 def build_conditional_from_unnormalized(
-    family: Mapping[int, np.ndarray] | Callable[[frozenset[int]], np.ndarray],
+    family: Mapping[int, np.ndarray],
     lab_cells: Iterable[int],
     n: int,
     tol: float = DEFAULT_TOL,
 ) -> ConditionalPOVM:
-    """Conditional POVM from a merely additive family of positive operators.
+    """Conditional POVM from a merely additive family of positive operators,
+    given by its per-cell operators.
 
     Normalization of the source family is NOT required; the sandwich is
     scale-invariant, and the report-level gentle condition uses the recorded
     ||T(lab)|| for the rescaling A(cells) = T(cells) / ||T(lab)||.
-
-    ``family`` is either a per-cell mapping (additivity automatic; summed in
-    sorted cell order) or a callable on cell sets, in which case additivity
-    over disjoint splits of the laboratory is verified.
     """
     lab = as_cells(lab_cells, n)
-    if isinstance(family, Mapping):
-        missing = lab - set(int(k) for k in family)
-        if missing:
-            raise ValueError(f"family does not cover the laboratory cells {sorted(missing)}")
-        mats = {int(k): as_matrix(M) for k, M in family.items()}
-        dim = next(iter(mats.values())).shape[0]
-        dtype = np.result_type(*mats.values())
-
-        def raw(cells: frozenset[int]) -> np.ndarray:
-            out = np.zeros((dim, dim), dtype=dtype)
-            for k in sorted(cells):
-                out += mats[k]
-            return out
-
-    else:
-        raw = lambda cells: as_matrix(family(cells))  # noqa: E731
-        cells = sorted(lab)
-        for split in range(1, max(2, len(cells))):
-            left, right = frozenset(cells[:split]), frozenset(cells[split:])
-            residual = op_norm(raw(left) + raw(right) - raw(lab))
-            if residual > max(1.0, op_norm(raw(lab))) * tol * n:
-                raise ValueError(
-                    f"family is not additive on disjoint cells (residual {residual:.3e})"
-                )
-
-    return ConditionalPOVM(lab, raw, tol=tol)
+    missing = lab - set(int(k) for k in family)
+    if missing:
+        raise ValueError(f"family does not cover the laboratory cells {sorted(missing)}")
+    mats = {int(k): as_matrix(M) for k, M in family.items()}
+    return ConditionalPOVM(lab, mats, next(iter(mats.values())).shape[0], tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +307,6 @@ def v_conjugation_reduction(
         cell_effects=[hermitize(V @ E @ dag(V)) for E in sys.cell_effects],
         shift=V @ sys.shift @ dag(V),
         hamiltonian=hermitize(V @ sys.hamiltonian @ dag(V)),
-        kind=sys.kind,
     )
     cond_T = build_conditional(transformed, lab, tol=tol)
     report = CheckReport(name="v_conjugation_reduction")

@@ -26,10 +26,6 @@ from .linalg import (
 )
 from .reporting import CheckReport
 
-SHARP = "sharp"
-FRAME_SMEARED = "frame_smeared"
-DIAGONAL_SMEARED = "diagonal_smeared"
-
 
 def as_cells(cells: Iterable[int], n: int) -> frozenset[int]:
     out = frozenset(map(int, cells))
@@ -80,7 +76,6 @@ class LatticeLocalizationSystem:
     cell_effects: Sequence[np.ndarray]
     shift: np.ndarray
     hamiltonian: np.ndarray
-    kind: str
 
     _eig: Eig | None = field(default=None, repr=False)
 
@@ -94,20 +89,26 @@ class LatticeLocalizationSystem:
         return frozenset(range(self.n)) - cells
 
 
-def effect_of(sys: LatticeLocalizationSystem, cells: Iterable[int]) -> np.ndarray:
-    """A(cells) = sum of the member cell effects; exactly additive over
-    disjoint unions by construction.  Summed in sorted cell order, so the
-    bits do not depend on how the cells were listed."""
-    order = sorted(as_cells(cells, sys.n))
-    effects = sys.cell_effects
+def cell_sum(effects, cells: Iterable[int], dim: int) -> np.ndarray:
+    """The sum of ``effects[k]`` over the cells, a dim x dim matrix; exactly
+    additive over disjoint unions by construction.  Summed in sorted cell
+    order, so the bits do not depend on how the cells were listed.
+    ``CellEffects`` are fetched in one ``take`` call; any other sequence or
+    mapping is indexed by cell."""
+    order = sorted(cells)
     if isinstance(effects, CellEffects):
         members = effects.take(order)
-    else:  # a plain sequence a caller assigned
+    else:
         members = [effects[k] for k in order]
-    out = np.zeros((sys.n, sys.n), dtype=np.result_type(float, *members))
+    out = np.zeros((dim, dim), dtype=np.result_type(float, *members))
     for E in members:
         out += E
     return out
+
+
+def effect_of(sys: LatticeLocalizationSystem, cells: Iterable[int]) -> np.ndarray:
+    """A(cells), the sum of the member cell effects (``cell_sum``)."""
+    return cell_sum(sys.cell_effects, as_cells(cells, sys.n), sys.n)
 
 
 def heisenberg_evolve(sys: LatticeLocalizationSystem, M: np.ndarray, t: float) -> np.ndarray:
@@ -160,7 +161,7 @@ def _position_basis_system(
     if alternating:
         omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     H = _hamiltonian_from_spectrum(_dft(n), omega)
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, SHARP)
+    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H)
 
 
 def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
@@ -237,7 +238,7 @@ def build_frame_smeared_system(
     P = alpha * np.outer(g, g)
     effects = CellEffects(n, lambda k: np.roll(P, (k, k), axis=(0, 1)) + D)
     H = _hamiltonian_from_spectrum(F, lattice_dispersion(n, mass, a))
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, FRAME_SMEARED)
+    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H)
 
 
 def build_diagonal_smeared_system(
@@ -258,7 +259,7 @@ def build_diagonal_smeared_system(
     w = w / w.sum()
     effects = CellEffects(n, lambda k: np.diag(np.roll(w, k)))
     H = _hamiltonian_from_spectrum(_dft(n), lattice_dispersion(n, mass, a))
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H, DIAGONAL_SMEARED)
+    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H)
 
 
 def validate_system(sys: LatticeLocalizationSystem, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -365,11 +366,11 @@ def hc_audit(
         raise ValueError("need at least one sampled region, and no empty one")
     eye = np.eye(sys.n)
 
+    effects = [effect_of(sys, cells) for cells in samples]
     additivity = 0.0
     covariance = 0.0
     max_norm = 0.0
-    for cells in samples:
-        A = effect_of(sys, cells)
+    for cells, A in zip(samples, effects):
         comp = effect_of(sys, sys.complement(cells))
         additivity = max(additivity, op_norm(A + comp - eye))
         shifted = frozenset((k + 1) % sys.n for k in cells)
@@ -378,12 +379,11 @@ def hc_audit(
         )
         max_norm = max(max_norm, op_norm(A))
     # additivity over sampled disjoint unions
-    for left, right in zip(samples, samples[1:]):
+    for k, (left, right) in enumerate(zip(samples, samples[1:])):
         if left & right:
             continue
         additivity = max(
-            additivity,
-            op_norm(effect_of(sys, left) + effect_of(sys, right) - effect_of(sys, left | right)),
+            additivity, op_norm(effects[k] + effects[k + 1] - effect_of(sys, left | right))
         )
 
     energy_min = float(np.linalg.eigvalsh(hermitize(sys.hamiltonian))[0])
@@ -398,7 +398,7 @@ def hc_audit(
         if left and right and not (left & right)
     ]
     involved = sorted({k for pair in pairs for k in pair})
-    regions = {k: effect_of(sys, as_cells(samples[k], sys.n)) for k in involved}
+    regions = {k: effects[k] for k in involved}
     evolved = []
     for t in t_grid:
         if t == 0:

@@ -178,19 +178,6 @@ def validate_instrument(
     return report
 
 
-def validate(obj, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Dispatching validator for POVMs, instruments, and raw matrices.
-
-    A raw ndarray is validated as an effect; wrap states explicitly with
-    :func:`validate_state`.
-    """
-    if isinstance(obj, KrausInstrument):
-        return validate_instrument(obj, tol)
-    if isinstance(obj, DiscretePOVM):
-        return validate_povm(obj, tol)
-    return validate_effect(obj, tol)
-
-
 # ---------------------------------------------------------------------------
 # instruments and post-measurement states
 # ---------------------------------------------------------------------------

@@ -432,6 +432,21 @@ class TestAuditAgainstPairwiseResidual:
         assert audit.residual("microcausality_residual") == 0.0
         assert audit.witnesses["microcausality_witness"] == {}
 
+    def test_each_sampled_region_summed_once(self, sharp16, monkeypatch):
+        # per region its effect, complement and shifted region, plus one
+        # union per adjacent disjoint pair: 3 * 3 + 2
+        import povmlab.lattice as lattice
+
+        calls = []
+
+        def counted(sys, cells, _effect_of=lattice.effect_of):
+            calls.append(frozenset(cells))
+            return _effect_of(sys, cells)
+
+        monkeypatch.setattr(lattice, "effect_of", counted)
+        hc_audit(sharp16, self.SAMPLES, self.T_GRID, tol=1e-9)
+        assert len(calls) == 11
+
 
 # ---------------------------------------------------------------------------
 # cell effects built on first read, against the eager builders they replaced
@@ -572,7 +587,7 @@ class TestRealModels:
             cond = build_conditional(sys, lab)
             left = frozenset(lab[:2])
             B_lab, B_left = cond.effect(lab), cond.effect(left)
-            B_right = cond.effect(cond.complement_in_lab(left))
+            B_right = cond.effect(cond.lab_cells - left)
             assert B_lab.dtype == B_left.dtype == B_right.dtype == np.float64
             op_norm(B_lab - eye)
             op_norm(B_left + B_right - B_lab)

@@ -12,8 +12,8 @@ from povmlab.measurement import (
     polar_kraus,
     selective_post_state,
     sequential_joint_prob,
-    validate,
     validate_effect,
+    validate_instrument,
     validate_povm,
     validate_state,
 )
@@ -53,11 +53,6 @@ class TestValidate:
         povm = DiscretePOVM([np.eye(2), np.zeros((2, 2))])
         assert validate_povm(povm).passed
         assert not validate_povm(povm, require_strict_positive=True).passed
-
-    def test_dispatch(self):
-        assert validate(np.eye(2) / 2).passed
-        assert validate(DiscretePOVM([np.eye(2)])).passed
-        assert validate(identity_instrument(2)).passed
 
 
 class TestLuders:
@@ -246,4 +241,4 @@ class TestKrausInstrument:
     def test_instrument_validation(self):
         rng = make_rng(29)
         instr = random_luders_instrument(3, 2, rng)
-        assert validate(instr).passed
+        assert validate_instrument(instr).passed
