@@ -11,6 +11,7 @@ from povmlab.lattice import (
     build_sharp_system,
     causal_shadow,
     cc_residual,
+    cell_sum,
     cells_bounding_box,
     claim_consistent_with_ldp,
     effect_of,
@@ -151,6 +152,31 @@ class TestEffectOf:
     def test_out_of_range_rejected(self, smeared16):
         with pytest.raises(ValueError):
             effect_of(smeared16, {16})
+
+    def test_cell_sum_same_bits_for_any_container(self):
+        """CellEffects, a plain list and a per-cell mapping of the same
+        matrices sum to the bits of effect_of, however the cells are listed."""
+        sys = build_frame_smeared_system(32, 1.0, 1.0, 1.5)
+        as_list = list(sys.cell_effects)
+        as_dict = {k: as_list[k] for k in reversed(range(32))}
+        rng = make_rng(53)
+        for _ in range(50):
+            size = int(rng.integers(0, 20))
+            cells = [int(k) for k in rng.choice(32, size=size, replace=False)]
+            reference = effect_of(sys, cells)
+            for effects in (sys.cell_effects, as_list, as_dict):
+                for listing in (cells, cells[::-1], frozenset(cells)):
+                    assert np.array_equal(cell_sum(effects, listing, 32), reference)
+
+    def test_cell_sum_dtype_follows_the_members(self):
+        real = [np.diag(np.eye(4)[k]) for k in range(4)]
+        assert cell_sum(real, {0, 2}, 4).dtype == np.float64
+        assert cell_sum(real, (), 4).dtype == np.float64
+        assert np.array_equal(cell_sum(real, (), 4), np.zeros((4, 4)))
+        mixed = {0: real[0], 1: real[1].astype(complex)}
+        total = cell_sum(mixed, [1, 0], 4)
+        assert total.dtype == np.complex128
+        assert np.array_equal(total, np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
 
 
 class TestMicrocausality:
