@@ -168,6 +168,8 @@ def build_conditional_from_unnormalized(
     missing = lab - set(int(k) for k in family)
     if missing:
         raise ValueError(f"family does not cover the laboratory cells {sorted(missing)}")
+    if not family:
+        raise ValueError("the family is empty: no per-cell operator gives the dimension")
     mats = {int(k): as_matrix(M) for k, M in family.items()}
     return ConditionalPOVM(lab, mats, next(iter(mats.values())).shape[0], tol=tol)
 

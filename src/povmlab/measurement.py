@@ -20,6 +20,7 @@ from .linalg import (
     dag,
     eigh_checked,
     herm_residual,
+    hermitize,
     op_norm,
     psd_sqrt,
 )
@@ -122,7 +123,7 @@ def validate_effect(M, tol: float = DEFAULT_TOL, name: str = "effect") -> CheckR
     report = CheckReport(name=name)
     scale = max(1.0, op_norm(M))
     report.add("hermiticity", herm_residual(M), tol * scale)
-    w = np.linalg.eigvalsh(0.5 * (M + dag(M)))
+    w = np.linalg.eigvalsh(hermitize(M))
     report.add("min_eigenvalue >= -tol", max(0.0, -float(w[0])), tol * scale,
                note=f"min eigenvalue {w[0]:.3e}")
     report.add("max_eigenvalue <= 1+tol", max(0.0, float(w[-1]) - 1.0), tol * scale,
@@ -135,30 +136,24 @@ def validate_state(M, tol: float = DEFAULT_TOL, name: str = "state") -> CheckRep
     report = CheckReport(name=name)
     scale = max(1.0, op_norm(M))
     report.add("hermiticity", herm_residual(M), tol * scale)
-    w = np.linalg.eigvalsh(0.5 * (M + dag(M)))
+    w = np.linalg.eigvalsh(hermitize(M))
     report.add("positivity", max(0.0, -float(w[0])), tol * scale)
     report.add("unit_trace", abs(float(np.trace(M).real) - 1.0), tol)
     return report
 
 
 def validate_povm(
-    povm: DiscretePOVM,
-    tol: float = DEFAULT_TOL,
-    require_strict_positive: bool = False,
-    name: str = "povm",
+    povm: DiscretePOVM, tol: float = DEFAULT_TOL, name: str = "povm"
 ) -> CheckReport:
     """Check every effect contract plus the normalization sum_j T_j = I.
 
-    Zero effects are permitted by default (outcome relabeling should not
-    invalidate data); ``require_strict_positive`` enforces T_j != 0.
+    Zero effects are permitted (outcome relabeling should not invalidate
+    data).
     """
     report = CheckReport(name=name)
     for j, E in enumerate(povm.effects):
         sub = validate_effect(E, tol, name=f"effect[{j}]")
         report.items.extend(sub.items)
-        if require_strict_positive:
-            report.add(f"effect[{j}] nonzero", 0.0 if op_norm(E) > tol else 1.0, 0.5,
-                       note="strict positivity toggle")
     report.add("normalization", povm.normalization_residual(), tol * max(1.0, len(povm)))
     return report
 
@@ -215,22 +210,17 @@ def outcome_probability(rho, instr: KrausInstrument, j: int) -> float:
     return float(np.trace(rho @ instr.effect(j)).real)
 
 
-def selective_post_state(
-    rho,
-    instr: KrausInstrument,
-    j: int,
-    prob_floor: float = PROB_FLOOR,
-) -> tuple[float, np.ndarray]:
+def selective_post_state(rho, instr: KrausInstrument, j: int) -> tuple[float, np.ndarray]:
     """Outcome probability and the normalized conditional state for outcome j.
 
-    Raises if the outcome probability is below ``prob_floor``: the conditional
-    state is undefined there.
+    Raises if the outcome probability is at most ``PROB_FLOOR``: the
+    conditional state is undefined there.
     """
     rho = as_matrix(rho)
     prob = outcome_probability(rho, instr, j)
-    if prob <= prob_floor:
+    if prob <= PROB_FLOOR:
         raise ValueError(
-            f"outcome {j} has probability {prob:.3e} <= floor {prob_floor:.3e}; "
+            f"outcome {j} has probability {prob:.3e} <= floor {PROB_FLOOR:.3e}; "
             "conditional state undefined"
         )
     out = sum(K @ rho @ dag(K) for K in instr.families[j]) / prob

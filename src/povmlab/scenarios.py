@@ -305,8 +305,8 @@ def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
         return report
     d1, d2 = result.reverify()
     report.add("found", 0.0, 0.5)
-    report.add("d1_reverified", d1, 1e-9)
-    report.add("d2_reverified_above_floor", max(0.0, 1e-3 - d2), 0.0,
+    report.add("d1_reverified", d1, sig.D1_MAX)
+    report.add("d2_reverified_above_floor", max(0.0, sig.D2_MIN - d2), 0.0,
                note=f"d2 = {d2:.6f}")
     report.witnesses["effect"] = encode_matrix(result.effect)
     return report

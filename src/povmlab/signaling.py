@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import haar_unitary
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     commutator,
     dag,
+    hermitize,
     max_abs,
     op_norm,
 )
@@ -144,6 +146,9 @@ def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> CheckRepo
 # ---------------------------------------------------------------------------
 
 NOT_FOUND = "NOT_FOUND"
+# a witness has nsc(S) <= D1_MAX and nsc(S^2) >= D2_MIN
+D1_MAX = 1e-9
+D2_MIN = 1e-3
 
 
 @dataclass
@@ -190,29 +195,21 @@ def _level_fixing_instance(
     down = np.zeros((dim, dim), dtype=complex)
     down[lo, mid] = np.sqrt(1.0 - alpha)
 
-    # Haar-random basis change (QR with phase fixing)
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    Q, R = np.linalg.qr(G)
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
+    Q = haar_unitary(dim, rng)
     families = [[Q @ K @ dag(Q)] for K in (keep, up, down)]
     S = Q @ np.diag(levels).astype(complex) @ dag(Q)
     return families, S
 
 
-def heinosaari_wolf_search(
-    dim: int,
-    seed: int,
-    budget: int,
-    d1_max: float = 1e-9,
-    d2_min: float = 1e-3,
-):
-    """Seeded search for an instrument and effect with nsc(S) <= d1_max while
-    nsc(S^2) >= d2_min.
+def heinosaari_wolf_search(dim: int, seed: int, budget: int):
+    """Seeded search for an instrument and effect with nsc(S) <= D1_MAX while
+    nsc(S^2) >= D2_MIN.
 
     Random restarts draw level-fixing instances; local perturbations of the
     level profile are accepted when they keep d1 at the floor and increase d2.
-    Returns a :class:`SearchWitness` or the string ``NOT_FOUND`` once
-    ``budget`` candidate evaluations are exhausted.  No claim of completeness.
+    Returns the first :class:`SearchWitness` found, or the string
+    ``NOT_FOUND`` once ``budget`` candidate evaluations are exhausted.  No
+    claim of completeness.
     """
     if budget <= 0:
         return NOT_FOUND
@@ -221,7 +218,6 @@ def heinosaari_wolf_search(
         return NOT_FOUND
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
     evaluations = 0
-    best: SearchWitness | None = None
     while evaluations < budget:
         families, S = _level_fixing_instance(dim, rng)
         instr = KrausInstrument(families)
@@ -234,21 +230,15 @@ def heinosaari_wolf_search(
             if evaluations >= budget:
                 break
             S_try = (S - 0.5 * np.eye(dim)) * rng.uniform(1.0, 1.4) + 0.5 * np.eye(dim)
-            w = np.linalg.eigvalsh(0.5 * (S_try + dag(S_try)))
+            w = np.linalg.eigvalsh(hermitize(S_try))
             if w[0] < 0.0 or w[-1] > 1.0:
                 evaluations += 1
                 continue
             d1_try = nsc_deviation(instr, S_try)
             d2_try = nsc_deviation(instr, S_try @ S_try)
             evaluations += 1
-            if d1_try <= max(d1, d1_max) and d2_try > d2:
+            if d1_try <= max(d1, D1_MAX) and d2_try > d2:
                 S, d1, d2 = S_try, d1_try, d2_try
-        if d1 <= d1_max and d2 >= d2_min:
-            witness = SearchWitness(instr, S, d1, d2, evaluations)
-            if best is None or (witness.d1, -witness.d2) < (best.d1, -best.d2):
-                best = witness
-            # a valid witness self-verifies; keep the best and stop early
-            rd1, rd2 = witness.reverify()
-            if rd1 <= d1_max and rd2 >= d2_min:
-                return best
-    return best if best is not None else NOT_FOUND
+        if d1 <= D1_MAX and d2 >= D2_MIN:
+            return SearchWitness(instr, S, d1, d2, evaluations)
+    return NOT_FOUND

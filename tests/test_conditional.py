@@ -356,6 +356,10 @@ class TestUnnormalizedFamily:
         with pytest.raises(ValueError, match="cover"):
             build_conditional_from_unnormalized(family, LAB6, 16)
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="family is empty"):
+            build_conditional_from_unnormalized({}, [], 4)
+
     def test_kernel_rejected(self):
         sharp = build_sharp_system(8, 1.0, 1.0)
         family = {k: sharp.cell_effects[k] for k in range(8)}

@@ -4,6 +4,7 @@ import pytest
 from povmlab.generators import haar_unitary, make_rng
 from povmlab.geometry import RegionUnion, causally_separated
 from povmlab.lattice import (
+    LatticeLocalizationSystem,
     LocalizationClaim,
     build_alternating_system,
     build_diagonal_smeared_system,
@@ -317,6 +318,29 @@ class TestHeisenbergEvolve:
         A = effect_of(sharp16, {3})
         assert op_norm(heisenberg_evolve(sharp16, A, 0.0) - A) < 1e-12
 
+    def test_zero_time_returns_the_input_without_decomposing_h(self, smeared16, monkeypatch):
+        def refuse(self):
+            raise AssertionError("decomposed H at t = 0")
+
+        monkeypatch.setattr(LatticeLocalizationSystem, "energy_eigensystem", refuse)
+        real = effect_of(smeared16, {2, 3, 4})
+        cplx = haar_unitary(16, make_rng(8))
+        stack = np.stack([real, real.T])
+        for M in (real, cplx, stack):
+            for t in (0, 0.0, -0.0):
+                out = heisenberg_evolve(smeared16, M, t)
+                assert out is M
+                assert out.dtype == M.dtype and out.tobytes() == M.tobytes()
+
+    def test_stack_equals_one_call_per_matrix(self, smeared16):
+        rng = make_rng(9)
+        stack = np.stack([effect_of(smeared16, {1, 2}), haar_unitary(16, rng),
+                          effect_of(smeared16, {7, 8, 9, 10})])
+        evolved = heisenberg_evolve(smeared16, stack, 0.7)
+        assert evolved.shape == stack.shape
+        for k in range(3):
+            assert evolved[k].tobytes() == heisenberg_evolve(smeared16, stack[k], 0.7).tobytes()
+
 
 class TestProjectorScreening:
     def make_triple(self, dim, p_rank, q_extra, r_rank, rng):
@@ -448,12 +472,10 @@ class TestAuditAgainstPairwiseResidual:
         assert audit.witnesses["microcausality_witness"]["first_violating_t"] == -0.5
 
     def test_time_zero_only_never_evolves(self, sharp16, monkeypatch):
-        import povmlab.lattice as lattice
-
-        def refuse(*args):
+        def refuse(self):
             raise AssertionError("evolved at t = 0")
 
-        monkeypatch.setattr(lattice, "_propagator", refuse)
+        monkeypatch.setattr(LatticeLocalizationSystem, "energy_eigensystem", refuse)
         audit = hc_audit(sharp16, self.SAMPLES, [0.0], tol=1e-9)
         assert audit.residual("microcausality_residual") == 0.0
         assert audit.witnesses["microcausality_witness"] == {}

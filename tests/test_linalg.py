@@ -363,11 +363,12 @@ class TestDecompositionCounts:
         ("polar_kraus", 1, 1),
         ("random_povm", 1, 0),
         ("build_conditional", 1, 0),
+        ("hc_audit", 1, 12),
     ])
     def test_counts(self, counts, entry, eigh, eigvalsh):
         from povmlab import conditional
         from povmlab.generators import random_effect, random_povm, random_state
-        from povmlab.lattice import build_frame_smeared_system
+        from povmlab.lattice import build_frame_smeared_system, hc_audit
         from povmlab.measurement import polar_kraus
 
         sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
@@ -382,6 +383,7 @@ class TestDecompositionCounts:
             "polar_kraus": lambda: polar_kraus(T, np.eye(4)),
             "random_povm": lambda: random_povm(4, 3, make_rng(42)),
             "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),
+            "hc_audit": lambda: hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
         }[entry]
         counts.clear()
         call()
