@@ -209,7 +209,7 @@ def gentle_bound(T, rho, tol: float = DEFAULT_TOL) -> CheckReport:
     ``trace_distance`` and ``bound`` are recorded, and the caller compares
     the last two.  One matrix pair of ``gentle_sides``.
     """
-    report = CheckReport(name="gentle_bound", info_only=True)
+    report = CheckReport(name="gentle_bound")
     for name, value in zip(("delta", "trace_distance", "bound"),
                            gentle_sides(as_matrix(T), as_matrix(rho), tol)):
         report.add(name, float(value))
@@ -244,7 +244,6 @@ def conditional_prob_bound(
     report.add("delta", delta, tol=None, note="1 - tr(rho A(lab))")
     if delta >= 1.0 - tol:
         report.notes.append("vacuous: tr(rho A(lab)) ~ 0, bound carries no information")
-        report.info_only = True
         return report
     fraction = float(np.trace(rho @ A_cells).real) / p_lab
     B = cond.effect(cells)

@@ -14,10 +14,10 @@ once.  ``Eig.inv_sqrt`` holds the one kernel-floor rule: an inverse square
 root is refused when the smallest eigenvalue is at or below the floor.
 
 Exactly Hermitian input (``A`` bit-equal to ``A†``) takes the singular values
-as ``|eigvalsh(A)|``; every other input goes through the SVD.  The Hermiticity
-guard passes such input at once and otherwise measures ``||A - A†||`` as the
-norm of the exactly Hermitian ``i(A - A†)``, so it takes the same fast path
-while keeping its rule ``||A - A†|| <= tol * max(1, ||A||)``.
+as ``|eigvalsh(A)|``; every other input goes through the SVD.  ``herm_residual``
+is 0.0 for such input, with no decomposition, and otherwise the norm of the
+exactly Hermitian ``i(A - A†)``; the Hermiticity guard reads it and keeps its
+rule ``||A - A†|| <= tol * max(1, ||A||)``.
 
 The kernels take one (n, n) matrix or a stack of shape (..., n, n), apply
 their rules (fast path, guard, clamp, floor) per matrix, return norms and
@@ -106,23 +106,25 @@ def max_abs(M) -> float:
 
 
 def herm_residual(M):
-    """||A - A†||, taken as the norm of the exactly Hermitian i(A - A†)."""
+    """||A - A†||, taken as the norm of the exactly Hermitian i(A - A†); 0.0,
+    with no decomposition, for a matrix bit-equal to A†."""
     A = _as_array(M)
-    return op_norm(1j * (A - dag(A)))
+    exact = (A == dag(A)).all(axis=(-2, -1))
+    if A.ndim == 2:
+        return 0.0 if exact else op_norm(1j * (A - dag(A)))
+    residual = np.zeros(A.shape[:-2])
+    if not exact.all():
+        residual[~exact] = op_norm(1j * (A[~exact] - dag(A[~exact])))
+    return residual
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL):
     """||A - A†|| <= tol * max(1, ||A||); ||A|| is only computed when the
     residual exceeds tol."""
     A = _as_array(M)
-    same = A == dag(A)
+    residual = herm_residual(A)
     if A.ndim == 2:
-        residual = 0.0 if same.all() else herm_residual(A)
         return residual <= tol or residual <= tol * max(1.0, op_norm(A))
-    residual = np.zeros(A.shape[:-2])
-    inexact = ~same.all(axis=(-2, -1))
-    if inexact.any():
-        residual[inexact] = herm_residual(A[inexact])
     ok = residual <= tol
     if not ok.all():
         ok[~ok] = residual[~ok] <= tol * np.maximum(1.0, op_norm(A[~ok]))
@@ -147,6 +149,11 @@ class Eig(NamedTuple):
 
     w: np.ndarray
     V: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> "Eig":
+        """Unchecked decomposition of the Hermitian part of ``A``."""
+        return cls(*np.linalg.eigh(hermitize(A)))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V†, for values f(w) of the eigenvalues."""
@@ -188,7 +195,7 @@ def eigh_checked(M, tol: float = DEFAULT_TOL) -> Eig:
             f"matrix{at_index(rejected)} is not Hermitian within tolerance: "
             f"residual {herm_residual(A[rejected][0]):.3e}"
         )
-    return Eig(*np.linalg.eigh(hermitize(A)))
+    return Eig.of(A)
 
 
 def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -16,15 +16,23 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     PROB_FLOOR,
+    Eig,
     as_matrix,
     dag,
     eigh_checked,
     herm_residual,
-    hermitize,
     op_norm,
-    psd_sqrt,
 )
 from .reporting import CheckReport
+
+
+def _outcome_labels(labels: Sequence[str] | None, count: int) -> list[str]:
+    """One label per outcome, from a list or tuple; "0", "1", ... by default."""
+    if labels is None:
+        return [str(j) for j in range(count)]
+    if not isinstance(labels, (list, tuple)) or len(labels) != count:
+        raise ValueError(f"labels must be a list or tuple of one label per outcome ({count})")
+    return list(labels)
 
 
 class DiscretePOVM:
@@ -37,11 +45,7 @@ class DiscretePOVM:
         dim = self.effects[0].shape[0]
         if any(E.shape[0] != dim for E in self.effects):
             raise ValueError("all effects must share one dimension")
-        if labels is None:
-            labels = [str(j) for j in range(len(self.effects))]
-        if len(labels) != len(self.effects):
-            raise ValueError("one label per effect required")
-        self.labels = list(labels)
+        self.labels = _outcome_labels(labels, len(self.effects))
 
     @property
     def dim(self) -> int:
@@ -77,9 +81,7 @@ class KrausInstrument:
         dim = self.families[0][0].shape[0]
         if any(K.shape[0] != dim for fam in self.families for K in fam):
             raise ValueError("all Kraus operators must share one dimension")
-        if labels is None:
-            labels = [str(j) for j in range(len(self.families))]
-        self.labels = list(labels)
+        self.labels = _outcome_labels(labels, len(self.families))
 
     @property
     def dim(self) -> int:
@@ -117,58 +119,58 @@ def identity_instrument(dim: int) -> KrausInstrument:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_effect(M, tol: float = DEFAULT_TOL, name: str = "effect") -> CheckReport:
+def _add_contract(report: CheckReport, M: np.ndarray, tol: float, effect: bool) -> Eig:
+    """Add Hermiticity, min eigenvalue >= -tol and, for an effect, max
+    eigenvalue <= 1+tol to ``report`` at tol * max(1, ||M||); return the one
+    decomposition they read, that of the Hermitian part of M."""
+    eig = Eig.of(M)
+    scale = tol * max(1.0, eig.norm)
+    report.add("hermiticity", herm_residual(M), scale)
+    report.add("min_eigenvalue >= -tol", max(0.0, -float(eig.w[0])), scale,
+               note=f"min eigenvalue {eig.w[0]:.3e}")
+    if effect:
+        report.add("max_eigenvalue <= 1+tol", max(0.0, float(eig.w[-1]) - 1.0), scale,
+                   note=f"max eigenvalue {eig.w[-1]:.3e}")
+    return eig
+
+
+def validate_effect(M, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check 0 <= M <= I and Hermiticity, reporting each residual."""
-    M = as_matrix(M)
-    report = CheckReport(name=name)
-    scale = max(1.0, op_norm(M))
-    report.add("hermiticity", herm_residual(M), tol * scale)
-    w = np.linalg.eigvalsh(hermitize(M))
-    report.add("min_eigenvalue >= -tol", max(0.0, -float(w[0])), tol * scale,
-               note=f"min eigenvalue {w[0]:.3e}")
-    report.add("max_eigenvalue <= 1+tol", max(0.0, float(w[-1]) - 1.0), tol * scale,
-               note=f"max eigenvalue {w[-1]:.3e}")
+    report = CheckReport(name="effect")
+    _add_contract(report, as_matrix(M), tol, effect=True)
     return report
 
 
-def validate_state(M, tol: float = DEFAULT_TOL, name: str = "state") -> CheckReport:
+def validate_state(M, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Check M >= 0, Hermiticity and tr M = 1."""
     M = as_matrix(M)
-    report = CheckReport(name=name)
-    scale = max(1.0, op_norm(M))
-    report.add("hermiticity", herm_residual(M), tol * scale)
-    w = np.linalg.eigvalsh(hermitize(M))
-    report.add("positivity", max(0.0, -float(w[0])), tol * scale)
+    report = CheckReport(name="state")
+    _add_contract(report, M, tol, effect=False)
     report.add("unit_trace", abs(float(np.trace(M).real) - 1.0), tol)
     return report
 
 
-def validate_povm(
-    povm: DiscretePOVM, tol: float = DEFAULT_TOL, name: str = "povm"
-) -> CheckReport:
+def _povm_contract(povm: DiscretePOVM, tol: float) -> tuple[CheckReport, list[Eig]]:
+    """``validate_povm``'s report and the decomposition of each effect."""
+    report = CheckReport(name="povm")
+    eigs = [_add_contract(report, E, tol, effect=True) for E in povm.effects]
+    report.add("normalization", povm.normalization_residual(), tol * max(1.0, len(povm)))
+    return report, eigs
+
+
+def validate_povm(povm: DiscretePOVM, tol: float = DEFAULT_TOL) -> CheckReport:
     """Check every effect contract plus the normalization sum_j T_j = I.
 
     Zero effects are permitted (outcome relabeling should not invalidate
     data).
     """
-    report = CheckReport(name=name)
-    for j, E in enumerate(povm.effects):
-        sub = validate_effect(E, tol, name=f"effect[{j}]")
-        report.items.extend(sub.items)
-    report.add("normalization", povm.normalization_residual(), tol * max(1.0, len(povm)))
-    return report
+    return _povm_contract(povm, tol)[0]
 
 
-def validate_instrument(
-    instr: KrausInstrument, tol: float = DEFAULT_TOL, name: str = "instrument"
-) -> CheckReport:
-    """Check sum_k K†_{jk}K_{jk} = T_j for each j and the induced POVM."""
-    report = CheckReport(name=name)
-    povm = instr.povm
-    for j in range(len(instr)):
-        # the induced effect is Hermitian PSD by construction; check its range
-        sub = validate_effect(povm[j], tol, name=f"induced_effect[{j}]")
-        report.items.extend(sub.items)
-    report.add("normalization", povm.normalization_residual(), tol * max(1.0, len(instr)))
+def validate_instrument(instr: KrausInstrument, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Check the POVM the instrument induces, T_j = sum_k K†_{jk}K_{jk}."""
+    report = validate_povm(instr.povm, tol)
+    report.name = "instrument"
     report.notes.append(f"efficient={instr.efficient}")
     return report
 
@@ -178,12 +180,13 @@ def validate_instrument(
 # ---------------------------------------------------------------------------
 
 def luders_instrument(povm: DiscretePOVM, tol: float = DEFAULT_TOL) -> KrausInstrument:
-    """Efficient instrument with K_j the PSD square root of T_j."""
-    rep = validate_povm(povm, tol)
-    if not rep.passed:
-        bad = ", ".join(it.name for it in rep.failed_items)
+    """Efficient instrument with K_j the PSD square root of T_j, taken from
+    the decomposition that validated T_j."""
+    report, eigs = _povm_contract(povm, tol)
+    if not report.passed:
+        bad = ", ".join(it.name for it in report.failed_items)
         raise ValueError(f"invalid POVM for a Lüders instrument: {bad}")
-    return KrausInstrument([[psd_sqrt(E, tol)] for E in povm.effects], povm.labels)
+    return KrausInstrument([[eig.sqrt()] for eig in eigs], povm.labels)
 
 
 def polar_kraus(T, V, tol: float = DEFAULT_TOL) -> np.ndarray:

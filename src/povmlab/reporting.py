@@ -47,16 +47,15 @@ class CheckItem:
 class CheckReport:
     """Outcome of one verification run.
 
-    Verdict rule: FAIL iff any asserted item exceeds its tolerance, INFO for
-    measurement-only checks, PASS otherwise.  ``witnesses`` carries serialized
-    matrices/regions that explain a failure.
+    Verdict rule: FAIL iff any asserted item exceeds its tolerance, INFO when
+    no item is asserted (every ``tol`` is None), PASS otherwise.
+    ``witnesses`` carries serialized matrices/regions that explain a failure.
     """
 
     name: str
     items: list[CheckItem] = field(default_factory=list)
     witnesses: dict[str, Any] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    info_only: bool = False
     wall_time: float = 0.0
     scenario: dict[str, Any] | None = None
 
@@ -79,9 +78,7 @@ class CheckReport:
     def verdict(self) -> str:
         if self.failed_items:
             return FAIL
-        if self.info_only:
-            return INFO
-        return PASS
+        return INFO if all(it.tol is None for it in self.items) else PASS
 
     @property
     def passed(self) -> bool:

@@ -303,11 +303,10 @@ def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     if result == sig.NOT_FOUND:
         report.add("found", 1.0, 0.5, note="NOT_FOUND within budget; increase budget")
         return report
-    d1, d2 = result.reverify()
     report.add("found", 0.0, 0.5)
-    report.add("d1_reverified", d1, sig.D1_MAX)
-    report.add("d2_reverified_above_floor", max(0.0, sig.D2_MIN - d2), 0.0,
-               note=f"d2 = {d2:.6f}")
+    report.add("d1_reverified", result.d1, sig.D1_MAX)
+    report.add("d2_reverified_above_floor", max(0.0, sig.D2_MIN - result.d2), 0.0,
+               note=f"d2 = {result.d2:.6f}")
     report.witnesses["effect"] = encode_matrix(result.effect)
     return report
 
@@ -325,7 +324,7 @@ def _check_cc_residual(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     sys = _system(sc)
     cells, t = sc.params["delta"], sc.params["t"]
     shadow, saturated = lat.causal_shadow(sys, cells, t)
-    report = CheckReport(name="cc_residual", info_only=True)
+    report = CheckReport(name="cc_residual")
     report.add("cc_residual", lat.cc_residual(sys, cells, t), tol=None)
     report.notes.append(f"shadow={sorted(shadow)} saturated={saturated}")
     return report
@@ -389,7 +388,7 @@ def _check_cross_lab_commutator(sc: Scenario, rng: np.random.Generator) -> Check
     cells1, cells2 = sc.params["delta1"], sc.params["delta2"]
     value = cond.cross_lab_commutator(sys, lab1, lab1 if cells1 is None else cells1,
                                       sys, lab2, lab2 if cells2 is None else cells2, sc.tol)
-    report = CheckReport(name="cross_lab_commutator", info_only=True)
+    report = CheckReport(name="cross_lab_commutator")
     report.add("commutator_norm", value, tol=None,
                note="measurement only; commutativity across laboratories is not asserted")
     if lab1 and lab2 and not (lab1 & lab2):
@@ -406,7 +405,7 @@ def _check_cross_lab_commutator(sc: Scenario, rng: np.random.Generator) -> Check
 
 def _check_causal_separation(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     separated = causally_separated(sc.params["first"], sc.params["second"])
-    report = CheckReport(name="causal_separation", info_only=True)
+    report = CheckReport(name="causal_separation")
     report.add("separated", 1.0 if separated else 0.0, tol=None)
     return report
 

@@ -112,7 +112,7 @@ def decode_instrument(data: Any, pointer: str = "") -> KrausInstrument:
         fams.append([decode_matrix(K, f"{pointer}/families/{j}/{k}") for k, K in enumerate(fam)])
     try:
         return KrausInstrument(fams, data.get("labels"))
-    except (TypeError, ValueError) as exc:  # mixed dimensions, or labels that are no list
+    except (TypeError, ValueError) as exc:  # mixed dimensions, or labels that do not fit
         raise SchemaError(pointer, str(exc)) from None
 
 

@@ -161,12 +161,6 @@ class SearchWitness:
     d2: float
     evaluations: int
 
-    def reverify(self) -> tuple[float, float]:
-        return (
-            nsc_deviation(self.instrument, self.effect),
-            nsc_deviation(self.instrument, self.effect @ self.effect),
-        )
-
 
 def _level_fixing_instance(
     dim: int, rng: np.random.Generator

@@ -172,7 +172,8 @@ def test_criterion_3_beck_direction_and_search():
         dim = 3 + seed % 2
         result = heinosaari_wolf_search(dim, seed=seed, budget=100_000)
         if isinstance(result, SearchWitness):
-            d1, d2 = result.reverify()
+            d1 = nsc_deviation(result.instrument, result.effect)
+            d2 = nsc_deviation(result.instrument, result.effect @ result.effect)
             assert d1 <= 1e-9, f"seed {seed}: witness fails reverification d1={d1:.3e}"
             assert d2 >= 1e-3, f"seed {seed}: witness fails reverification d2={d2:.3e}"
             successes += 1

@@ -199,6 +199,24 @@ class TestHermiticityGuard:
                 with pytest.raises(ValueError, match="Hermitian"):
                     eigh_checked(A)
 
+    def test_exactly_hermitian_input_makes_no_lapack_call(self, monkeypatch):
+        """herm_residual is 0.0 without a decomposition for each matrix
+        bit-equal to its adjoint, and decomposes only the others."""
+        stacks = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def recorded(A, *args, _call=getattr(np.linalg, name), **kwargs):
+                stacks.append(np.shape(A)[:-2])
+                return _call(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        H = mixed_stack(4, make_rng(25))
+        assert herm_residual(H[0]) == 0.0 and is_hermitian(H[0])
+        assert np.array_equal(herm_residual(H[::2]), np.zeros(3))
+        assert stacks == []
+        residual = herm_residual(H)
+        assert stacks == [(3,)]  # one stacked call on the three inexact matrices
+        assert np.array_equal(residual[::2], np.zeros(3)) and (residual[1::2] > 0).all()
+        assert is_hermitian(H).all()
+
     def test_negative_tolerance_rejects_everything(self):
         assert not is_hermitian(np.eye(2), tol=-1.0)
         assert not is_hermitian(np.zeros((2, 2)), tol=-1.0)
@@ -364,16 +382,27 @@ class TestDecompositionCounts:
         ("random_povm", 1, 0),
         ("build_conditional", 1, 0),
         ("hc_audit", 1, 12),
+        ("luders_instrument", 2, 1),
+        ("validate_povm", 2, 1),
+        ("validate_effect", 1, 0),
+        ("validate_state", 1, 0),
     ])
     def test_counts(self, counts, entry, eigh, eigvalsh):
         from povmlab import conditional
-        from povmlab.generators import random_effect, random_povm, random_state
+        from povmlab import measurement
+        from povmlab.generators import (
+            commuting_povm_pair,
+            random_effect,
+            random_povm,
+            random_state,
+        )
         from povmlab.lattice import build_frame_smeared_system, hc_audit
         from povmlab.measurement import polar_kraus
 
         sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
         rng = make_rng(41)
         T, rho, rho16 = random_effect(4, rng), random_state(4, rng), random_state(16, rng)
+        povm = commuting_povm_pair(4, rng)[0]
         call = {
             "composition_identity_check":
                 lambda: conditional.composition_identity_check(sys, {1, 2, 3}, {6, 7}),
@@ -384,6 +413,10 @@ class TestDecompositionCounts:
             "random_povm": lambda: random_povm(4, 3, make_rng(42)),
             "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),
             "hc_audit": lambda: hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
+            "luders_instrument": lambda: measurement.luders_instrument(povm),
+            "validate_povm": lambda: measurement.validate_povm(povm),
+            "validate_effect": lambda: measurement.validate_effect(T),
+            "validate_state": lambda: measurement.validate_state(rho),
         }[entry]
         counts.clear()
         call()

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from povmlab.generators import make_rng, random_luders_instrument, random_povm, random_state
-from povmlab.linalg import dag, hermitize, op_norm
+from povmlab.generators import (
+    commuting_povm_pair,
+    make_rng,
+    random_luders_instrument,
+    random_povm,
+    random_state,
+)
+from povmlab.linalg import dag, hermitize, op_norm, psd_sqrt
 from povmlab.measurement import (
     DiscretePOVM,
     KrausInstrument,
@@ -53,6 +59,30 @@ class TestValidate:
         povm = DiscretePOVM([np.eye(2), np.zeros((2, 2))])
         assert validate_povm(povm).passed
 
+    def test_item_names_and_order(self):
+        effect = ["hermiticity", "min_eigenvalue >= -tol", "max_eigenvalue <= 1+tol"]
+        assert [it.name for it in validate_effect(np.eye(2) / 2).items] == effect
+        assert [it.name for it in validate_state(np.eye(2) / 2).items] == [
+            "hermiticity", "min_eigenvalue >= -tol", "unit_trace"]
+        povm = DiscretePOVM([np.eye(2) / 2, np.eye(2) / 2])
+        assert [it.name for it in validate_povm(povm).items] == 2 * effect + ["normalization"]
+        rep = validate_instrument(luders_instrument(povm))
+        assert rep.name == "instrument" and rep.notes == ["efficient=True"]
+        assert [it.name for it in rep.items] == 2 * effect + ["normalization"]
+
+    def test_state_below_zero_fails_with_its_eigenvalue(self):
+        rep = validate_state(np.diag([1.5, -0.5]))
+        assert [it.name for it in rep.failed_items] == ["min_eigenvalue >= -tol"]
+        assert rep.failed_items[0].note == "min eigenvalue -5.000e-01"
+
+    def test_non_hermitian_effect_fails_its_hermiticity_item(self):
+        M = np.array([[0.5, 0.1], [0.0, 0.5]])
+        assert [it.name for it in validate_effect(M).failed_items] == ["hermiticity"]
+        povm = DiscretePOVM([M, np.eye(2) - M])
+        assert [it.name for it in validate_povm(povm).failed_items] == 2 * ["hermiticity"]
+        with pytest.raises(ValueError, match="Lüders instrument: hermiticity, hermiticity$"):
+            luders_instrument(povm)
+
 
 class TestLuders:
     def test_projective_roots_are_projectors(self):
@@ -81,6 +111,19 @@ class TestLuders:
     def test_invalid_povm_rejected(self):
         with pytest.raises(ValueError, match="invalid POVM"):
             luders_instrument(DiscretePOVM([np.diag([0.5, 0.5])]))
+
+    def test_kraus_operators_bit_equal_to_psd_sqrt(self):
+        """The root is taken from the decomposition that validated the
+        effect, the same one psd_sqrt makes."""
+        rng = make_rng(92)
+        povms = [random_povm(dim, k, rng) for dim in (1, 2, 3, 5, 8) for k in (1, 2, 4)]
+        povms += [commuting_povm_pair(dim, rng)[0] for dim in (2, 4, 6)]
+        povms.append(DiscretePOVM([np.diag([0.3, 1.0]), np.diag([0.7, 0.0])]))
+        for povm in povms:
+            instr = luders_instrument(povm)
+            for E, (K,) in zip(povm.effects, instr.families):
+                root = psd_sqrt(E)
+                assert K.dtype == root.dtype and np.array_equal(K, root)
 
 
 class TestPolarKraus:
@@ -241,3 +284,12 @@ class TestKrausInstrument:
         rng = make_rng(29)
         instr = random_luders_instrument(3, 2, rng)
         assert validate_instrument(instr).passed
+
+
+class TestLabels:
+    def test_list_or_tuple_with_one_label_per_outcome(self):
+        assert DiscretePOVM([P0, P1], ("x", "y")).labels == ["x", "y"]
+        assert KrausInstrument([[P0], [P1]], ("x", "y")).labels == ["x", "y"]
+        for labels in ("xy", ["x"]):
+            with pytest.raises(ValueError, match="one label per outcome"):
+                KrausInstrument([[P0], [P1]], labels)

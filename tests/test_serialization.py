@@ -70,6 +70,8 @@ class TestTaggedObjects:
         (decode_povm, {"kind": "povm", "effects": [EYE2, EYE2], "labels": ["only one"]}),
         (decode_povm, {"kind": "povm", "effects": [EYE2, EYE2], "labels": 5}),
         (decode_instrument, {"kind": "instrument", "families": [[EYE2]], "labels": 5}),
+        (decode_povm, {"kind": "povm", "effects": [EYE2, EYE2], "labels": "xy"}),
+        (decode_instrument, {"kind": "instrument", "families": [[EYE2]], "labels": ["a", "b"]}),
     ])
     def test_parts_that_do_not_fit_together_refused_at_the_object(self, decode, data):
         with pytest.raises(SchemaError) as err:
