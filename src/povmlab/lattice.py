@@ -5,7 +5,8 @@ in for the continuum translation group, which buys exact covariance with
 finite matrices.  Cell effects sum to the identity (the discrete analogue of
 POVM normalization on a rest space), the one-cell shift is unitary, and the
 dynamics commutes with translations.  The cell effects are real symmetric
-float64 matrices; the shift and the Hamiltonian are complex.
+float64 matrices and the shift is complex; the Hamiltonian is real exactly
+when its spectrum is mirror-symmetric (time reversal).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .linalg import (
     Eig,
     as_matrix,
     commutator,
+    commutator_norm,
     dag,
     hermitize,
     op_norm,
@@ -115,9 +117,9 @@ def heisenberg_evolve(sys: LatticeLocalizationSystem, M, t: float) -> np.ndarray
     """exp(-itH) M exp(itH) for one matrix or each of an (..., n, n) stack,
     through the eigendecomposition of H.
 
-    The one place that evolves in time.  At t = 0 the coerced ``M`` comes
-    back itself, same bits and dtype, and H is not decomposed; otherwise the
-    result is complex.
+    The plain formula, the oracle for ``hc_audit``'s eigenbasis evolution.
+    At t = 0 the coerced ``M`` comes back itself, same bits and dtype, and H
+    is not decomposed; otherwise the result is complex.
     """
     M = as_matrix(M, stack=True)
     if t == 0:
@@ -141,15 +143,20 @@ def _shift_matrix(n: int) -> np.ndarray:
 
 def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
     """Positive branch omega_j = sqrt(mass^2 + p_j^2) with the lattice
-    momentum p_j = (2/a) sin(pi j / n)."""
+    momentum p_j = (2/a) sin(pi j / n).  p_j is taken at min(j, n - j), so
+    omega_j = omega_{n-j} bit for bit."""
     j = np.arange(n)
-    p = (2.0 / a) * np.sin(np.pi * j / n)
+    p = (2.0 / a) * np.sin(np.pi * np.minimum(j, n - j) / n)
     return np.sqrt(mass * mass + p * p)
 
 
 def _hamiltonian_from_spectrum(F: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """F† diag(omega) F for the DFT matrix F of ``_dft``."""
-    return hermitize((dag(F) * omega) @ F)
+    """F† diag(omega) F for the DFT matrix F of ``_dft``; its real part when
+    omega_j = omega_{n-j} bit for bit, where the imaginary parts are rounding."""
+    H = hermitize((dag(F) * omega) @ F)
+    if np.array_equal(omega, omega[-np.arange(len(omega)) % len(omega)]):
+        return H.real.copy()
+    return H
 
 
 def _position_basis_system(
@@ -348,6 +355,20 @@ def cc_residual(
 # no-go hypothesis audit
 # ---------------------------------------------------------------------------
 
+def _evolved_in_eigenbasis(B: np.ndarray, w: np.ndarray, t: float) -> np.ndarray:
+    """B ∘ Φ_t, Φ_t = p p̄ᵀ with p = exp(-itw): B, written in the eigenbasis
+    of H (eigenvalues w), evolved to time t.  Built from real products, so it
+    is bit-Hermitian when B is; numpy's complex multiply may fuse a
+    multiply-add and break that in the last bit."""
+    c, s = np.cos(t * w), np.sin(t * w)
+    re = np.multiply.outer(c, c) + np.multiply.outer(s, s)  # symmetric
+    im = np.multiply.outer(c, s) - np.multiply.outer(s, c)  # antisymmetric
+    out = np.empty(B.shape, dtype=complex)
+    out.real = B.real * re - B.imag * im
+    out.imag = B.real * im + B.imag * re
+    return out
+
+
 def hc_audit(
     sys: LatticeLocalizationSystem,
     delta_samples: Sequence[Iterable[int]],
@@ -362,11 +383,20 @@ def hc_audit(
     The audit never claims the continuum theorem holds on the lattice: its
     one note names the hypothesis that fails whenever the effects are
     nontrivial, and the ``microcausality_witness`` records the worst pair.
+
+    Microcausality is ``microcausality_residual`` over the disjoint pairs,
+    taken in H's eigenbasis: Â = V† A V evolves by ``_evolved_in_eigenbasis``
+    (norms are unitarily invariant), with one stacked ``commutator_norm`` per
+    time, and H is decomposed only when some t != 0.  When H and the effects
+    are real, time reversal makes (j, i) equal (i, j) at each t, so only
+    i < j is audited and the witness lists the earlier-listed sample first.
     """
     samples = [as_cells(c, sys.n) for c in delta_samples]
     if not samples or not all(samples):
         raise ValueError("need at least one sampled region, and no empty one")
     eye = np.eye(sys.n)
+    # the one-cell shift permutes rows and columns, so U A U† is a roll
+    shift_is_roll = np.array_equal(sys.shift, np.roll(eye, 1, axis=0))
 
     effects = [effect_of(sys, cells) for cells in samples]
     additivity = 0.0
@@ -376,9 +406,8 @@ def hc_audit(
         comp = effect_of(sys, sys.complement(cells))
         additivity = max(additivity, op_norm(A + comp - eye))
         shifted = frozenset((k + 1) % sys.n for k in cells)
-        covariance = max(
-            covariance, op_norm(sys.shift @ A @ dag(sys.shift) - effect_of(sys, shifted))
-        )
+        moved = np.roll(A, (1, 1), (0, 1)) if shift_is_roll else sys.shift @ A @ dag(sys.shift)
+        covariance = max(covariance, op_norm(moved - effect_of(sys, shifted)))
         max_norm = max(max_norm, op_norm(A))
     # additivity over sampled disjoint unions
     for k, (left, right) in enumerate(zip(samples, samples[1:])):
@@ -390,29 +419,35 @@ def hc_audit(
 
     energy_min = float(np.linalg.eigvalsh(hermitize(sys.hamiltonian))[0])
 
-    # microcausality_residual over the disjoint ordered pairs, with the
-    # sampled effects evolved together once per time
+    # microcausality_residual over the disjoint pairs, in H's eigenbasis
     stack = np.stack(effects)
-    evolved = [heisenberg_evolve(sys, stack, t) for t in t_grid]
+    if any(t != 0 for t in t_grid):
+        energy = sys.energy_eigensystem()
+        stack = hermitize(dag(energy.V) @ stack @ energy.V)
+    time_reversal = np.isrealobj(sys.hamiltonian) and np.isrealobj(stack)
+    pairs = [(i, j) for i, left in enumerate(samples) for j, right in enumerate(samples)
+             if not left & right and (i < j or not time_reversal)]
+    norms = np.zeros((len(pairs), len(t_grid)))
+    left = stack[[i for i, _ in pairs]]
+    right = [j for _, j in pairs]
+    for k, t in enumerate(t_grid):
+        at_t = _evolved_in_eigenbasis(stack, energy.w, t) if t != 0 else stack
+        norms[:, k] = commutator_norm(left, at_t[right])
     by_abs_t = sorted(range(len(t_grid)), key=lambda k: abs(t_grid[k]))
 
     micro = 0.0
     witness: dict = {}
-    for i, left in enumerate(samples):
-        for j, right in enumerate(samples):
-            if left & right:
-                continue
-            norms = [op_norm(commutator(effects[i], at_t[j])) for at_t in evolved]
-            r = max([0.0, *norms])
-            if r > micro:
-                micro = r
-                # smallest sampled time already above tolerance, for the record
-                t_first = next((t_grid[k] for k in by_abs_t if norms[k] > tol), None)
-                witness = {
-                    "delta": sorted(left),
-                    "delta_prime": sorted(right),
-                    "first_violating_t": t_first,
-                }
+    for (i, j), row in zip(pairs, norms):
+        r = max([0.0, *row])
+        if r > micro:
+            micro = r
+            # smallest sampled time already above tolerance, for the record
+            t_first = next((t_grid[k] for k in by_abs_t if row[k] > tol), None)
+            witness = {
+                "delta": sorted(samples[i]),
+                "delta_prime": sorted(samples[j]),
+                "first_violating_t": t_first,
+            }
 
     if max_norm <= tol:
         verdict = "effects trivial: the no-go conclusion itself"

@@ -16,8 +16,10 @@ root is refused when the smallest eigenvalue is at or below the floor.
 Exactly Hermitian input (``A`` bit-equal to ``A†``) takes the singular values
 as ``|eigvalsh(A)|``; every other input goes through the SVD.  ``herm_residual``
 is 0.0 for such input, with no decomposition, and otherwise the norm of the
-exactly Hermitian ``i(A - A†)``; the Hermiticity guard reads it and keeps its
-rule ``||A - A†|| <= tol * max(1, ||A||)``.
+exactly Hermitian ``i(A - A†)`` (for real input, of the real ``A - A.T``);
+the Hermiticity guard reads it and keeps its rule
+``||A - A†|| <= tol * max(1, ||A||)``.  ``commutator_norm`` of two exactly
+Hermitian matrices is one product AB and one ``eigvalsh``.
 
 The kernels take one (n, n) matrix or a stack of shape (..., n, n), apply
 their rules (fast path, guard, clamp, floor) per matrix, return norms and
@@ -82,7 +84,8 @@ def _singular_values(M) -> np.ndarray:
         return np.linalg.svd(A, compute_uv=False)
     exact = same.all(axis=(-2, -1))
     values = np.empty(A.shape[:-1])
-    values[exact] = np.abs(np.linalg.eigvalsh(A[exact]))
+    if exact.any():
+        values[exact] = np.abs(np.linalg.eigvalsh(A[exact]))
     values[~exact] = np.linalg.svd(A[~exact], compute_uv=False)
     return values
 
@@ -106,16 +109,16 @@ def max_abs(M) -> float:
 
 
 def herm_residual(M):
-    """||A - A†||, taken as the norm of the exactly Hermitian i(A - A†); 0.0,
-    with no decomposition, for a matrix bit-equal to A†."""
+    """||A - A†||; 0.0, with no decomposition, for a matrix bit-equal to A†.
+    Complex input takes the norm of the exactly Hermitian i(A - A†), real
+    input that of the real antisymmetric A - A.T."""
     A = _as_array(M)
     exact = (A == dag(A)).all(axis=(-2, -1))
-    if A.ndim == 2:
-        return 0.0 if exact else op_norm(1j * (A - dag(A)))
-    residual = np.zeros(A.shape[:-2])
+    residual = np.zeros(exact.shape)
     if not exact.all():
-        residual[~exact] = op_norm(1j * (A[~exact] - dag(A[~exact])))
-    return residual
+        D = A[~exact] - dag(A[~exact])
+        residual[~exact] = op_norm(1j * D if np.iscomplexobj(D) else D)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def is_hermitian(M, tol: float = DEFAULT_TOL):
@@ -140,6 +143,23 @@ def commutator(A, B) -> np.ndarray:
     A = _as_array(A)
     B = _as_array(B)
     return A @ B - B @ A
+
+
+def commutator_norm(A, B):
+    """||[A, B]|| for one pair, or for stacks that broadcast.  Where A and B
+    are bit-equal to their adjoints, [A, B] = X - X† with X = AB, and the
+    norm is the largest |eigenvalue| of the exactly Hermitian i(X - X†); any
+    other pair takes ``op_norm(commutator(A, B))``."""
+    A, B = np.broadcast_arrays(_as_array(A), _as_array(B))
+    exact = (A == dag(A)).all(axis=(-2, -1)) & (B == dag(B)).all(axis=(-2, -1))
+    norm = np.empty(exact.shape)
+    if exact.any():
+        X = A[exact] @ B[exact]
+        w = np.linalg.eigvalsh(1j * (X - dag(X)))
+        norm[exact] = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    if not exact.all():
+        norm[~exact] = op_norm(commutator(A[~exact], B[~exact]))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 class Eig(NamedTuple):

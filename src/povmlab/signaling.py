@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     commutator,
+    commutator_norm,
     dag,
     hermitize,
     max_abs,
@@ -72,14 +73,16 @@ def rcc_deviation(first: KrausInstrument, second: KrausInstrument) -> float:
 
 
 def commutator_residual(T: DiscretePOVM, S: DiscretePOVM) -> float:
-    """max over (j, i) of the operator norm of [T_j, S_i]."""
+    """max over (j, i) of the operator norm of [T_j, S_i], by
+    ``commutator_norm`` over all pairs at once."""
     if T.dim != S.dim:
         raise ValueError("dimension mismatch between POVMs")
-    return max(op_norm(commutator(Tj, Si)) for Tj in T.effects for Si in S.effects)
+    return float(commutator_norm(np.stack(T.effects)[:, None], np.stack(S.effects)).max())
 
 
 def kraus_commutator_residual(instr: KrausInstrument, S) -> float:
-    """max over Kraus operators of max(||[K, S]||, ||[K†, S]||)."""
+    """max over Kraus operators of max(||[K, S]||, ||[K†, S]||), through
+    the SVD: a Kraus operator is not Hermitian."""
     S = as_matrix(S)
     worst = 0.0
     for K in instr.all_kraus():

@@ -268,6 +268,20 @@ class TestAudit:
         audit = hc_audit(smeared16, self.SAMPLES, self.T_GRID, tol=1e-9)
         assert audit.notes[0].startswith("hypothesis 4")
 
+    def test_unitarily_moved_system_audits_alike(self, smeared16):
+        # complex effects and a shift that is no permutation: the covariance
+        # takes the matrix form and every ordered pair is audited
+        V = haar_unitary(16, make_rng(5))
+        moved = LatticeLocalizationSystem(
+            16, 1.0, [hermitize(V @ E @ dag(V)) for E in smeared16.cell_effects],
+            V @ smeared16.shift @ dag(V), hermitize(V @ smeared16.hamiltonian @ dag(V)))
+        audit = hc_audit(moved, self.SAMPLES, self.T_GRID, tol=1e-9)
+        reference = hc_audit(smeared16, self.SAMPLES, self.T_GRID, tol=1e-9)
+        assert audit.residual("covariance_residual") <= 1e-12
+        micro = reference.residual("microcausality_residual")
+        assert abs(audit.residual("microcausality_residual") - micro) <= 1e-12 * micro
+        assert audit.notes == reference.notes
+
 
 class TestLdpRegion:
     def test_proper_subset_forces_full_rest_box(self, smeared16):
@@ -342,6 +356,21 @@ class TestHeisenbergEvolve:
             assert evolved[k].tobytes() == heisenberg_evolve(smeared16, stack[k], 0.7).tobytes()
 
 
+class TestEvolvedInEigenbasis:
+    @pytest.mark.parametrize("kind, n", [("frame_smeared", 16), ("alternating", 17)])
+    def test_matches_heisenberg_evolve_and_stays_exactly_hermitian(self, kind, n):
+        from povmlab.lattice import _evolved_in_eigenbasis
+
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        w, V = sys.energy_eigensystem()
+        stack = np.stack([effect_of(sys, [0, 1, 2]), effect_of(sys, [5, 6])])
+        rotated = hermitize(dag(V) @ stack @ V)
+        for t in (-0.5, 1.5, 3.0):
+            evolved = _evolved_in_eigenbasis(rotated, w, t)
+            assert np.array_equal(evolved, dag(evolved))
+            assert np.abs(V @ evolved @ dag(V) - heisenberg_evolve(sys, stack, t)).max() <= 1e-13
+
+
 class TestProjectorScreening:
     def make_triple(self, dim, p_rank, q_extra, r_rank, rng):
         U = haar_unitary(dim, rng)
@@ -382,10 +411,16 @@ class TestProjectorScreening:
 # against the public per-pair residual
 # ---------------------------------------------------------------------------
 
+def _mirror_symmetric(omega):
+    return np.array_equal(omega, omega[-np.arange(len(omega)) % len(omega)])
+
+
 def _oracle_hamiltonian(n, omega):
+    """F† diag(omega) F, and F; its real part when omega_j = omega_{n-j}."""
     j = np.arange(n)
     F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    return hermitize(dag(F) @ np.diag(omega).astype(complex) @ F), F
+    H = hermitize(dag(F) @ np.diag(omega).astype(complex) @ F)
+    return (np.ascontiguousarray(H.real) if _mirror_symmetric(omega) else H), F
 
 
 def _oracle_system(kind, n, width):
@@ -441,31 +476,67 @@ def test_systems_bit_equal_to_the_formulas(kind, n, width):
         assert np.abs(oracle.imag).max() <= 1e-15
         assert np.array_equal(E, E.T)
     assert effect_of(sys, range(0, n, 2)).dtype == np.float64
-    assert sys.hamiltonian.dtype == sys.shift.dtype == np.complex128
+    assert sys.shift.dtype == np.complex128
+
+
+def _close(value, reference):
+    """Within max(1e-13, 1e-12 |reference|): the audit and the pairwise
+    oracle take the same norms along different roundings."""
+    return abs(value - reference) <= max(1e-13, 1e-12 * abs(reference))
+
+
+@pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+@pytest.mark.parametrize("n", [2, 16, 17, 64])
+def test_hamiltonian_is_real_exactly_when_the_spectrum_is_mirror_symmetric(kind, n):
+    omega = lattice_dispersion(n, 1.0, 1.0)
+    assert _mirror_symmetric(omega)
+    H = MAKE_SYSTEM[kind](n, 1.5).hamiltonian
+    if kind == "alternating" and n % 2:
+        # the sign pattern breaks omega_j = omega_{n-j}: H is genuinely complex
+        assert H.dtype == np.complex128
+        assert np.abs(H.imag).max() > 0.1
+    else:
+        assert H.dtype == np.float64
+        assert np.array_equal(H, H.T)
 
 
 class TestAuditAgainstPairwiseResidual:
     SAMPLES = [[0, 1, 2], [5, 6], [9, 10, 11, 12]]
     T_GRID = [1.5, 0.0, -0.5, 3.0]
 
-    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
-    def test_microcausality_and_witness_match_the_oracle(self, kind):
-        sys = MAKE_SYSTEM[kind](16, 1.5)
+    # alternating at odd n has a complex H: no time reversal, every ordered
+    # pair is audited
+    @pytest.mark.parametrize("kind, n", [(kind, 16) for kind in MAKE_SYSTEM]
+                             + [("alternating", 17)])
+    def test_microcausality_and_witness_match_the_oracle(self, kind, n):
+        sys = MAKE_SYSTEM[kind](n, 1.5)
         tol = 1e-9
         audit = hc_audit(sys, self.SAMPLES, self.T_GRID, tol=tol)
         pairs = [(left, right) for left in self.SAMPLES for right in self.SAMPLES
                  if not set(left) & set(right)]
         residuals = [microcausality_residual(sys, left, right, self.T_GRID)
                      for left, right in pairs]
-        assert audit.residual("microcausality_residual") == max(residuals)
+        assert _close(audit.residual("microcausality_residual"), max(residuals))
         if max(residuals) == 0.0:
             assert audit.witnesses["microcausality_witness"] == {}
             return
         left, right = pairs[residuals.index(max(residuals))]
+        if np.isrealobj(sys.hamiltonian):
+            # the canonical pair: the earlier-listed sample first
+            left, right = sorted((left, right), key=self.SAMPLES.index)
         first = next((t for t in sorted(self.T_GRID, key=abs)
                       if microcausality_residual(sys, left, right, [t]) > tol), None)
         assert audit.witnesses["microcausality_witness"] == {
             "delta": left, "delta_prime": right, "first_violating_t": first}
+
+    @pytest.mark.parametrize("kind, n", [(kind, 16) for kind in MAKE_SYSTEM]
+                             + [("alternating", 17)])
+    def test_reversed_samples_give_the_same_residual(self, kind, n):
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        forward = hc_audit(sys, self.SAMPLES, self.T_GRID, tol=1e-9)
+        backward = hc_audit(sys, self.SAMPLES[::-1], self.T_GRID, tol=1e-9)
+        assert _close(backward.residual("microcausality_residual"),
+                      forward.residual("microcausality_residual"))
 
     def test_witness_time_skips_the_commuting_time_zero(self, sharp16):
         audit = hc_audit(sharp16, self.SAMPLES, self.T_GRID, tol=1e-9)
@@ -526,7 +597,8 @@ def _eager_system(kind, n, width):
         D = hermitize((dag(F) * (1.0 / n - alpha * power)) @ F).real
         P = alpha * np.outer(g, g)
         effects = [np.roll(P, (k, k), axis=(0, 1)) + D for k in range(n)]
-    return effects, hermitize((dag(F) * omega) @ F), shift
+    H = hermitize((dag(F) * omega) @ F)
+    return effects, (H.real.copy() if _mirror_symmetric(omega) else H), shift
 
 
 def _built(sys):
@@ -642,3 +714,18 @@ class TestRealModels:
             np.linalg.eigvalsh(B_left)
             assert cond.validate().passed
         assert seen and set(seen) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("kind, n", [(kind, 16) for kind in MAKE_SYSTEM]
+                             + [("alternating", 17)])
+    def test_audit_makes_no_svd_and_one_eigh_of_h(self, kind, n, monkeypatch):
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        seen = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def recorded(A, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                seen.append((_name, np.asarray(A).dtype))
+                return _call(A, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        hc_audit(sys, [[1, 2, 3], [6, 7], [10, 11]], [0.0, 0.5, 1.0])
+        # real LAPACK for H wherever H is real: every case but alternating at odd n
+        assert [call for call in seen if call[0] != "eigvalsh"] == [
+            ("eigh", sys.hamiltonian.dtype)]

@@ -6,6 +6,7 @@ from povmlab.linalg import (
     DEFAULT_TOL,
     as_matrix,
     commutator,
+    commutator_norm,
     dag,
     eigh_checked,
     herm_residual,
@@ -176,6 +177,96 @@ class TestNormOracle:
             D = 1j * (A - dag(A))
             assert np.array_equal(D, dag(D))
             assert abs(herm_residual(A) - svd_oracle(A - dag(A)).max()) <= 1e-13 * op_norm(D)
+
+
+def record_lapack(monkeypatch):
+    """(name, dtype) of each np.linalg eigh, eigvalsh and svd call, in order."""
+    seen = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def recorded(A, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            seen.append((_name, np.asarray(A).dtype))
+            return _call(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return seen
+
+
+class TestHermResidualDtype:
+    def test_real_input_reaches_real_lapack(self, monkeypatch):
+        seen = record_lapack(monkeypatch)
+        A = np.array([[1.0, 2.0], [0.0, 1.0]])
+        assert herm_residual(A) == 2.0
+        assert seen == [("svd", np.float64)]
+        seen.clear()
+        G = make_rng(26).normal(size=(3, 5, 5))
+        G[1] = G[1] + G[1].T
+        residual = herm_residual(G)
+        assert seen == [("svd", np.float64)]  # one stacked call on the two others
+        assert residual[1] == 0.0
+        for k in (0, 2):
+            assert abs(residual[k] - svd_oracle(G[k] - G[k].T).max()) <= 1e-13 * residual[k]
+
+    def test_complex_input_keeps_the_hermitian_form(self, monkeypatch):
+        seen = record_lapack(monkeypatch)
+        A = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+        assert abs(herm_residual(A) - 2.0) <= 1e-15
+        assert herm_residual(np.stack([A, A]).astype(complex)).shape == (2,)
+        assert seen == [("eigvalsh", np.complex128)] * 2
+
+
+class TestCommutatorNorm:
+    def pairs(self, rng):
+        G = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+        R = rng.normal(size=(2, 5, 5))
+        return {"complex": hermitize(G), "real": R + R.swapaxes(-1, -2),
+                "commuting": np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([0.5, 0.0, 1.0])])}
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+    def test_hermitian_pairs_match_the_svd_without_one(self, scale, monkeypatch):
+        seen = record_lapack(monkeypatch)
+        for name, (A, B) in self.pairs(make_rng(27)).items():
+            A = scale * A
+            expected = svd_oracle(A @ B - B @ A).max()
+            bound = 1e-13 * svd_oracle(A).max() * svd_oracle(B).max()
+            seen.clear()
+            value = commutator_norm(A, B)
+            assert seen == [("eigvalsh", np.complex128)], name
+            assert isinstance(value, float), name
+            assert abs(value - expected) <= bound, name
+            assert abs(commutator_norm(B, A) - value) <= bound, name
+
+    def test_eigvalsh_gets_an_exactly_hermitian_matrix(self, monkeypatch):
+        handed = []
+
+        def recorded(M, *args, _call=np.linalg.eigvalsh, **kwargs):
+            handed.append(np.array(M))
+            return _call(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        rng = make_rng(28)
+        for A, B in self.pairs(rng).values():
+            commutator_norm(A, B)
+        assert len(handed) == 3
+        assert all(np.array_equal(M, dag(M)) for M in handed)
+
+    def test_other_input_takes_op_norm_of_the_commutator(self):
+        rng = make_rng(29)
+        A = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        K = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        N = A.copy()
+        N[0, 1] += 1e-14
+        for left, right in ((A, K), (K, A), (N, A), (A, N)):
+            assert commutator_norm(left, right) == op_norm(commutator(left, right))
+
+    def test_stacks_broadcast_and_match_the_loop(self):
+        rng = make_rng(30)
+        H = mixed_stack(5, rng)  # exactly Hermitian at even indices only
+        B = hermitize(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        values = commutator_norm(H, B)
+        assert values.shape == (6,)
+        assert np.array_equal(values, [commutator_norm(M, B) for M in H])
+        grid = commutator_norm(H[:, None], H[::2])
+        assert grid.shape == (6, 3)
+        assert np.array_equal(grid, [[commutator_norm(M, N) for N in H[::2]] for M in H])
 
 
 class TestHermiticityGuard:
@@ -381,7 +472,7 @@ class TestDecompositionCounts:
         ("polar_kraus", 1, 1),
         ("random_povm", 1, 0),
         ("build_conditional", 1, 0),
-        ("hc_audit", 1, 12),
+        ("hc_audit", 1, 15),
         ("luders_instrument", 2, 1),
         ("validate_povm", 2, 1),
         ("validate_effect", 1, 0),
@@ -444,6 +535,7 @@ def kernels(M):
         "as_matrix": as_matrix(M, stack=True),
         "hermitize": hermitize(other),
         "commutator": commutator(M, other),
+        "commutator_norm": commutator_norm(M, hermitize(other)),
         "op_norm": op_norm(M),
         "trace_norm": trace_norm(other),
         "max_abs": max_abs(M),
