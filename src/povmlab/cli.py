@@ -17,33 +17,12 @@ from typing import Any
 
 from . import __version__
 from .generators import KINDS, generate_instance
-from .reporting import CheckReport
 from .scenarios import check_seed, check_tol, parse_scenarios, run_scenarios
 from .serialization import SchemaError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT_ERROR = 2
-
-
-def emit_report(reports: list[CheckReport], fmt: str, path: str) -> None:
-    """Write reports: json keeps the full structure (witness matrices
-    included), csv is one summary row per scenario."""
-    if fmt == "json":
-        payload = {"reports": [r.to_dict() for r in reports]}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["name", "verdict", "max_residual", "tol", "wall_time"]
-            )
-            writer.writeheader()
-            for r in reports:
-                writer.writerow(r.summary_row())
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -75,10 +54,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"{r.wall_time:.3f}s)")
         for note in r.notes:
             print(f"     note: {note}")
-    if args.out:
-        emit_report(reports, "json", args.out)
-    if args.csv:
-        emit_report(reports, "csv", args.csv)
+    if args.out:  # the full structure, witness matrices included
+        with open(args.out, "w") as fh:
+            json.dump({"reports": [r.to_dict() for r in reports]}, fh, indent=2)
+            fh.write("\n")
+    if args.csv:  # one summary row per scenario
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.DictWriter(
+                fh, fieldnames=["name", "verdict", "max_residual", "tol", "wall_time"])
+            writer.writeheader()
+            writer.writerows(r.summary_row() for r in reports)
     return EXIT_FAIL if any(r.verdict == "FAIL" for r in reports) else EXIT_OK
 
 

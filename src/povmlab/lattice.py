@@ -387,9 +387,10 @@ def hc_audit(
     Microcausality is ``microcausality_residual`` over the disjoint pairs,
     taken in H's eigenbasis: Â = V† A V evolves by ``_evolved_in_eigenbasis``
     (norms are unitarily invariant), with one stacked ``commutator_norm`` per
-    time, and H is decomposed only when some t != 0.  When H and the effects
-    are real, time reversal makes (j, i) equal (i, j) at each t, so only
-    i < j is audited and the witness lists the earlier-listed sample first.
+    time; H is decomposed once, by ``eigh`` when some t != 0, else by
+    ``eigvalsh``.  When H and the effects are real, time reversal makes
+    (j, i) equal (i, j) at each t, so only i < j is audited and the witness
+    lists the earlier-listed sample first.
     """
     samples = [as_cells(c, sys.n) for c in delta_samples]
     if not samples or not all(samples):
@@ -417,13 +418,14 @@ def hc_audit(
             additivity, op_norm(effects[k] + effects[k + 1] - effect_of(sys, left | right))
         )
 
-    energy_min = float(np.linalg.eigvalsh(hermitize(sys.hamiltonian))[0])
-
     # microcausality_residual over the disjoint pairs, in H's eigenbasis
     stack = np.stack(effects)
     if any(t != 0 for t in t_grid):
         energy = sys.energy_eigensystem()
+        energy_min = float(energy.w[0])
         stack = hermitize(dag(energy.V) @ stack @ energy.V)
+    else:
+        energy_min = float(np.linalg.eigvalsh(hermitize(sys.hamiltonian))[0])
     time_reversal = np.isrealobj(sys.hamiltonian) and np.isrealobj(stack)
     pairs = [(i, j) for i, left in enumerate(samples) for j, right in enumerate(samples)
              if not left & right and (i < j or not time_reversal)]

@@ -65,7 +65,8 @@ class KrausInstrument:
     """Kraus families realizing each outcome of a POVM.
 
     Outcome j is implemented by the finite family K_{j0}, K_{j1}, ... with
-    sum_k K†_{jk} K_{jk} equal to the induced effect T_j.
+    sum_k K†_{jk} K_{jk} equal to the induced effect T_j.  ``kraus`` stacks
+    every Kraus operator, (m, d, d), and ``families[j]`` is outcome j's piece.
     """
 
     def __init__(
@@ -73,42 +74,41 @@ class KrausInstrument:
         outcome_families: Sequence[Sequence[np.ndarray]],
         labels: Sequence[str] | None = None,
     ):
-        if not outcome_families:
+        sizes = [len(fam) for fam in outcome_families]
+        if not sizes:
             raise ValueError("an instrument needs at least one outcome")
-        self.families = [[as_matrix(K) for K in fam] for fam in outcome_families]
-        if any(not fam for fam in self.families):
+        if not all(sizes):
             raise ValueError("every outcome needs at least one Kraus operator")
-        dim = self.families[0][0].shape[0]
-        if any(K.shape[0] != dim for fam in self.families for K in fam):
+        kraus = [as_matrix(K) for fam in outcome_families for K in fam]
+        if any(K.shape != kraus[0].shape for K in kraus):
             raise ValueError("all Kraus operators must share one dimension")
-        self.labels = _outcome_labels(labels, len(self.families))
+        self.kraus = np.stack(kraus)
+        self.families = np.split(self.kraus, np.cumsum(sizes)[:-1])
+        self.labels = _outcome_labels(labels, len(sizes))
 
     @property
     def dim(self) -> int:
-        return self.families[0][0].shape[0]
+        return self.kraus.shape[-1]
 
     def __len__(self) -> int:
         return len(self.families)
 
     @property
     def efficient(self) -> bool:
-        return all(len(fam) == 1 for fam in self.families)
+        return len(self.kraus) == len(self.families)
 
     def effect(self, j: int) -> np.ndarray:
-        return sum(dag(K) @ K for K in self.families[j])
+        fam = self.families[j]
+        return (dag(fam) @ fam).sum(axis=0)
 
     @property
     def povm(self) -> DiscretePOVM:
         return DiscretePOVM([self.effect(j) for j in range(len(self))], self.labels)
 
-    def all_kraus(self) -> list[np.ndarray]:
-        return [K for fam in self.families for K in fam]
-
     def dual_apply(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture action of the non-selective measurement:
         X -> sum_{jk} K†_{jk} X K_{jk}."""
-        X = as_matrix(X)
-        return sum(dag(K) @ X @ K for K in self.all_kraus())
+        return (dag(self.kraus) @ as_matrix(X) @ self.kraus).sum(axis=0)
 
 
 def identity_instrument(dim: int) -> KrausInstrument:
@@ -208,11 +208,6 @@ def polar_kraus(T, V, tol: float = DEFAULT_TOL) -> np.ndarray:
     return V @ eig.sqrt()
 
 
-def outcome_probability(rho, instr: KrausInstrument, j: int) -> float:
-    rho = as_matrix(rho)
-    return float(np.trace(rho @ instr.effect(j)).real)
-
-
 def selective_post_state(rho, instr: KrausInstrument, j: int) -> tuple[float, np.ndarray]:
     """Outcome probability and the normalized conditional state for outcome j.
 
@@ -220,21 +215,21 @@ def selective_post_state(rho, instr: KrausInstrument, j: int) -> tuple[float, np
     conditional state is undefined there.
     """
     rho = as_matrix(rho)
-    prob = outcome_probability(rho, instr, j)
+    prob = float(np.trace(rho @ instr.effect(j)).real)
     if prob <= PROB_FLOOR:
         raise ValueError(
             f"outcome {j} has probability {prob:.3e} <= floor {PROB_FLOOR:.3e}; "
             "conditional state undefined"
         )
-    out = sum(K @ rho @ dag(K) for K in instr.families[j]) / prob
-    return prob, out
+    fam = instr.families[j]
+    return prob, (fam @ rho @ dag(fam)).sum(axis=0) / prob
 
 
 def nonselective_post_state(rho, instr: KrausInstrument) -> np.ndarray:
     """Post-measurement state when all outcomes are collected together:
     rho -> sum_{jk} K_{jk} rho K†_{jk}."""
-    rho = as_matrix(rho)
-    return sum(K @ rho @ dag(K) for K in instr.all_kraus())
+    K = instr.kraus
+    return (K @ as_matrix(rho) @ dag(K)).sum(axis=0)
 
 
 def sequential_joint_prob(rho, first: KrausInstrument, j: int, second_effect) -> float:
@@ -247,5 +242,5 @@ def sequential_joint_prob(rho, first: KrausInstrument, j: int, second_effect) ->
     """
     rho = as_matrix(rho)
     S = as_matrix(second_effect)
-    sub = sum(K @ rho @ dag(K) for K in first.families[j])
-    return float(np.trace(S @ sub).real)
+    fam = first.families[j]
+    return float(np.trace(S @ (fam @ rho @ dag(fam)).sum(axis=0)).real)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from sys import float_info
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -27,7 +26,14 @@ from .linalg import DEFAULT_TOL, op_norm, stack_size
 from .measurement import luders_instrument
 from .reporting import CheckReport
 from .serialization import (
+    Fields,
+    Integer,
+    Nonempty,
+    Number,
+    OneOf,
+    Param,
     SchemaError,
+    as_given,
     decode_effect,
     decode_instrument,
     decode_povm,
@@ -55,79 +61,23 @@ def parse_scenarios(data: Any) -> list[Scenario]:
     """Validate the scenario file and read every scenario's parameters;
     schema violations carry JSON-pointer paths."""
     if isinstance(data, dict):
-        if "scenarios" not in data:
-            raise SchemaError("/scenarios", "missing field")
-        items = data["scenarios"]
-        base = "/scenarios"
+        items, base = FILE(data, "")["scenarios"], "/scenarios"
     else:
-        items = data
-        base = ""
+        items, base = data, ""
     if not isinstance(items, list):
         raise SchemaError(base or "/", "expected a list of scenarios")
     out = []
-    for i, entry in enumerate(items):
+    for i, raw in enumerate(items):
         pointer = f"{base}/{i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(pointer, "scenario must be an object")
-        stype = entry.get("type")
-        if not isinstance(stype, str) or stype not in CHECKS:
-            raise SchemaError(f"{pointer}/type", f"unknown check type {stype!r}")
-        for key in entry:
-            if key not in ENTRY_KEYS:
-                raise SchemaError(f"{pointer}/{_escape(key)}",
-                                  f"unknown key; expected one of {', '.join(ENTRY_KEYS)}")
-        params = CHECKS[stype].read(entry.get("params", {}), f"{pointer}/params")
-        seed = check_seed(entry.get("seed", 0), f"{pointer}/seed")
-        tol = check_tol(entry.get("tol", DEFAULT_TOL), f"{pointer}/tol")
-        repeat = Integer(1)(entry.get("repeat", 1), f"{pointer}/repeat")
-        out.append(Scenario(stype, params, seed, tol, repeat, index=i, pointer=pointer))
+        entry = ENTRY(raw, pointer)
+        params = CHECKS[entry["type"]].read(entry["params"], f"{pointer}/params")
+        out.append(Scenario(entry["type"], params, entry["seed"], entry["tol"], entry["repeat"],
+                            index=i, pointer=pointer))
     return out
 
 
-def _escape(key: str) -> str:
-    """A key as one JSON-pointer token."""
-    return key.replace("~", "~0").replace("/", "~1")
-
-
-# readers: called with the raw JSON value, its pointer and the values read before it
-class Integer(NamedTuple):
-    """A JSON integer >= minimum, and <= maximum when given (no bool, float or string)."""
-    minimum: int
-    maximum: int | None = None
-
-    def __call__(self, raw: Any, pointer: str, values: dict | None = None) -> int:
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise SchemaError(pointer, f"expected an integer, got {raw!r}")
-        if raw < self.minimum:
-            raise SchemaError(pointer, f"must be >= {self.minimum}, got {raw}")
-        if self.maximum is not None and raw > self.maximum:
-            raise SchemaError(pointer, f"must be <= {self.maximum}, got {raw}")
-        return raw
-
-
-class Number(NamedTuple):
-    """A finite JSON number (int or float; no bool, no string), > 0 when ``positive``."""
-    positive: bool = False
-
-    def __call__(self, raw: Any, pointer: str, values: dict | None = None) -> float:
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise SchemaError(pointer, f"expected a number, got {raw!r}")
-        if not -float_info.max <= raw <= float_info.max:
-            raise SchemaError(pointer, f"expected a finite number, got {raw!r}")
-        if self.positive and raw <= 0:
-            raise SchemaError(pointer, f"must be > 0, got {raw!r}")
-        return float(raw)
-
-
-class SystemKind(NamedTuple):
-    """The kind of a lattice system, one of SYSTEM_KINDS."""
-
-    def __call__(self, raw: Any, pointer: str, values: dict) -> str:
-        if raw not in SYSTEM_KINDS:
-            raise SchemaError(pointer, f"unknown system kind {raw!r}")
-        return raw
-
-
+# the readers of cell lists and decoded objects; the generic readers
+# (Integer, Number, OneOf, Nonempty, Fields) live in ``serialization``
 class Cells(NamedTuple):
     """A list of JSON integers, cells of the ring of the ``n`` read before it;
     inside the cells read as ``inside``, and disjoint from those read as
@@ -155,17 +105,6 @@ class Cells(NamedTuple):
         return cells
 
 
-class Nonempty(NamedTuple):
-    """A nonempty JSON list, each element read by ``item`` at its own pointer."""
-    item: Callable[[Any, str, dict], Any]
-    what: str
-
-    def __call__(self, raw: Any, pointer: str, values: dict) -> list:
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError(pointer, f"expected a nonempty list of {self.what}")
-        return [self.item(x, f"{pointer}/{j}", values) for j, x in enumerate(raw)]
-
-
 class Decoded(NamedTuple):
     """An object read by one of the ``serialization`` decoders; with ``dim``,
     of the dimension of the value read under that key: an integer, or a
@@ -189,18 +128,9 @@ def _dimension(value: Any) -> int:
     return value.dim if hasattr(value, "dim") else value.shape[0]
 
 
-REQUIRED = object()  # the default of a parameter that must be given
 check_tol = Number(positive=True)  # a scenario tolerance
 check_seed = Integer(0, 2**64 - 1)  # a scenario seed
-ENTRY_KEYS = ("type", "params", "seed", "tol", "repeat")  # the keys of a scenario entry
 SYSTEM_KINDS = ("sharp", "alternating", "diagonal_smeared", "frame_smeared")
-
-
-class Param(NamedTuple):
-    """A scenario parameter: its key, its reader, and its value when absent."""
-    name: str
-    read: Callable[[Any, str, dict], Any]
-    default: Any = REQUIRED
 
 
 class CheckType(NamedTuple):
@@ -211,32 +141,14 @@ class CheckType(NamedTuple):
 
     def read(self, raw: Any, pointer: str) -> dict[str, Any]:
         """The values of one scenario's params, read in the table's order."""
-        if not isinstance(raw, dict):
-            raise SchemaError(pointer, "params must be an object")
-        names = [p.name for p in self.params]
-        for key in raw:
-            if key not in names:
-                raise SchemaError(f"{pointer}/{_escape(key)}",
-                                  f"unknown parameter; expected one of {', '.join(names)}")
-        if self.pair and (self.pair[0] in raw) != (self.pair[1] in raw):
-            given, missing = self.pair if self.pair[0] in raw else self.pair[::-1]
-            raise SchemaError(f"{pointer}/{missing}", f"missing field: given {given!r} without it")
-        values: dict[str, Any] = {}
-        for p in self.params:
-            if p.name in raw:
-                values[p.name] = p.read(raw[p.name], f"{pointer}/{p.name}", values)
-            elif p.default is REQUIRED:
-                raise SchemaError(f"{pointer}/{p.name}", "missing field")
-            else:
-                values[p.name] = p.default
-        return values
+        return Fields(self.params, "params", "parameter", self.pair)(raw, pointer)
 
 
 # read first by every check on a lattice system
 SYSTEM_PARAMS = (Param("n", Integer(2), 16), Param("mass", Number(positive=True), 1.0),
                  Param("a", Number(positive=True), 1.0),
                  Param("width", Number(positive=True), 1.5),
-                 Param("kind", SystemKind(), "frame_smeared"))
+                 Param("kind", OneOf(SYSTEM_KINDS), "frame_smeared"))
 
 
 def _system(sc: Scenario) -> lat.LatticeLocalizationSystem:
@@ -448,6 +360,14 @@ CHECKS: dict[str, CheckType] = {
     "causal_separation": CheckType(_check_causal_separation, (
         Param("first", Decoded(decode_region)), Param("second", Decoded(decode_region)))),
 }
+
+
+# a scenario file given as an object, and one scenario entry, whose params
+# are read by its check type's table
+FILE = Fields((Param("scenarios", as_given),), "scenario file")
+ENTRY = Fields((Param("type", OneOf(tuple(CHECKS))), Param("params", as_given, {}),
+                Param("seed", check_seed, 0), Param("tol", check_tol, DEFAULT_TOL),
+                Param("repeat", Integer(1), 1)), "scenario")
 
 
 def run_one(sc: Scenario) -> CheckReport:

@@ -60,16 +60,9 @@ def rcc_deviation(first: KrausInstrument, second: KrausInstrument) -> float:
         raise ValueError("rcc deviation is defined for efficient instruments only")
     if first.dim != second.dim:
         raise ValueError("dimension mismatch between instruments")
-    worst = 0.0
-    for j in range(len(first)):
-        K = first.families[j][0]
-        Tj = first.effect(j)
-        for i in range(len(second)):
-            L = second.families[i][0]
-            Si = second.effect(i)
-            D = dag(K) @ Si @ K - dag(L) @ Tj @ L
-            worst = max(worst, max_abs(D))
-    return worst
+    K, L = first.kraus[:, None], second.kraus
+    T, S = dag(K) @ K, dag(L) @ L
+    return max_abs(dag(K) @ S @ K - dag(L) @ T @ L)
 
 
 def commutator_residual(T: DiscretePOVM, S: DiscretePOVM) -> float:
@@ -83,11 +76,8 @@ def commutator_residual(T: DiscretePOVM, S: DiscretePOVM) -> float:
 def kraus_commutator_residual(instr: KrausInstrument, S) -> float:
     """max over Kraus operators of max(||[K, S]||, ||[K†, S]||), through
     the SVD: a Kraus operator is not Hermitian."""
-    S = as_matrix(S)
-    worst = 0.0
-    for K in instr.all_kraus():
-        worst = max(worst, op_norm(commutator(K, S)), op_norm(commutator(dag(K), S)))
-    return worst
+    S, K = as_matrix(S), instr.kraus
+    return float(max(op_norm(commutator(K, S)).max(), op_norm(commutator(dag(K), S)).max()))
 
 
 def luders_equivalence_check(
@@ -167,7 +157,7 @@ class SearchWitness:
 
 def _level_fixing_instance(
     dim: int, rng: np.random.Generator
-) -> tuple[list[list[np.ndarray]], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Random instrument/effect pair whose dual map fixes S exactly but mixes
     the squared levels.
 
@@ -185,17 +175,13 @@ def _level_fixing_instance(
     levels[mid] = rng.uniform(0.35, 0.65) * (levels[hi] - levels[lo]) + levels[lo]
     alpha = (levels[mid] - levels[lo]) / (levels[hi] - levels[lo])
 
-    keep = np.eye(dim, dtype=complex)
-    keep[mid, mid] = 0.0
-    up = np.zeros((dim, dim), dtype=complex)
-    up[hi, mid] = np.sqrt(alpha)
-    down = np.zeros((dim, dim), dtype=complex)
-    down[lo, mid] = np.sqrt(1.0 - alpha)
+    ops = np.zeros((3, dim, dim), dtype=complex)  # keep, up, down
+    ops[0] = np.diag(np.arange(dim) != mid)
+    ops[1, hi, mid], ops[2, lo, mid] = np.sqrt(alpha), np.sqrt(1.0 - alpha)
 
     Q = haar_unitary(dim, rng)
-    families = [[Q @ K @ dag(Q)] for K in (keep, up, down)]
     S = Q @ np.diag(levels).astype(complex) @ dag(Q)
-    return families, S
+    return (Q @ ops @ dag(Q))[:, None], S
 
 
 def heinosaari_wolf_search(dim: int, seed: int, budget: int):

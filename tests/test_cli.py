@@ -13,18 +13,18 @@ from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
 from povmlab.scenarios import (
     CHECKS,
-    REQUIRED,
     SYSTEM_PARAMS,
     Cells,
     Decoded,
-    Integer,
-    Nonempty,
-    Number,
-    SystemKind,
     parse_scenarios,
     run_scenarios,
 )
 from povmlab.serialization import (
+    REQUIRED,
+    Integer,
+    Nonempty,
+    Number,
+    OneOf,
     SchemaError,
     decode_effect,
     decode_instrument,
@@ -413,6 +413,66 @@ class TestParameterTable:
         assert err.value.pointer == "/0/params/lab"
 
 
+WIRE_INSTRUMENT = generate_instance("luders_instrument", 1, 1)
+WIRE_EFFECT = "/scenarios/0/params/effect/matrix"
+WIRE_BOX = "/scenarios/0/params/first/boxes/0"
+
+
+def nsc_file(matrix: str) -> str:
+    """An nsc scenario file whose effect's matrix is the JSON text ``matrix``."""
+    return ('{"scenarios": [{"type": "nsc", "params": {"instrument": %s, '
+            '"effect": {"kind": "effect", "matrix": %s}}}]}'
+            % (json.dumps(WIRE_INSTRUMENT), matrix))
+
+
+def separation_file(lo: list, hi: list) -> str:
+    """A causal_separation scenario file whose first region is the box [lo, hi]."""
+    second = {"boxes": [{"lo": [0, 5, 0, 0], "hi": [0, 6, 0, 0]}]}
+    return json.dumps({"scenarios": [{"type": "causal_separation", "params": {
+        "first": {"boxes": [{"lo": lo, "hi": hi}]}, "second": second}}]})
+
+
+class TestWireValues:
+    """Every matrix entry and box coordinate is a finite JSON number, never a
+    bool, string or null, and ``dim`` is a JSON integer: anything else exits
+    2 at the entry's own pointer, with nothing run."""
+
+    @pytest.mark.parametrize("text, pointer, message", [
+        (nsc_file('{"dim": 1, "re": [NaN], "im": [0.0]}'), f"{WIRE_EFFECT}/re/0",
+         "expected a finite number, got nan"),
+        (nsc_file('{"dim": 1, "re": [0.5], "im": [null]}'), f"{WIRE_EFFECT}/im/0",
+         "expected a number, got None"),
+        (nsc_file('{"dim": 1, "re": [true], "im": [false]}'), f"{WIRE_EFFECT}/re/0",
+         "expected a number, got True"),
+        (nsc_file('{"dim": 1, "re": ["0.5"], "im": [0.0]}'), f"{WIRE_EFFECT}/re/0",
+         "expected a number, got '0.5'"),
+        (nsc_file('{"dim": true, "re": [0.5], "im": [0.0]}'), f"{WIRE_EFFECT}/dim",
+         "expected an integer, got True"),
+        (separation_file(["nan", 0, 0, 0], [1, 1, 1, 1]), f"{WIRE_BOX}/lo/0",
+         "expected a number, got 'nan'"),
+        (separation_file([0, 0, 0, 0], [1, "inf", 1, 1]), f"{WIRE_BOX}/hi/1",
+         "expected a number, got 'inf'"),
+        (separation_file([0, 0, 0, True], [1, 1, 1, 1]), f"{WIRE_BOX}/lo/3",
+         "expected a number, got True"),
+    ], ids=["NaN entry", "null entry", "bool entries", "string entry", "bool dim",
+            "string nan", "string inf", "bool coordinate"])
+    def test_refused_at_the_entry(self, tmp_path, capsys, text, pointer, message):
+        path = tmp_path / "scenarios.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {pointer}: {message}\n"
+
+    def test_unknown_key_of_a_wire_object_is_refused_at_it(self):
+        matrix = dict(WIRE_INSTRUMENT["families"][0][0], scale=2)
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios([{"type": "nsc", "params": {
+                "instrument": WIRE_INSTRUMENT, "effect": {"kind": "effect", "matrix": matrix}}}])
+        assert err.value.pointer == "/0/params/effect/matrix/scale"
+        assert str(err.value).endswith(": unknown key; expected one of dim, re, im")
+
+
 class TestCrossFieldConstraints:
     """A parameter that breaks a constraint on one read before it exits 2 at
     its own pointer, before the scenarios ahead of it run."""
@@ -479,8 +539,8 @@ def accepted(reader, values: dict):
         return reader.minimum
     if isinstance(reader, Number):
         return 1.0
-    if isinstance(reader, SystemKind):
-        return "sharp"
+    if isinstance(reader, OneOf):
+        return reader.choices[0]
     if isinstance(reader, Cells):
         if reader.inside:
             return values[reader.inside][:1]
@@ -502,7 +562,7 @@ def refused(reader, values: dict):
         return reader.minimum - 1
     if isinstance(reader, Number):
         return 0.0 if reader.positive else math.inf
-    if isinstance(reader, SystemKind):
+    if isinstance(reader, OneOf):
         return "quantum"
     if isinstance(reader, Cells):
         if reader.inside:
@@ -545,6 +605,11 @@ class TestScenarioEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: /scenarios/0/repeats: unknown key; expected one of type, "
                               "params, seed, tol, repeat")
+
+    def test_unknown_key_of_the_file_object_is_refused(self):
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios({"scenarios": [{"type": "gentle_sweep"}], "scenario": []})
+        assert str(err.value) == "/scenario: unknown key; expected one of scenarios"
 
     def test_unknown_key_pointer_is_escaped(self):
         with pytest.raises(SchemaError) as err:

@@ -472,7 +472,7 @@ class TestDecompositionCounts:
         ("polar_kraus", 1, 1),
         ("random_povm", 1, 0),
         ("build_conditional", 1, 0),
-        ("hc_audit", 1, 15),
+        ("hc_audit", 1, 14),
         ("luders_instrument", 2, 1),
         ("validate_povm", 2, 1),
         ("validate_effect", 1, 0),

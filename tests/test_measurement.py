@@ -285,6 +285,34 @@ class TestKrausInstrument:
         instr = random_luders_instrument(3, 2, rng)
         assert validate_instrument(instr).passed
 
+    def test_operators_held_as_one_stack(self):
+        instr = KrausInstrument([[P0, X], [P1]])
+        assert instr.kraus.shape == (3, 2, 2)
+        assert [fam.shape for fam in instr.families] == [(2, 2, 2), (1, 2, 2)]
+        assert all(np.shares_memory(fam, instr.kraus) for fam in instr.families)
+
+    def test_real_operators_stay_float64(self):
+        instr = KrausInstrument([[np.sqrt(0.5) * np.eye(2)], [np.diag([0.6, 0.8]), np.eye(2)]])
+        assert instr.kraus.dtype == np.float64
+        assert instr.effect(1).dtype == np.float64
+        assert instr.dual_apply(np.diag([1.0, 2.0])).dtype == np.float64
+        assert KrausInstrument([[np.eye(2)], [P1]]).kraus.dtype == np.complex128
+
+    def test_stacked_forms_equal_the_sums_over_operators(self):
+        rng = make_rng(30)
+        ops = [0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(5)]
+        instr = KrausInstrument([ops[:2], ops[2:3], ops[3:]])
+        rho, S = random_state(3, rng), hermitize(rng.normal(size=(3, 3)))
+        for j, fam in enumerate([ops[:2], ops[2:3], ops[3:]]):
+            assert np.array_equal(instr.effect(j), sum(dag(K) @ K for K in fam))
+            sub = sum(K @ rho @ dag(K) for K in fam)
+            prob, post = selective_post_state(rho, instr, j)
+            assert np.array_equal(post, sub / prob)
+            assert sequential_joint_prob(rho, instr, j, S) == float(np.trace(S @ sub).real)
+        assert np.array_equal(instr.dual_apply(S), sum(dag(K) @ S @ K for K in ops))
+        assert np.array_equal(nonselective_post_state(rho, instr),
+                              sum(K @ rho @ dag(K) for K in ops))
+
 
 class TestLabels:
     def test_list_or_tuple_with_one_label_per_outcome(self):

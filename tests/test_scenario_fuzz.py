@@ -4,7 +4,10 @@ one fault (a bad value, a missing field, half a pair, an unknown key) is
 refused with a ``SchemaError`` at the faulty field, never with another
 exception.  A constraint across fields (cells inside another cell list or
 disjoint from it, a state of dimension ``n``, the second object of a pair of
-the first one's dimension) is a fault of the later field."""
+the first one's dimension) is a fault of the later field.  A fault inside a
+wire object (a matrix entry, a ``dim``, a box coordinate, an unknown key) is
+refused at that entry's own pointer."""
+import copy
 import math
 from functools import lru_cache
 
@@ -20,17 +23,16 @@ from povmlab.geometry import RegionUnion  # noqa: E402
 from povmlab.measurement import DiscretePOVM, KrausInstrument  # noqa: E402
 from povmlab.scenarios import (  # noqa: E402
     CHECKS,
-    REQUIRED,
     Cells,
     Decoded,
-    Integer,
-    Nonempty,
-    Number,
-    SYSTEM_KINDS,
-    SystemKind,
     parse_scenarios,
 )
 from povmlab.serialization import (  # noqa: E402
+    REQUIRED,
+    Integer,
+    Nonempty,
+    Number,
+    OneOf,
     SchemaError,
     decode_effect,
     decode_instrument,
@@ -79,8 +81,8 @@ def valid(reader, n: int) -> st.SearchStrategy:
     if isinstance(reader, Number):
         floats = st.floats(0.0 if reader.positive else -1e6, 1e6, exclude_min=reader.positive)
         return floats | st.integers(1 if reader.positive else -10, 10)
-    if isinstance(reader, SystemKind):
-        return st.sampled_from(SYSTEM_KINDS)
+    if isinstance(reader, OneOf):
+        return st.sampled_from(reader.choices)
     if isinstance(reader, Cells):
         return st.lists(st.integers(0, n - 1), min_size=int(reader.nonempty), max_size=6)
     if isinstance(reader, Nonempty):
@@ -124,6 +126,55 @@ def either(*strategies: st.SearchStrategy) -> st.SearchStrategy:
     return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
 
 
+def sites(value, path: tuple = ()):
+    """The places of a valid wire object where one fault goes, as (kind,
+    path of keys and indices): each object (for an unknown key), each
+    ``dim``, each matrix entry and each box or frame coordinate."""
+    if isinstance(value, list):
+        for j, item in enumerate(value):
+            yield from sites(item, path + (j,))
+    elif isinstance(value, dict):
+        yield "key", path
+        for key, item in value.items():
+            if key == "dim":
+                yield "dim", path + (key,)
+            elif key in ("re", "im", "lo", "hi", "frame"):
+                kind = "entry" if key in ("re", "im") else "coordinate"
+                yield from ((kind, path + (key, j)) for j in range(len(item)))
+            else:
+                yield from sites(item, path + (key,))
+
+
+# what one matrix entry, dim or coordinate holds instead of its valid value
+WIRE_FAULTS = {
+    "entry": st.sampled_from([True, False, "0.5", None, math.nan, math.inf, -math.inf, 10**400]),
+    "dim": st.sampled_from([True, 0]),
+    "coordinate": st.sampled_from(["nan", "inf", "1.0", math.nan, math.inf, -math.inf, 10**400]),
+}
+
+
+@st.composite
+def wire_fault(draw, valid_object: dict) -> tuple[dict, str]:
+    """A copy of a valid wire object with one fault inside, and the JSON
+    pointer of that fault within the object."""
+    broken = copy.deepcopy(valid_object)
+    by_kind: dict[str, list[tuple]] = {}
+    for kind, path in sites(broken):
+        by_kind.setdefault(kind, []).append(path)
+    kind = draw(st.sampled_from(sorted(by_kind)))  # each kind equally likely
+    path = draw(st.sampled_from(by_kind[kind]))
+    holder = broken  # the object that gets the unknown key, or holds the entry
+    for token in path if kind == "key" else path[:-1]:
+        holder = holder[token]
+    if kind == "key":
+        key = draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in holder))
+        holder[key] = draw(JUNK)
+        path += (key.replace("~", "~0").replace("/", "~1"),)
+    else:
+        holder[path[-1]] = draw(WIRE_FAULTS[kind])
+    return broken, "".join(f"/{token}" for token in path)
+
+
 @cached
 def invalid(reader, n: int) -> st.SearchStrategy:
     """Values the reader refuses: wrong JSON types, numbers out of range or
@@ -135,8 +186,8 @@ def invalid(reader, n: int) -> st.SearchStrategy:
         non_finite = st.sampled_from([math.inf, -math.inf, math.nan, 10**400])
         not_positive = st.floats(-1e6, 0.0) if reader.positive else non_finite
         return either(NOT_A_NUMBER, non_finite, not_positive)
-    if isinstance(reader, SystemKind):
-        return either(JUNK, st.lists(st.sampled_from(SYSTEM_KINDS), max_size=1))
+    if isinstance(reader, OneOf):
+        return either(JUNK, st.lists(st.sampled_from(reader.choices), max_size=1))
     if isinstance(reader, Cells):
         element = either(st.integers(n, n + 50), st.integers(-5, -1), st.booleans(), st.floats(),
                          st.text(max_size=2), st.just([0]))
@@ -156,8 +207,8 @@ def declared(reader, value) -> bool:
         return type(value) is int and value >= reader.minimum
     if isinstance(reader, Number):
         return type(value) is float and math.isfinite(value) and (value > 0 or not reader.positive)
-    if isinstance(reader, SystemKind):
-        return value in SYSTEM_KINDS
+    if isinstance(reader, OneOf):
+        return value in reader.choices
     if isinstance(reader, Cells):
         return isinstance(value, frozenset) and all(type(k) is int for k in value)
     if isinstance(reader, Nonempty):
@@ -185,20 +236,25 @@ def scenario(draw, stype: str | None = None) -> dict:
 
 FIELDS = [(stype, p) for stype, check in CHECKS.items() for p in check.params]
 FAULTS = ["none", "invalid", "invalid", "invalid", "missing", "half", "unknown", "conflict",
-          "conflict"]
+          "conflict", "wire", "wire"]
 
 
 @st.composite
 def faulty_file(draw):
     """Valid scenarios around one scenario with at most one fault: a bad
-    value, a missing required field, half a pair, an unknown key or a value
-    that breaks its constraint on another field.
-    Returns the file, the faulty scenario's index and the field the fault
-    lies in (None for a valid file)."""
+    value, a missing required field, half a pair, an unknown key, a value
+    that breaks its constraint on another field, or one fault inside a
+    valid wire object.
+    Returns the file, the faulty scenario's index, the field the fault
+    lies in (None for a valid file) and, for a fault inside a wire object,
+    its pointer within the field."""
     fault = draw(st.sampled_from(FAULTS))
-    if fault in ("invalid", "conflict"):
+    inner = None
+    if fault in ("invalid", "conflict", "wire"):
         stype, bad = draw(st.sampled_from(
-            FIELDS if fault == "invalid" else [(t, p) for t, p in FIELDS if relation(p.read)]))
+            FIELDS if fault == "invalid" else
+            [(t, p) for t, p in FIELDS if isinstance(p.read, Decoded)] if fault == "wire" else
+            [(t, p) for t, p in FIELDS if relation(p.read)]))
     else:
         stype = draw(st.sampled_from(sorted(
             stype for stype, check in CHECKS.items()
@@ -207,12 +263,16 @@ def faulty_file(draw):
     check, entry = CHECKS[stype], draw(scenario(stype))
     params, field = entry["params"], None
     n = params.get("n", 16)
-    if fault == "invalid":
+    if fault in ("invalid", "wire"):
         if check.pair and bad.name in check.pair:  # the whole pair, one half bad
             for q in check.params:
                 if q.name in check.pair:
                     params[q.name] = draw(valid(q.read, n))
-        params[bad.name], field = draw(invalid(bad.read, n)), bad.name
+        if fault == "invalid":
+            params[bad.name] = draw(invalid(bad.read, n))
+        else:
+            params[bad.name], inner = draw(wire_fault(draw(valid(bad.read, n))))
+        field = bad.name
     elif fault == "missing":
         field = draw(st.sampled_from([p.name for p in check.params if p.default is REQUIRED]))
         del params[field]
@@ -243,13 +303,13 @@ def faulty_file(draw):
     index = draw(st.integers(0, len(entries)))
     entries.insert(index, entry)
     bare = draw(st.booleans())
-    return (entries if bare else {"scenarios": entries}), index, field
+    return (entries if bare else {"scenarios": entries}), index, field, inner
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(faulty_file())
 def test_one_fault_is_refused_at_its_field_and_valid_values_are_read(drawn):
-    data, index, field = drawn
+    data, index, field, inner = drawn
     if field is None:
         parsed = parse_scenarios(data)
         entries = data if isinstance(data, list) else data["scenarios"]
@@ -267,4 +327,17 @@ def test_one_fault_is_refused_at_its_field_and_valid_values_are_read(drawn):
     base = "" if isinstance(data, list) else "/scenarios"
     escaped = field.replace("~", "~0").replace("/", "~1")
     prefix = f"{base}/{index}/params/{escaped}"
-    assert err.value.pointer == prefix or err.value.pointer.startswith(prefix + "/")
+    if inner is not None:
+        assert err.value.pointer == prefix + inner
+    else:
+        assert err.value.pointer == prefix or err.value.pointer.startswith(prefix + "/")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(OBJECTS)).flatmap(lambda decode: st.tuples(
+    st.just(decode), st.sampled_from(OBJECTS[decode][0]).flatmap(wire_fault))))
+def test_one_fault_inside_a_wire_object_is_refused_at_it(drawn):
+    decode, (broken, inner) = drawn
+    with pytest.raises(SchemaError) as err:
+        decode(broken, "/x")
+    assert err.value.pointer == "/x" + inner

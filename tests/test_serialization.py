@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +42,20 @@ class TestMatrixRoundTrip:
         with pytest.raises(SchemaError) as err:
             decode_matrix({"dim": 2, "re": [0.0] * 4}, "/m")
         assert err.value.pointer == "/m/im"
+
+    def test_entries_read_as_the_numbers_they_are(self):
+        re, im = [1, -2.5, sys.float_info.max, 0], [0, 2**53 + 1, -0.0, 3]
+        back = decode_matrix({"dim": 2, "re": re, "im": im})
+        assert np.array_equal(back.view(float).ravel(), np.array([re, im], float).T.ravel())
+
+    @pytest.mark.parametrize("entry", [2**1024 - 2**970 - 1, 10**400, math.nan, -math.inf,
+                                       True, "1.0", None, [1.0]],
+                             ids=["int rounding to max", "1e400", "NaN", "-Infinity", "true",
+                                  "string", "null", "list"])
+    def test_entry_that_is_not_a_finite_number_refused_at_its_pointer(self, entry):
+        with pytest.raises(SchemaError) as err:
+            decode_matrix({"dim": 2, "re": [0.0] * 4, "im": [0.0, 1.0, entry, 0.0]}, "/m")
+        assert err.value.pointer == "/m/im/2"
 
     def test_non_square_rejected_on_encode(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from povmlab.generators import (
     random_povm,
     random_state,
 )
-from povmlab.linalg import dag
+from povmlab.linalg import dag, op_norm
 from povmlab.measurement import DiscretePOVM, KrausInstrument, identity_instrument, luders_instrument
 from povmlab.signaling import (
     NOT_FOUND,
@@ -103,6 +103,14 @@ class TestRccDeviation:
             a = luders_instrument(random_povm(dim, 2, rng))
             b = luders_instrument(random_povm(dim, 3, rng))
             assert abs(rcc_deviation(a, b) - rcc_deviation(b, a)) <= 1e-12
+
+    def test_equals_the_loop_over_outcome_pairs(self):
+        rng = make_rng(35)
+        a = luders_instrument(random_povm(3, 2, rng))
+        b = luders_instrument(random_povm(3, 4, rng))
+        loop = max(np.abs(dag(K) @ b.effect(i) @ K - dag(L) @ a.effect(j) @ L).max()
+                   for j, (K,) in enumerate(a.families) for i, (L,) in enumerate(b.families))
+        assert rcc_deviation(a, b) == loop
 
     def test_requires_efficient(self):
         K1 = np.sqrt(0.5) * np.eye(2)
@@ -241,3 +249,10 @@ class TestKrausCommutator:
             kraus_commutator_residual(instr, S)
             - kraus_commutator_residual(rotated, U @ S @ dag(U))
         ) < 1e-10
+
+    def test_equals_the_loop_over_operators(self):
+        rng = make_rng(40)
+        ops = [haar_unitary(3, rng) * 0.5 for _ in range(3)]
+        instr, S = KrausInstrument([ops[:2], ops[2:]]), random_effect(3, rng)
+        loop = max(max(op_norm(K @ S - S @ K), op_norm(dag(K) @ S - S @ dag(K))) for K in ops)
+        assert kraus_commutator_residual(instr, S) == loop
