@@ -17,6 +17,7 @@ from typing import Any
 
 from . import __version__
 from .generators import KINDS, generate_instance
+from .reporting import CheckReport
 from .scenarios import check_seed, check_tol, parse_scenarios, run_scenarios
 from .serialization import SchemaError
 
@@ -49,21 +50,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    for r in reports:
-        print(f"{r.verdict:4s} {r.name} (max residual {r.max_residual:.3e}, "
-              f"{r.wall_time:.3f}s)")
+    rows = [r.summary_row() for r in reports]
+    for r, row in zip(reports, rows):
+        worst = "no asserted item" if row["item"] is None else (
+            f"worst {row['item']}: residual {row['residual']:.3e}, tol {row['tol']:.1e}, "
+            f"margin {row['margin']:.3e}")
+        print(f"{r.verdict:4s} {r.name} ({worst}, {r.wall_time:.3f}s)")
         for note in r.notes:
             print(f"     note: {note}")
     if args.out:  # the full structure, witness matrices included
         with open(args.out, "w") as fh:
             json.dump({"reports": [r.to_dict() for r in reports]}, fh, indent=2)
             fh.write("\n")
-    if args.csv:  # one summary row per scenario
+    if args.csv:  # one summary row per scenario; an empty batch still gets the header
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["name", "verdict", "max_residual", "tol", "wall_time"])
+            writer = csv.DictWriter(fh, fieldnames=list(CheckReport(name="").summary_row()))
             writer.writeheader()
-            writer.writerows(r.summary_row() for r in reports)
+            writer.writerows(rows)
     return EXIT_FAIL if any(r.verdict == "FAIL" for r in reports) else EXIT_OK
 
 

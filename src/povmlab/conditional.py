@@ -23,7 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_matrix,
     at_index,
-    commutator,
+    commutator_norm,
     dag,
     eigh_checked,
     hermitize,
@@ -385,10 +385,9 @@ def composition_identity_check(
 
 
 def cross_lab_commutator(
-    sys_a: LatticeLocalizationSystem,
+    sys: LatticeLocalizationSystem,
     lab_a: Iterable[int],
     cells_a: Iterable[int],
-    sys_b: LatticeLocalizationSystem,
     lab_b: Iterable[int],
     cells_b: Iterable[int],
     tol: float = DEFAULT_TOL,
@@ -399,8 +398,6 @@ def cross_lab_commutator(
     commute is left open, so the toolkit reports the magnitude and lets the
     caller correlate it with the laboratories' geometry.
     """
-    if sys_a.n != sys_b.n:
-        raise ValueError("systems must share one Hilbert space")
-    B_a = build_conditional(sys_a, as_cells(lab_a, sys_a.n), tol=tol).effect(cells_a)
-    B_b = build_conditional(sys_b, as_cells(lab_b, sys_b.n), tol=tol).effect(cells_b)
-    return op_norm(commutator(B_a, B_b))
+    B_a = build_conditional(sys, as_cells(lab_a, sys.n), tol=tol).effect(cells_a)
+    B_b = build_conditional(sys, as_cells(lab_b, sys.n), tol=tol).effect(cells_b)
+    return commutator_norm(B_a, B_b)

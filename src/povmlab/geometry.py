@@ -25,9 +25,6 @@ class CausalClass(Enum):
     TIMELIKE_PAST = "timelike_past"
 
 
-SPACELIKE_CLASSES = frozenset({CausalClass.ZERO, CausalClass.SPACELIKE})
-
-
 @dataclass(frozen=True)
 class FourVector:
     t: float = 0.0
@@ -67,9 +64,9 @@ TIME_AXIS = FourVector(1.0, 0.0, 0.0, 0.0)
 def classify_vector(v: FourVector, tol: float = CONE_TOL) -> CausalClass:
     """Causal class of a vector with a tolerance band around the light cone.
 
-    Near-zero vectors get the dedicated ZERO class; ZERO counts as spacelike
-    (see :func:`is_spacelike`).  Future/past for causal vectors follows the
-    sign of the time component.
+    Near-zero vectors get the dedicated ZERO class, which counts as
+    spacelike.  Future/past for causal vectors follows the sign of the time
+    component.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -81,11 +78,6 @@ def classify_vector(v: FourVector, tol: float = CONE_TOL) -> CausalClass:
     if q < -tol:
         return CausalClass.TIMELIKE_FUTURE if v.t > 0 else CausalClass.TIMELIKE_PAST
     return CausalClass.LIGHTLIKE_FUTURE if v.t > 0 else CausalClass.LIGHTLIKE_PAST
-
-
-def is_spacelike(v: FourVector, tol: float = CONE_TOL) -> bool:
-    """True when g(v, v) > tol or v is (numerically) zero."""
-    return classify_vector(v, tol) in SPACELIKE_CLASSES
 
 
 @dataclass(frozen=True)

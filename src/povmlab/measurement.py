@@ -167,14 +167,6 @@ def validate_povm(povm: DiscretePOVM, tol: float = DEFAULT_TOL) -> CheckReport:
     return _povm_contract(povm, tol)[0]
 
 
-def validate_instrument(instr: KrausInstrument, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Check the POVM the instrument induces, T_j = sum_k K†_{jk}K_{jk}."""
-    report = validate_povm(instr.povm, tol)
-    report.name = "instrument"
-    report.notes.append(f"efficient={instr.efficient}")
-    return report
-
-
 # ---------------------------------------------------------------------------
 # instruments and post-measurement states
 # ---------------------------------------------------------------------------

@@ -85,10 +85,12 @@ class CheckReport:
         return self.verdict != FAIL
 
     @property
-    def max_residual(self) -> float:
-        if not self.items:
-            return 0.0
-        return max(it.residual for it in self.items)
+    def worst_item(self) -> CheckItem | None:
+        """The asserted item with the smallest margin tol - residual, failed
+        items first; None when no item is asserted."""
+        asserted = [it for it in self.items if it.tol is not None]
+        return min(asserted, key=lambda it: (bool(it.passed), it.tol - it.residual),
+                   default=None)
 
     def residual(self, name: str) -> float:
         for it in self.items:
@@ -108,10 +110,12 @@ class CheckReport:
         }
 
     def summary_row(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "max_residual": self.max_residual,
-            "tol": min((it.tol for it in self.items if it.tol is not None), default=None),
-            "wall_time": self.wall_time,
-        }
+        """The worst asserted item by name, with its own residual, tol and
+        margin; those four are None when no item is asserted."""
+        row = {"name": self.name, "verdict": self.verdict, "item": None, "residual": None,
+               "tol": None, "margin": None, "wall_time": self.wall_time}
+        worst = self.worst_item
+        if worst is not None:
+            row.update(item=worst.name, residual=worst.residual, tol=worst.tol,
+                       margin=worst.tol - worst.residual)
+        return row

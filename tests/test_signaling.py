@@ -219,6 +219,17 @@ class TestSearch:
         assert d1 <= 1e-9
         assert d2 >= 1e-3
 
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_first_draw_is_a_witness(self, dim):
+        # the dual map fixes S, and the split level moves the S^2 expectation
+        # by alpha(1 - alpha)(s_hi - s_lo)^2 >= 0.35 * 0.65 * 0.8^2
+        for seed in range(50):
+            witness = heinosaari_wolf_search(dim, seed=seed, budget=1000)
+            assert isinstance(witness, SearchWitness)
+            assert witness.evaluations == 1
+            assert witness.d1 <= 1e-9
+            assert witness.d2 >= 0.145
+
     def test_deterministic_for_seed(self):
         a = heinosaari_wolf_search(3, seed=123, budget=300)
         b = heinosaari_wolf_search(3, seed=123, budget=300)
