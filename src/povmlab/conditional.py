@@ -3,7 +3,7 @@
 Given effects A(cells) normalized on a full lattice and a laboratory base
 region with A(lab) of trivial kernel, the family
 
-    B(cells) = V A(lab)^{-1/2} A(cells) A(lab)^{-1/2} V†,   cells inside lab,
+    B(cells) = A(lab)^{-1/2} A(cells) A(lab)^{-1/2},   cells inside lab,
 
 is a POVM normalized on the laboratory.  tr(rho B(cells)) reads as the
 probability of detecting the system in ``cells`` given that it is detected in
@@ -35,7 +35,6 @@ from .linalg import (
 )
 from .reporting import CheckReport
 
-KERNEL_FLOOR_FACTOR = 1e-8
 MAX_PARTITIONS = 256  # validate enumerates every 2-partition up to this many
 SAMPLE_STEPS = 16  # sampled subsets take every step-th cell, 2 <= step < SAMPLE_STEPS
 
@@ -46,12 +45,9 @@ class ConditionalPOVM:
     A(cells) is ``cell_sum(cell_effects, cells, dim)``, the rule of
     ``lattice.effect_of``.  The laboratory effect A(lab) is decomposed once,
     at construction: ``lab_spectrum`` keeps that decomposition, and
-    ``inv_sqrt`` and ``lab_effect_norm`` come from it.  Construction is
-    refused when A(lab) has a (numerical) kernel, its smallest eigenvalue at
-    or below KERNEL_FLOOR_FACTOR * ||A(lab)||.  ``effect`` caches each cell
-    set's effect on this POVM, so the cache grows with use; two threads
-    racing on one cell set compute the same bits and either copy is kept.
-    ``effects`` neither reads nor fills the cache.
+    ``inv_sqrt`` comes from it.  Construction is refused when A(lab) has a
+    (numerical) kernel, by the floor of ``linalg.Eig.inv_sqrt``.  Nothing
+    changes after construction.
     """
 
     def __init__(
@@ -59,19 +55,13 @@ class ConditionalPOVM:
         lab_cells: frozenset[int],
         cell_effects: Sequence[np.ndarray] | Mapping[int, np.ndarray],
         dim: int,
-        conjugator: np.ndarray | None = None,
         tol: float = DEFAULT_TOL,
     ):
         self.lab_cells = frozenset(lab_cells)
         self.cell_effects = cell_effects
         self.dim = dim
-        self.conjugator = conjugator
         self.lab_spectrum = eigh_checked(cell_sum(cell_effects, self.lab_cells, dim), tol)
-        self.lab_effect_norm = self.lab_spectrum.norm
-        self.inv_sqrt = self.lab_spectrum.inv_sqrt(
-            KERNEL_FLOOR_FACTOR * max(self.lab_effect_norm, np.finfo(float).tiny)
-        )
-        self._cache: dict[frozenset[int], np.ndarray] = {}
+        self.inv_sqrt = self.lab_spectrum.inv_sqrt()
 
     def _inside(self, cells: Iterable[int]) -> frozenset[int]:
         key = frozenset(int(k) for k in cells)
@@ -80,10 +70,7 @@ class ConditionalPOVM:
         return key
 
     def effect(self, cells: Iterable[int]) -> np.ndarray:
-        key = self._inside(cells)
-        if key not in self._cache:
-            self._cache[key] = self._sandwich(cell_sum(self.cell_effects, key, self.dim))
-        return self._cache[key]
+        return self._sandwich(cell_sum(self.cell_effects, self._inside(cells), self.dim))
 
     def effects(self, cell_sets: Iterable[Iterable[int]]) -> np.ndarray:
         """The effects of several cell sets as one (B, d, d) stack, computed
@@ -92,10 +79,8 @@ class ConditionalPOVM:
         return self._sandwich(np.stack(raw) if raw else np.zeros((0, self.dim, self.dim)))
 
     def _sandwich(self, A: np.ndarray) -> np.ndarray:
-        """hermitize(R A R), or with a conjugator V, hermitize(V R A R V†),
-        for one raw effect or a stack of them."""
-        R, V = self.inv_sqrt, self.conjugator
-        return hermitize(R @ A @ R if V is None else V @ R @ A @ R @ dag(V))
+        """hermitize(R A R) for one raw effect or a stack of them."""
+        return hermitize(self.inv_sqrt @ A @ self.inv_sqrt)
 
     def validate(self, tol: float = DEFAULT_TOL) -> CheckReport:
         """Normalization on the lab, in-lab additivity over 2-partitions, and
@@ -135,7 +120,6 @@ class ConditionalPOVM:
 def build_conditional(
     sys: LatticeLocalizationSystem,
     lab_cells: Iterable[int],
-    conjugator: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
 ) -> ConditionalPOVM:
     """Conditional POVM of a normalized lattice system on a laboratory.
@@ -144,11 +128,7 @@ def build_conditional(
     then meaningless, which is exactly the obstruction that rules out sharp
     systems with a proper laboratory.
     """
-    lab = as_cells(lab_cells, sys.n)
-    povm = ConditionalPOVM(lab, sys.cell_effects, sys.n, conjugator, tol)
-    if conjugator is not None and not is_unitary(conjugator, max(tol, 1e-9)):
-        raise ValueError("conjugator must be unitary")
-    return povm
+    return ConditionalPOVM(as_cells(lab_cells, sys.n), sys.cell_effects, sys.n, tol)
 
 
 def build_conditional_from_unnormalized(
@@ -161,8 +141,8 @@ def build_conditional_from_unnormalized(
     given by its per-cell operators.
 
     Normalization of the source family is NOT required; the sandwich is
-    scale-invariant, and the report-level gentle condition uses the recorded
-    ||T(lab)|| for the rescaling A(cells) = T(cells) / ||T(lab)||.
+    scale-invariant; the report-level gentle condition rescales by
+    ``lab_spectrum.norm`` = ||T(lab)||, A(cells) = T(cells) / ||T(lab)||.
     """
     lab = as_cells(lab_cells, n)
     missing = lab - set(int(k) for k in family)
@@ -301,7 +281,7 @@ def v_conjugation_reduction(
     V = as_matrix(V)
     if not is_unitary(V, max(tol, 1e-9)):
         raise ValueError("V must be unitary")
-    cond_V = build_conditional(sys, lab, conjugator=V, tol=tol)
+    cond = build_conditional(sys, lab, tol=tol)
     transformed = LatticeLocalizationSystem(
         n=sys.n,
         a=sys.a,
@@ -312,7 +292,7 @@ def v_conjugation_reduction(
     cond_T = build_conditional(transformed, lab, tol=tol)
     report = CheckReport(name="v_conjugation_reduction")
     worst = max(
-        op_norm(cond_V.effect(cells) - cond_T.effect(cells))
+        op_norm(V @ cond.effect(cells) @ dag(V) - cond_T.effect(cells))
         for cells in _sample_subsets(lab)
     )
     report.add("conjugation_vs_transformed_system", worst, 1e-10)
@@ -363,20 +343,16 @@ def composition_identity_check(
     w1 = psd_sqrt(cond_u.effect(lab1), tol)
     w2 = psd_sqrt(cond_u.effect(lab2), tol)
 
+    subsets = _sample_subsets(union)
+    lhs = cond_u.effects(subsets)
+    b1 = cond1.effects([cells & lab1 for cells in subsets])
+    b2 = cond2.effects([cells & lab2 for cells in subsets])
+    rhs = inv_u @ (s1 @ b1 @ s1 + s2 @ b2 @ s2) @ inv_u
+    nonempty = [bool(cells) for cells in subsets]
+    plain = op_norm((lhs - b1 - b2)[nonempty]).max()
+    weighted = op_norm((lhs - w1 @ b1 @ w1 - w2 @ b2 @ w2)[nonempty]).max()
     report = CheckReport(name="composition_identity")
-    identity = 0.0
-    plain = 0.0
-    weighted = 0.0
-    for cells in _sample_subsets(union):
-        c1, c2 = cells & lab1, cells & lab2
-        lhs = cond_u.effect(cells)
-        b1, b2 = cond1.effect(c1), cond2.effect(c2)
-        rhs = inv_u @ (s1 @ b1 @ s1 + s2 @ b2 @ s2) @ inv_u
-        identity = max(identity, op_norm(lhs - rhs))
-        if cells:
-            plain = max(plain, op_norm(lhs - b1 - b2))
-            weighted = max(weighted, op_norm(lhs - w1 @ b1 @ w1 - w2 @ b2 @ w2))
-    report.add("identity_residual", identity, 1e-10)
+    report.add("identity_residual", op_norm(lhs - rhs).max(), 1e-10)
     report.add("plain_additivity_gap", plain, tol=None,
                note="expected > 0: additivity fails across laboratories")
     report.add("weighted_additivity_gap", weighted, tol=None,

@@ -51,8 +51,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Discrete
     for _ in range(n_outcomes):
         G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         blocks.append(G @ dag(G))
-    eig = eigh_checked(sum(blocks))
-    R = eig.inv_sqrt(floor=1e-12 * eig.norm)
+    R = eigh_checked(sum(blocks)).inv_sqrt()
     return DiscretePOVM([hermitize(R @ B @ R) for B in blocks])
 
 

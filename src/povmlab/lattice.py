@@ -144,10 +144,15 @@ def _shift_matrix(n: int) -> np.ndarray:
 def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
     """Positive branch omega_j = sqrt(mass^2 + p_j^2) with the lattice
     momentum p_j = (2/a) sin(pi j / n).  p_j is taken at min(j, n - j), so
-    omega_j = omega_{n-j} bit for bit."""
+    omega_j = omega_{n-j} bit for bit.  A mass or momentum whose square
+    overflows is refused with a ValueError."""
     j = np.arange(n)
-    p = (2.0 / a) * np.sin(np.pi * np.minimum(j, n - j) / n)
-    return np.sqrt(mass * mass + p * p)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * sin(0) is nan
+        p = (2.0 / a) * np.sin(np.pi * np.minimum(j, n - j) / n)
+        omega = np.sqrt(mass * mass + p * p)
+    if not np.isfinite(omega).all():
+        raise ValueError(f"mass {mass!r} and a {a!r} give a non-finite dispersion")
+    return omega
 
 
 def _hamiltonian_from_spectrum(F: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -321,9 +326,10 @@ def causal_shadow(
 ) -> tuple[frozenset[int], bool]:
     """Cells reachable from ``cells`` at speed 1 within time |t|: the set
     expanded by ceil(|t|/a) on each side.  Second value flags saturation
-    (shadow wraps the whole ring)."""
+    (shadow wraps the whole ring).  A reach of n already saturates, so the
+    reach is clamped to n before it becomes an integer."""
     cells = as_cells(cells, sys.n)
-    reach = int(np.ceil(abs(t) / sys.a - 1e-12))
+    reach = int(np.ceil(min(abs(t) / sys.a - 1e-12, sys.n)))
     shadow = set()
     for k in cells:
         for d in range(-reach, reach + 1):

@@ -11,7 +11,8 @@ anywhere in a product upcasts the result as numpy does.
 gives the clamped square root, the inverse square root and the operator norm
 of the matrix, so a caller that needs several of these decomposes the matrix
 once.  ``Eig.inv_sqrt`` holds the one kernel-floor rule: an inverse square
-root is refused when the smallest eigenvalue is at or below the floor.
+root is refused when the smallest eigenvalue is at or below
+KERNEL_FLOOR_FACTOR times the matrix's norm.
 
 Exactly Hermitian input (``A`` bit-equal to ``A†``) takes the singular values
 as ``|eigvalsh(A)|``; every other input goes through the SVD.  ``herm_residual``
@@ -35,6 +36,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 PROB_FLOOR = 1e-12
+KERNEL_FLOOR_FACTOR = 1e-8
 # byte budget of one stack of matrices built from a longer list of them
 STACK_BYTES = 128 * 1024
 
@@ -191,16 +193,22 @@ class Eig(NamedTuple):
         input) are clamped to 0."""
         return self.apply(np.sqrt(np.clip(self.w, 0.0, None)))
 
-    def inv_sqrt(self, floor: float) -> np.ndarray:
+    def inv_sqrt(self) -> np.ndarray:
         """Inverse square root, refused with a ValueError when the smallest
-        eigenvalue is at or below ``floor``: the inverse is then
-        numerically meaningless."""
-        one = self.w.ndim == 1
-        low = float(self.w[0]) <= float(floor) if one else self.w[..., 0] <= floor
-        if low if one else low.any():
+        eigenvalue is at or below the floor KERNEL_FLOOR_FACTOR * max(norm,
+        tiny), per matrix: the inverse is then numerically meaningless."""
+        tiny = np.finfo(float).tiny
+        if self.w.ndim == 1:  # one matrix: Python floats, as ``norm``
+            floor = KERNEL_FLOOR_FACTOR * max(self.norm, tiny)
+            refused = low = float(self.w[0]) <= floor
+        else:
+            floor = KERNEL_FLOOR_FACTOR * np.maximum(self.norm, tiny)
+            low = self.w[..., 0] <= floor
+            refused = low.any()
+        if refused:
             raise ValueError(
                 f"kernel too small for inverse square root{at_index(low)}: min eigenvalue "
-                f"{self.w[..., 0][low][0]:.3e} <= floor {floor:.3e}"
+                f"{self.w[..., 0][low][0]:.3e} <= floor {np.asarray(floor)[low][0]:.3e}"
             )
         return self.apply(1.0 / np.sqrt(self.w))
 

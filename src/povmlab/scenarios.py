@@ -212,14 +212,10 @@ def _check_beck(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     report = CheckReport(name="hw_search")
     seed = int(rng.integers(2**63))  # per repeat, so repeats draw distinct witnesses
+    # the table's dim >= 3 and budget >= 1 make the first draw a witness
     result = sig.heinosaari_wolf_search(sc.params["dim"], seed, sc.params["budget"])
-    if result == sig.NOT_FOUND:
-        report.add("found", 1.0, 0.5, note="NOT_FOUND within budget; increase budget")
-        return report
-    report.add("found", 0.0, 0.5)
     report.add("d1_reverified", result.d1, sig.D1_MAX)
-    report.add("d2_reverified_above_floor", max(0.0, sig.D2_MIN - result.d2), 0.0,
-               note=f"d2 = {result.d2:.6f}")
+    report.add("d2_shortfall", sig.D2_MIN - result.d2, 0.0, note="D2_MIN - d2")
     report.witnesses["effect"] = encode_matrix(result.effect)
     return report
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -6,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from povmlab import signaling
 from povmlab.cli import main
 from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
@@ -32,6 +35,7 @@ from povmlab.serialization import (
     decode_region,
     decode_state,
 )
+from povmlab.signaling import D2_MIN
 
 
 def write_scenarios(tmp_path, payload, name="scenarios.json"):
@@ -111,6 +115,25 @@ class TestRunCommand:
         assert sorted(report.witnesses) == ["effect", "effect#1", "effect#2"]
         effects = {json.dumps(w, sort_keys=True) for w in report.witnesses.values()}
         assert len(effects) == 3
+
+    def test_hw_search_d2_item_margin_is_d2_above_its_floor(self, monkeypatch):
+        payload = {"scenarios": [{"type": "hw_search", "seed": 7}]}
+        real, drawn = signaling.heinosaari_wolf_search, []
+
+        def draw(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(signaling, "heinosaari_wolf_search", draw)
+        report = run_scenarios(parse_scenarios(payload))[0]
+        d1, d2 = report.items
+        assert (d1.name, d2.name, d2.tol) == ("d1_reverified", "d2_shortfall", 0.0)
+        assert d2.tol - d2.residual == drawn[0].d2 - D2_MIN > 0.0
+        # a witness just below the floor fails on this item alone
+        monkeypatch.setattr(signaling, "heinosaari_wolf_search", lambda *args: dataclasses.replace(
+            real(*args), d2=np.nextafter(D2_MIN, 0.0)))
+        report = run_scenarios(parse_scenarios(payload))[0]
+        assert [item.passed for item in report.items] == [True, False]
 
     def test_malformed_matrix_exits_two(self, tmp_path, capsys):
         payload = {
@@ -356,6 +379,24 @@ class TestRefusals:
         path = write_scenarios(tmp_path, {"scenarios": [{"type": "nsc", "params": {"dim": 0}}]})
         assert main(["run", path]) == 2
         assert "/scenarios/0/params/dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stype", ["cc_residual", "hc_audit"])
+    @pytest.mark.parametrize("params", [{"mass": 1e200}, {"a": 1e-300},
+                                        {"kind": "sharp", "mass": 1e200}])
+    def test_non_finite_dispersion_exits_two(self, tmp_path, capsys, stype, params):
+        params = dict(params, n=8, **({"delta": [0]} if stype == "cc_residual" else {}))
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": stype, "params": params}]})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "/scenarios/0/params: mass" in err and "non-finite dispersion" in err
+
+    def test_cc_residual_at_a_huge_time_saturates(self, tmp_path):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "cc_residual", "params": {
+            "n": 8, "kind": "sharp", "delta": [0], "t": 1e300}}]})
+        out = str(tmp_path / "report.json")
+        assert main(["run", path, "--out", out]) == 0
+        report = json.loads(open(out).read())["reports"][0]
+        assert report["notes"] == [f"shadow={list(range(8))} saturated=True"]
 
     def test_valid_parameters_still_run(self):
         payload = {"scenarios": [
@@ -764,8 +805,7 @@ DEMO_STRUCTURE = [
      [("nsc_deviation", None, None), ("nsc_deviation_squared", None, None),
       ("kraus_commutator", None, None), ("biconditional", 0.5, True)], [], []),
     ("hw_search", "PASS",
-     [("found", 0.5, True), ("d1_reverified", 1e-9, True),
-      ("d2_reverified_above_floor", 0.0, True)], [], ["effect"]),
+     [("d1_reverified", 1e-9, True), ("d2_shortfall", 0.0, True)], [], ["effect"]),
     ("hc_audit", "PASS",
      [("additivity_residual", 1.6e-9, True), ("covariance_residual", 1.6e-9, True),
       ("energy_min_eig", None, None), ("microcausality_residual", None, None),

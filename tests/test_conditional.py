@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from povmlab.conditional import (
-    KERNEL_FLOOR_FACTOR,
     MAX_PARTITIONS,
     _sample_subsets,
     build_conditional,
@@ -60,9 +59,7 @@ class TestBuildConditional:
         cond = build_conditional(smeared16, LAB6)
         A_lab = effect_of(smeared16, LAB6)
         assert np.array_equal(cond.lab_spectrum.sqrt(), psd_sqrt(A_lab))
-        assert np.array_equal(cond.inv_sqrt,
-                              eigh_checked(A_lab).inv_sqrt(KERNEL_FLOOR_FACTOR * op_norm(A_lab)))
-        assert cond.lab_effect_norm == cond.lab_spectrum.norm
+        assert np.array_equal(cond.inv_sqrt, eigh_checked(A_lab).inv_sqrt())
 
     def test_lab_effect_is_identity(self, smeared16):
         cond = build_conditional(smeared16, LAB6)
@@ -86,30 +83,21 @@ class TestBuildConditional:
         with pytest.raises(ValueError, match="inside"):
             cond.effect({0})
 
-    def test_non_unitary_conjugator_rejected(self, smeared16):
-        with pytest.raises(ValueError, match="unitary"):
-            build_conditional(smeared16, LAB6, conjugator=0.5 * np.eye(16))
-
-    def test_effects_cached(self, smeared16):
-        cond = build_conditional(smeared16, LAB6)
-        a = cond.effect({5, 6})
-        b = cond.effect({6, 5})
-        assert a is b
-
     @pytest.mark.parametrize("cells", [set(), {5}, {6, 7, 9}, set(LAB6)])
-    def test_effect_bit_equal_to_the_identity_sandwich(self, smeared16, cells):
+    def test_effect_bit_equal_to_the_sandwich(self, smeared16, cells):
         cond = build_conditional(smeared16, LAB6)
-        eye = np.eye(16, dtype=complex)
         R = cond.inv_sqrt
-        oracle = hermitize(eye @ R @ effect_of(smeared16, cells) @ R @ dag(eye))
+        oracle = hermitize(R @ effect_of(smeared16, cells) @ R)
         assert np.array_equal(cond.effect(cells), oracle)
 
-    def test_conjugated_effect_bit_equal_to_the_sandwich(self, smeared16):
-        V = haar_unitary(16, make_rng(3))
-        cond = build_conditional(smeared16, LAB6, conjugator=V)
-        R = cond.inv_sqrt
-        oracle = hermitize(V @ R @ effect_of(smeared16, {6, 8}) @ R @ dag(V))
-        assert np.array_equal(cond.effect({6, 8}), oracle)
+    def test_no_state_changes_after_construction(self, smeared16):
+        cond = build_conditional(smeared16, LAB6)
+        before = dict(vars(cond))
+        cond.effect({5, 6})
+        cond.effects([{7}, LAB6])
+        cond.validate()
+        assert vars(cond).keys() == before.keys()
+        assert all(vars(cond)[key] is value for key, value in before.items())
 
 
 # an 11-cell laboratory on the n=64 frame-smeared ring: more than 256
@@ -142,44 +130,26 @@ class TestStackedEffects:
     def smeared64(self):
         return build_frame_smeared_system(64, 1.0, 1.0, 1.5)
 
-    @pytest.mark.parametrize("conjugated", [False, True])
-    def test_validate_matches_the_per_effect_loop(self, smeared64, conjugated):
-        V = haar_unitary(64, make_rng(5)) if conjugated else None
-        report = build_conditional(smeared64, LAB11, conjugator=V).validate(1e-10)
-        oracle = validate_by_effect(build_conditional(smeared64, LAB11, conjugator=V))
+    def test_validate_matches_the_per_effect_loop(self, smeared64):
+        report = build_conditional(smeared64, LAB11).validate(1e-10)
+        oracle = validate_by_effect(build_conditional(smeared64, LAB11))
         assert [item.residual for item in report.items] == oracle
         assert report.passed
 
-    @pytest.mark.parametrize("conjugated", [False, True])
-    def test_validate_matches_on_every_partition(self, smeared16, conjugated):
-        V = haar_unitary(16, make_rng(6)) if conjugated else None
+    def test_validate_matches_on_every_partition(self, smeared16):
         lab = frozenset([1, 2, 5, 8, 9, 12, 14])
-        report = build_conditional(smeared16, lab, conjugator=V).validate(1e-10)
-        oracle = validate_by_effect(build_conditional(smeared16, lab, conjugator=V))
+        report = build_conditional(smeared16, lab).validate(1e-10)
+        oracle = validate_by_effect(build_conditional(smeared16, lab))
         assert [item.residual for item in report.items] == oracle
 
-    def test_effects_match_effect_and_are_not_cached(self, smeared16):
-        V = haar_unitary(16, make_rng(7))
-        cond = build_conditional(smeared16, LAB6, conjugator=V)
-        cached = cond.effect({5, 6})
-        cond.effect(LAB6)
-        cache = dict(cond._cache)
+    def test_effects_match_effect(self, smeared16):
+        cond = build_conditional(smeared16, LAB6)
         sets = [{6, 5}, set(), {7, 9, 10}, LAB6, [8]]
         stack = cond.effects(sets)
         assert stack.shape == (5, 16, 16)
-        fresh = build_conditional(smeared16, LAB6, conjugator=V)
         for B, cells in zip(stack, sets):
-            assert np.array_equal(B, fresh.effect(cells))
-        assert cond.effect({5, 6}) is cached
-        assert cond._cache.keys() == cache.keys()
-        assert all(cond._cache[key] is B for key, B in cache.items())
+            assert np.array_equal(B, cond.effect(cells))
         assert cond.effects([]).shape == (0, 16, 16)
-
-    def test_effect_keeps_returning_the_cached_object(self, smeared16):
-        cond = build_conditional(smeared16, LAB6)
-        first = cond.effect(LAB6)
-        cond.validate()
-        assert cond.effect(LAB6) is first
 
     def test_effects_outside_the_lab_rejected(self, smeared16):
         cond = build_conditional(smeared16, LAB6)
@@ -289,6 +259,10 @@ class TestVConjugation:
         rep = v_conjugation_reduction(smeared16, LAB6, smeared16.shift)
         assert rep.passed
 
+    def test_non_unitary_V_rejected(self, smeared16):
+        with pytest.raises(ValueError, match="V must be unitary"):
+            v_conjugation_reduction(smeared16, LAB6, 0.5 * np.eye(16))
+
     def test_random_unitary(self, smeared16):
         V = haar_unitary(16, make_rng(65))
         rep = v_conjugation_reduction(smeared16, LAB6, V)
@@ -333,7 +307,7 @@ class TestUnnormalizedFamily:
         family = {k: 0.4 * smeared16.cell_effects[k] for k in neighborhood}
         cond = build_conditional_from_unnormalized(family, LAB6, 16)
         assert op_norm(cond.effect(LAB6) - np.eye(16)) <= 1e-10
-        assert cond.lab_effect_norm == pytest.approx(
+        assert cond.lab_spectrum.norm == pytest.approx(
             0.4 * op_norm(effect_of(smeared16, LAB6)), abs=1e-12
         )
 
@@ -385,6 +359,26 @@ class TestComposition:
         # conditional probabilities on different conditioning events never add
         assert rep.residual("plain_additivity_gap") > 0.0
 
+    @pytest.mark.parametrize("n, lab1, lab2", [(16, LAB1, LAB2), (64, range(3, 9), range(20, 31))])
+    def test_stacked_check_matches_the_per_effect_loop(self, n, lab1, lab2):
+        sys = build_frame_smeared_system(n, 1.0, 1.0, 1.5)
+        lab1, lab2 = frozenset(lab1), frozenset(lab2)
+        rep = composition_identity_check(sys, lab1, lab2)
+        cond1, cond2 = build_conditional(sys, lab1), build_conditional(sys, lab2)
+        cond_u = build_conditional(sys, lab1 | lab2)
+        s1, s2 = cond1.lab_spectrum.sqrt(), cond2.lab_spectrum.sqrt()
+        w1, w2 = psd_sqrt(cond_u.effect(lab1)), psd_sqrt(cond_u.effect(lab2))
+        identity = plain = weighted = 0.0
+        for cells in _sample_subsets(lab1 | lab2):
+            lhs = cond_u.effect(cells)
+            b1, b2 = cond1.effect(cells & lab1), cond2.effect(cells & lab2)
+            rhs = cond_u.inv_sqrt @ (s1 @ b1 @ s1 + s2 @ b2 @ s2) @ cond_u.inv_sqrt
+            identity = max(identity, op_norm(lhs - rhs))
+            if cells:
+                plain = max(plain, op_norm(lhs - b1 - b2))
+                weighted = max(weighted, op_norm(lhs - w1 @ b1 @ w1 - w2 @ b2 @ w2))
+        assert [item.residual for item in rep.items] == [identity, plain, weighted]
+
     def test_empty_intersection_required(self, smeared16):
         with pytest.raises(ValueError, match="disjoint"):
             composition_identity_check(smeared16, {2, 3}, {3, 4})
@@ -395,7 +389,7 @@ class TestComposition:
         union = build_conditional(smeared16, self.LAB1 | self.LAB2)
         A1 = effect_of(smeared16, self.LAB1)
         Au = effect_of(smeared16, self.LAB1 | self.LAB2)
-        inv_u = eigh_checked(Au).inv_sqrt(KERNEL_FLOOR_FACTOR * op_norm(Au))
+        inv_u = eigh_checked(Au).inv_sqrt()
         s1 = psd_sqrt(A1)
         lhs = union.effect(frozenset())
         rhs = inv_u @ (s1 @ cond1.effect(frozenset()) @ s1) @ inv_u

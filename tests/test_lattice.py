@@ -96,6 +96,19 @@ class TestFrameSmearedSystem:
         with pytest.raises(ValueError, match="^width .* non-finite Gaussian profile"):
             build(8, 1.0, 1.0, width)
 
+    @pytest.mark.parametrize("build", [build_sharp_system, build_alternating_system,
+                                       build_frame_smeared_system,
+                                       build_diagonal_smeared_system])
+    @pytest.mark.parametrize("mass, a", [(1e200, 1.0), (1.0, 1e-300), (1.0, 1e-310)])
+    def test_non_finite_dispersion_is_refused(self, build, mass, a):
+        with pytest.raises(ValueError, match="^mass .* non-finite dispersion"):
+            build(8, mass, a)
+
+    def test_dispersion_keeps_the_sqrt_formula(self):
+        for n, mass, a in ((7, 1.0, 1.0), (16, 0.3, 2.5), (5, 1e150, 1e-150)):
+            p = (2.0 / a) * np.sin(np.pi * np.minimum(np.arange(n), n - np.arange(n)) / n)
+            assert np.array_equal(lattice_dispersion(n, mass, a), np.sqrt(mass * mass + p * p))
+
     def test_smallest_width_with_a_finite_profile_is_sharp(self):
         g = gaussian_frame_vector(8, 0, 1e-160)
         assert np.array_equal(g, np.eye(8)[0])
@@ -219,6 +232,23 @@ class TestCausalCondition:
         shadow, saturated = causal_shadow(sharp16, {8}, 2.0)
         assert shadow == frozenset({6, 7, 8, 9, 10})
         assert not saturated
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_shadow_matches_the_plain_loop_for_every_reach(self, n):
+        sys = build_sharp_system(n, 1.0, 0.5)
+        for cells in (set(), {0}, {1, n - 1}, set(range(n))):
+            for reach in range(n + 1):
+                plain = frozenset((k + d) % n for k in cells for d in range(-reach, reach + 1))
+                for t in {0.5 * reach, -0.5 * reach, max(0.0, 0.5 * reach - 0.25)}:
+                    assert causal_shadow(sys, cells, t) == (plain, len(plain) == n)
+
+    @pytest.mark.parametrize("a", [1.0, 1e-150])
+    def test_huge_time_saturates_at_once(self, a):
+        # |t|/a is 1e300 or overflows to inf; neither is looped over
+        sys = build_sharp_system(8, 1.0, a)
+        for t in (1e300, -1e300):
+            assert causal_shadow(sys, {3}, t) == (frozenset(range(8)), True)
+        assert causal_shadow(sys, set(), 1e300) == (frozenset(), False)
 
     def test_smeared_system_is_less_violating(self, smeared16, sharp16):
         worst_smeared = min(

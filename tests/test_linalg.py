@@ -4,6 +4,7 @@ import pytest
 from povmlab.generators import haar_unitary, make_rng
 from povmlab.linalg import (
     DEFAULT_TOL,
+    KERNEL_FLOOR_FACTOR,
     as_matrix,
     commutator,
     commutator_norm,
@@ -60,12 +61,12 @@ class TestInvSqrt:
     def test_inverse_of_sqrt(self):
         rng = make_rng(13)
         M = random_psd(4, rng) + 0.5 * np.eye(4)
-        R = eigh_checked(M).inv_sqrt(1e-8)
+        R = eigh_checked(M).inv_sqrt()
         assert op_norm(R @ M @ R - np.eye(4)) < 1e-10
 
     def test_kernel_floor_rejection(self):
         with pytest.raises(ValueError, match="kernel too small"):
-            eigh_checked(np.diag([1.0, 0.0])).inv_sqrt(1e-8)
+            eigh_checked(np.diag([1.0, 0.0])).inv_sqrt()
 
 
 class TestTraceNorm:
@@ -319,7 +320,7 @@ class TestHermiticityGuard:
                 with pytest.raises(ValueError, match="non-finite"):
                     fn(M)
             with pytest.raises(ValueError, match="non-finite"):
-                eigh_checked(M).inv_sqrt(1e-8)
+                eigh_checked(M).inv_sqrt()
 
 
 def mixed_stack(n, rng, count=6):
@@ -346,7 +347,7 @@ class TestStackOracle:
         if n > 1:
             assert not np.array_equal(H[1], dag(H[1]))
         for fn in (op_norm, trace_norm, psd_sqrt, herm_residual, is_hermitian,
-                   hermitize, lambda M: eigh_checked(M).inv_sqrt(1e-12)):
+                   hermitize, lambda M: eigh_checked(M).inv_sqrt()):
             assert np.array_equal(fn(H), loop(fn, H))
         w, V = eigh_checked(H)
         assert np.array_equal(w, loop(lambda M: eigh_checked(M)[0], H))
@@ -383,7 +384,7 @@ class TestStackOracle:
     def test_non_hermitian_matrix_refused_by_index(self):
         H = mixed_stack(3, make_rng(35))
         H[4, 0, 1] += 1e-3
-        for fn in (eigh_checked, psd_sqrt, lambda M: eigh_checked(M).inv_sqrt(1e-12)):
+        for fn in (eigh_checked, psd_sqrt, lambda M: eigh_checked(M).inv_sqrt()):
             with pytest.raises(ValueError, match="matrix at stack index 4 is not Hermitian"):
                 fn(H)
 
@@ -391,7 +392,7 @@ class TestStackOracle:
     def test_non_finite_matrix_refused_by_index(self, bad):
         H = mixed_stack(3, make_rng(36))
         H[3, 1, 1] = bad
-        for fn in (eigh_checked, psd_sqrt, lambda M: eigh_checked(M).inv_sqrt(1e-12)):
+        for fn in (eigh_checked, psd_sqrt, lambda M: eigh_checked(M).inv_sqrt()):
             with pytest.raises(ValueError, match="matrix at stack index 3 has non-finite"):
                 fn(H)
 
@@ -399,13 +400,13 @@ class TestStackOracle:
         H = mixed_stack(3, make_rng(37))
         H[5] = np.diag([1.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="inverse square root at stack index 5"):
-            eigh_checked(H).inv_sqrt(1e-8)
+            eigh_checked(H).inv_sqrt()
 
     def test_one_matrix_messages_carry_no_index(self):
         with pytest.raises(ValueError, match="^matrix is not Hermitian"):
             eigh_checked(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="^kernel too small for inverse square root: "):
-            eigh_checked(np.diag([1.0, 0.0])).inv_sqrt(1e-8)
+            eigh_checked(np.diag([1.0, 0.0])).inv_sqrt()
 
 
 class TestEig:
@@ -421,7 +422,7 @@ class TestEig:
             assert np.array_equal(eig.w, w) and np.array_equal(eig.V, V)
             assert np.array_equal(eig.sqrt(),
                                   (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(V))
-            assert np.array_equal(eig.inv_sqrt(1e-12),
+            assert np.array_equal(eig.inv_sqrt(),
                                   (V * (1.0 / np.sqrt(w))[..., None, :]) @ dag(V))
             assert np.array_equal(eig.norm,
                                   np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
@@ -432,20 +433,38 @@ class TestEig:
         w, V = np.linalg.eigh(hermitize(M))
         assert eig.norm == float(max(abs(w[0]), abs(w[-1])))
         assert isinstance(eig.norm, float)
-        assert np.array_equal(eig.inv_sqrt(1e-8), (V * (1.0 / np.sqrt(w))) @ dag(V))
+        assert np.array_equal(eig.inv_sqrt(), (V * (1.0 / np.sqrt(w))) @ dag(V))
 
-    def test_floor_is_inclusive(self):
-        eig = eigh_checked(np.diag([0.25, 1.0]))
-        with pytest.raises(ValueError, match=r"min eigenvalue 2\.500e-01 <= floor 2\.500e-01$"):
-            eig.inv_sqrt(0.25)
-        assert np.array_equal(eig.inv_sqrt(0.2499), np.diag([2.0, 1.0]))
+    def test_floor_is_inclusive_and_scales_with_the_norm(self):
+        for norm in (1.0, 4.0):
+            floor = KERNEL_FLOOR_FACTOR * norm
+            with pytest.raises(ValueError, match=rf"min eigenvalue {floor:.3e} <= floor "
+                                                 rf"{floor:.3e}$"):
+                eigh_checked(np.diag([floor, norm])).inv_sqrt()
+            above = np.nextafter(floor, 1.0)
+            assert np.array_equal(eigh_checked(np.diag([above, norm])).inv_sqrt(),
+                                  np.diag([1.0 / np.sqrt(above), 1.0 / np.sqrt(norm)]))
+
+    def test_floor_is_per_matrix_of_a_stack(self):
+        # 1e-12 is above the floor of a norm-1e-6 matrix, below that of a norm-1 one
+        H = np.stack([np.diag([1e-12, 1e-6]), np.diag([0.5, 1.0])])
+        assert np.array_equal(eigh_checked(H).inv_sqrt(),
+                              loop(lambda M: eigh_checked(M).inv_sqrt(), H))
+        H[1, 0, 0] = 1e-12
+        with pytest.raises(ValueError, match=r"at stack index 1: min eigenvalue 1\.000e-12 "
+                                             r"<= floor 1\.000e-08$"):
+            eigh_checked(H).inv_sqrt()
+
+    def test_zero_matrix_refused(self):
+        with pytest.raises(ValueError, match="kernel too small"):
+            eigh_checked(np.zeros((2, 2))).inv_sqrt()
 
     def test_floor_refusal_names_the_index(self):
         H = mixed_stack(3, make_rng(40))
         H[2] = np.diag([2.0, 1.0, 0.0])
         with pytest.raises(ValueError, match=r"^kernel too small for inverse square root "
                                              r"at stack index 2: min eigenvalue "):
-            eigh_checked(H).inv_sqrt(1e-8)
+            eigh_checked(H).inv_sqrt()
 
     def test_negative_eigenvalues_clamped_in_sqrt(self):
         assert np.array_equal(eigh_checked(np.diag([-1e-17, 4.0])).sqrt(), np.diag([0.0, 2.0]))
@@ -466,7 +485,7 @@ class TestDecompositionCounts:
         return counts
 
     @pytest.mark.parametrize("entry, eigh, eigvalsh", [
-        ("composition_identity_check", 5, 7),
+        ("composition_identity_check", 5, 2),
         ("conditional_prob_bound", 1, 1),
         ("gentle_bound", 1, 0),
         ("polar_kraus", 1, 1),
@@ -543,7 +562,7 @@ def kernels(M):
         "w": eig.w,
         "apply": eig.apply(eig.w ** 2),
         "sqrt": eig.sqrt(),
-        "inv_sqrt": eig.inv_sqrt(0.0),
+        "inv_sqrt": eig.inv_sqrt(),
         "psd_sqrt": psd_sqrt(M),
     }
 
@@ -572,7 +591,7 @@ class TestDtypeFollowsInput:
         M = random_psd(4, rng)
         assert as_matrix(M) is M
         eig = eigh_checked(M)
-        for value in (hermitize(M), commutator(M, M.T), eig.V, eig.sqrt(), eig.inv_sqrt(0.0),
+        for value in (hermitize(M), commutator(M, M.T), eig.V, eig.sqrt(), eig.inv_sqrt(),
                       psd_sqrt(M), as_matrix(M.astype(np.complex64))):
             assert value.dtype == np.complex128
 
