@@ -43,9 +43,10 @@ class ConditionalPOVM:
     """Conditional localization effects on a laboratory cell set.
 
     A(cells) is ``cell_sum(cell_effects, cells, dim)``, the rule of
-    ``lattice.effect_of``.  The laboratory effect A(lab) is decomposed once,
-    at construction: ``lab_spectrum`` keeps that decomposition, and
-    ``inv_sqrt`` comes from it.  Construction is refused when A(lab) has a
+    ``lattice.effect_of``.  The laboratory effect A(lab) is summed and
+    decomposed once, at construction: ``lab_spectrum`` keeps that
+    decomposition, ``inv_sqrt`` comes from it, and the effect of the whole
+    laboratory reuses the sum.  Construction is refused when A(lab) has a
     (numerical) kernel, by the floor of ``linalg.Eig.inv_sqrt``.  Nothing
     changes after construction.
     """
@@ -60,22 +61,26 @@ class ConditionalPOVM:
         self.lab_cells = frozenset(lab_cells)
         self.cell_effects = cell_effects
         self.dim = dim
-        self.lab_spectrum = eigh_checked(cell_sum(cell_effects, self.lab_cells, dim), tol)
+        self._lab_sum = cell_sum(cell_effects, self.lab_cells, dim)
+        self.lab_spectrum = eigh_checked(self._lab_sum, tol)
         self.inv_sqrt = self.lab_spectrum.inv_sqrt()
 
-    def _inside(self, cells: Iterable[int]) -> frozenset[int]:
-        key = frozenset(int(k) for k in cells)
+    def _raw(self, cells: Iterable[int]) -> np.ndarray:
+        """A(cells), for cells inside the laboratory."""
+        key = frozenset(map(int, cells))
+        if key == self.lab_cells:
+            return self._lab_sum
         if not key <= self.lab_cells:
             raise ValueError("cells must lie inside the laboratory region")
-        return key
+        return cell_sum(self.cell_effects, key, self.dim)
 
     def effect(self, cells: Iterable[int]) -> np.ndarray:
-        return self._sandwich(cell_sum(self.cell_effects, self._inside(cells), self.dim))
+        return self._sandwich(self._raw(cells))
 
     def effects(self, cell_sets: Iterable[Iterable[int]]) -> np.ndarray:
         """The effects of several cell sets as one (B, d, d) stack, computed
         in one stacked sandwich, each bit-equal to what ``effect`` computes."""
-        raw = [cell_sum(self.cell_effects, self._inside(cells), self.dim) for cells in cell_sets]
+        raw = [self._raw(cells) for cells in cell_sets]
         return self._sandwich(np.stack(raw) if raw else np.zeros((0, self.dim, self.dim)))
 
     def _sandwich(self, A: np.ndarray) -> np.ndarray:

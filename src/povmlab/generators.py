@@ -23,25 +23,48 @@ def make_rng(*parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(p) for p in parts])))
 
 
+def ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """dim x dim complex Gaussian matrix; the real part is drawn first."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def unitary_from(G: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussians G (..., d, d): QR with the
+    phases of R's diagonal fixed."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def state_from(G: np.ndarray) -> np.ndarray:
+    """Normalized Wishart states G G† / tr(G G†) from complex Gaussians G (..., d, d)."""
+    rho = G @ dag(G)
+    return hermitize(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
+
+
+def effect_from(U: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """U diag(spectrum) U† for unitaries U (..., d, d) and spectra (..., d),
+    through a complex diagonal matrix."""
+    d = spectrum.shape[-1]
+    D = np.zeros((*spectrum.shape, d), dtype=complex)
+    D[..., range(d), range(d)] = spectrum
+    return hermitize(U @ D @ dag(U))
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian with phase fixing."""
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    Q, R = np.linalg.qr(G)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return unitary_from(ginibre(dim, rng))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random density matrix (normalized Wishart)."""
-    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = G @ dag(G)
-    return hermitize(rho / np.trace(rho).real)
+    return state_from(ginibre(dim, rng))
 
 
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random effect with Haar eigenbasis and uniform spectrum in [0, 1]."""
     U = haar_unitary(dim, rng)
-    return hermitize(U @ np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex) @ dag(U))
+    return effect_from(U, rng.uniform(0.0, 1.0, dim))
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> DiscretePOVM:
@@ -49,7 +72,7 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Discrete
     their sum."""
     blocks = []
     for _ in range(n_outcomes):
-        G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        G = ginibre(dim, rng)
         blocks.append(G @ dag(G))
     R = eigh_checked(sum(blocks)).inv_sqrt()
     return DiscretePOVM([hermitize(R @ B @ R) for B in blocks])
@@ -70,7 +93,7 @@ def commuting_povm_pair(dim: int, rng: np.random.Generator) -> tuple[DiscretePOV
     def build() -> DiscretePOVM:
         W = rng.uniform(0.05, 1.0, size=(2, dim))
         W /= W.sum(axis=0, keepdims=True)
-        return DiscretePOVM([hermitize(U @ np.diag(p).astype(complex) @ dag(U)) for p in W])
+        return DiscretePOVM([effect_from(U, p) for p in W])
 
     return build(), build()
 

@@ -1,12 +1,17 @@
 """Dense Hermitian matrix helpers, real or complex.
 
 Every kernel keeps the dtype of its input: complex input is read as
-complex128, bit for bit, and any other input as float64 (``_as_array``).  A
-real symmetric matrix therefore runs real LAPACK and BLAS, and its square
-roots, inverse square roots and products stay real; a complex operand
-anywhere in a product upcasts the result as numpy does.
+complex128, bit for bit, and any other input as float64 (``_as_array``,
+which hands a float64 or complex128 ndarray back itself and converts
+anything else).  A real symmetric matrix therefore runs real LAPACK and
+BLAS, and its square roots, inverse square roots and products stay real; a
+complex operand anywhere in a product upcasts the result as numpy does.
 
-``eigh_checked`` is the single functional-calculus path.  It returns one
+``eigh_checked`` is the single functional-calculus path.  It decomposes
+``hermitize(A)``, and runs the Hermiticity guard only where that differs
+from A: where they are equal, A equals A† and the guard's residual is 0.
+(It never decomposes A itself: LAPACK reads the sign of a zero, and
+hermitize turns a -0.0 mirrored by +0.0 into +0.0.)  It returns one
 ``Eig`` (w, V), which carries the one formula V f(w) V† (``Eig.apply``) and
 gives the clamped square root, the inverse square root and the operator norm
 of the matrix, so a caller that needs several of these decomposes the matrix
@@ -14,11 +19,11 @@ once.  ``Eig.inv_sqrt`` holds the one kernel-floor rule: an inverse square
 root is refused when the smallest eigenvalue is at or below
 KERNEL_FLOOR_FACTOR times the matrix's norm.
 
-Exactly Hermitian input (``A`` bit-equal to ``A†``) takes the singular values
-as ``|eigvalsh(A)|``; every other input goes through the SVD.  ``herm_residual``
-is 0.0 for such input, with no decomposition, and otherwise the norm of the
-exactly Hermitian ``i(A - A†)`` (for real input, of the real ``A - A.T``);
-the Hermiticity guard reads it and keeps its rule
+Exactly Hermitian input (``A`` equal to ``A†`` entry by entry) takes the
+singular values as ``|eigvalsh(A)|``; every other input goes through the
+SVD.  ``herm_residual`` is 0.0 for such input, with no decomposition, and
+otherwise the norm of the exactly Hermitian ``i(A - A†)`` (for real input,
+of the real ``A - A.T``); the Hermiticity guard reads it and keeps its rule
 ``||A - A†|| <= tol * max(1, ||A||)``.  ``commutator_norm`` of two exactly
 Hermitian matrices is one product AB and one ``eigvalsh``.
 
@@ -26,10 +31,13 @@ The kernels take one (n, n) matrix or a stack of shape (..., n, n), apply
 their rules (fast path, guard, clamp, floor) per matrix, return norms and
 verdicts with the stack's shape, and name the stack index in a refusal.
 numpy runs one LAPACK or BLAS call per matrix of a stack, so each matrix of a
-stacked result is bit-equal to the same call on that matrix alone.
+stacked result is bit-equal to the same call on that matrix alone.  On one
+matrix, ``op_norm``, ``Eig.apply``, ``Eig.norm`` and ``Eig.inv_sqrt`` skip
+the stack indexing and reductions; norms are Python floats.
 """
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +45,10 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 PROB_FLOOR = 1e-12
 KERNEL_FLOOR_FACTOR = 1e-8
+TINY = sys.float_info.min  # the smallest normal float64, np.finfo(float).tiny
 # byte budget of one stack of matrices built from a longer list of them
 STACK_BYTES = 128 * 1024
+_KEPT = (np.dtype(float), np.dtype(complex))  # the dtypes ``_as_array`` keeps
 
 
 def stack_size(n: int) -> int:
@@ -47,7 +57,10 @@ def stack_size(n: int) -> int:
 
 
 def _as_array(M) -> np.ndarray:
-    """``M`` as complex128 when it is complex, as float64 otherwise."""
+    """``M`` as complex128 when it is complex, as float64 otherwise; a
+    float64 or complex128 ndarray is returned itself."""
+    if type(M) is np.ndarray and M.dtype in _KEPT:
+        return M
     A = np.asarray(M)
     return A.astype(complex if np.iscomplexobj(A) else float, copy=False)
 
@@ -94,8 +107,13 @@ def _singular_values(M) -> np.ndarray:
 
 def op_norm(M):
     """Operator norm (largest singular value)."""
-    norm = _singular_values(M).max(axis=-1)
-    return float(norm) if norm.ndim == 0 else norm
+    A = _as_array(M)
+    if A.ndim != 2:
+        return _singular_values(A).max(axis=-1)
+    if (A == dag(A)).all():  # one matrix: Python floats, no stack reductions
+        w = np.linalg.eigvalsh(A)
+        return max(abs(float(w[0])), abs(float(w[-1])))
+    return float(np.linalg.svd(A, compute_uv=False)[0])  # in descending order
 
 
 def trace_norm(M):
@@ -179,6 +197,8 @@ class Eig(NamedTuple):
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """V diag(values) V†, for values f(w) of the eigenvalues."""
+        if self.w.ndim == 1:  # one matrix, as ``norm``
+            return (self.V * values) @ self.V.conj().T
         return (self.V * values[..., None, :]) @ dag(self.V)
 
     @property
@@ -196,13 +216,12 @@ class Eig(NamedTuple):
     def inv_sqrt(self) -> np.ndarray:
         """Inverse square root, refused with a ValueError when the smallest
         eigenvalue is at or below the floor KERNEL_FLOOR_FACTOR * max(norm,
-        tiny), per matrix: the inverse is then numerically meaningless."""
-        tiny = np.finfo(float).tiny
+        TINY), per matrix: the inverse is then numerically meaningless."""
         if self.w.ndim == 1:  # one matrix: Python floats, as ``norm``
-            floor = KERNEL_FLOOR_FACTOR * max(self.norm, tiny)
+            floor = KERNEL_FLOOR_FACTOR * max(self.norm, TINY)
             refused = low = float(self.w[0]) <= floor
         else:
-            floor = KERNEL_FLOOR_FACTOR * np.maximum(self.norm, tiny)
+            floor = KERNEL_FLOOR_FACTOR * np.maximum(self.norm, TINY)
             low = self.w[..., 0] <= floor
             refused = low.any()
         if refused:
@@ -214,16 +233,19 @@ class Eig(NamedTuple):
 
 
 def eigh_checked(M, tol: float = DEFAULT_TOL) -> Eig:
-    """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian input."""
+    """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian
+    input; the guard runs only where hermitize(A) differs from A."""
     A = as_matrix(M, stack=True)
-    ok = is_hermitian(A, tol)
-    if not (ok if A.ndim == 2 else ok.all()):
-        rejected = ~np.asarray(ok)
-        raise ValueError(
-            f"matrix{at_index(rejected)} is not Hermitian within tolerance: "
-            f"residual {herm_residual(A[rejected][0]):.3e}"
-        )
-    return Eig.of(A)
+    H = hermitize(A)
+    if not (tol >= 0 and (H == A).all()):
+        ok = is_hermitian(A, tol)
+        if not (ok if A.ndim == 2 else ok.all()):
+            rejected = ~np.asarray(ok)
+            raise ValueError(
+                f"matrix{at_index(rejected)} is not Hermitian within tolerance: "
+                f"residual {herm_residual(A[rejected][0]):.3e}"
+            )
+    return Eig(*np.linalg.eigh(H))
 
 
 def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:

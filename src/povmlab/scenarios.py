@@ -10,6 +10,7 @@ count yields identical reports, assembled in input order.
 """
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +21,8 @@ import numpy as np
 from . import conditional as cond
 from . import lattice as lat
 from . import signaling as sig
-from .generators import commuting_povm_pair, make_rng, random_effect, random_state
+from .generators import (commuting_povm_pair, effect_from, ginibre, make_rng, random_effect,
+                         random_state, state_from, unitary_from)
 from .geometry import RegionUnion, causally_separated, spatial_distance
 from .linalg import DEFAULT_TOL, op_norm, stack_size
 from .measurement import luders_instrument
@@ -220,8 +222,21 @@ def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     return report
 
 
+def _refuse_overflowing_phase(sc: Scenario, sys: lat.LatticeLocalizationSystem,
+                              times: list[tuple[str, float]]) -> None:
+    """Refuse, at its params key, a time t whose phase t * max|omega| is not
+    finite; the decomposition of H is kept on ``sys`` for the evolution."""
+    for key, t in times:
+        norm = sys.energy_eigensystem().norm if t != 0 else 0.0
+        if not math.isfinite(t * norm):
+            raise SchemaError(f"{sc.pointer}/params/{key}",
+                              f"the phase t * max|omega| = {t!r} * {norm:.3e} overflows")
+
+
 def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     sys, samples = _system(sc), sc.params["delta_samples"]
+    _refuse_overflowing_phase(sc, sys, [(f"t_grid/{k}", t)
+                                        for k, t in enumerate(sc.params["t_grid"])])
     if samples is None:
         quarter = max(1, sys.n // 4)
         samples = [frozenset(range(quarter)), frozenset(
@@ -232,6 +247,7 @@ def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 def _check_cc_residual(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     sys = _system(sc)
     cells, t = sc.params["delta"], sc.params["t"]
+    _refuse_overflowing_phase(sc, sys, [("t", t)])
     shadow, saturated = lat.causal_shadow(sys, cells, t)
     report = CheckReport(name="cc_residual")
     report.add("cc_residual", lat.cc_residual(sys, cells, t), tol=None)
@@ -249,32 +265,35 @@ def _check_conditional_build(sc: Scenario, rng: np.random.Generator) -> CheckRep
 def _check_gentle_sweep(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     dims, instances = sc.params["dims"], sc.params["instances"]
     report = CheckReport(name="gentle_sweep")
-    # drawn in order, evaluated in one stack per dimension (flushed when full)
-    pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    # drawn in order, as random_effect and random_state draw; built and
+    # evaluated in one stack per dimension, flushed when full
+    pending: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     worst = float("inf")
     for i in range(instances):
         dim = dims[i % len(dims)]
-        T = random_effect(dim, rng)
-        rho = random_state(dim, rng)
-        if float(np.trace(rho @ T).real) <= 1e-9:
-            continue
-        stack = pending.setdefault(dim, [])
-        stack.append((T, rho))
-        if len(stack) == stack_size(dim):
-            worst = min(worst, _gentle_margin(stack))
-            stack.clear()
-    for stack in pending.values():
-        if stack:
-            worst = min(worst, _gentle_margin(stack))
+        draws = pending.setdefault(dim, [])
+        draws.append((ginibre(dim, rng), rng.uniform(0.0, 1.0, dim), ginibre(dim, rng)))
+        if len(draws) == stack_size(dim):
+            worst = min(worst, _gentle_margin(draws))
+            draws.clear()
+    for draws in pending.values():
+        if draws:
+            worst = min(worst, _gentle_margin(draws))
     report.add("min_margin", max(0.0, -worst), 1e-9,
                note=f"worst margin {worst:.3e} over {instances} instances")
     return report
 
 
-def _gentle_margin(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """The smallest bound - trace_distance over (T, rho) pairs of one size."""
-    _, distance, bound = cond.gentle_sides(np.stack([T for T, _ in pairs]),
-                                           np.stack([rho for _, rho in pairs]))
+def _gentle_margin(draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> float:
+    """The smallest bound - trace_distance over the instances of one size
+    drawn as (Gaussian of T's eigenbasis, T's spectrum, Gaussian of rho);
+    instances with tr(rho T) <= 1e-9 are skipped."""
+    G, spectrum, W = (np.stack(part) for part in zip(*draws))
+    T, rho = effect_from(unitary_from(G), spectrum), state_from(W)
+    kept = ~(np.trace(rho @ T, axis1=-2, axis2=-1).real <= 1e-9)
+    if not kept.any():
+        return float("inf")
+    _, distance, bound = cond.gentle_sides(T[kept], rho[kept])
     return float((bound - distance).min())
 
 

@@ -398,6 +398,31 @@ class TestRefusals:
         report = json.loads(open(out).read())["reports"][0]
         assert report["notes"] == [f"shadow={list(range(8))} saturated=True"]
 
+    @pytest.mark.parametrize("stype, params, field", [
+        ("cc_residual", {"t": 1e300, "delta": [0, 1]}, "t"),
+        ("cc_residual", {"t": -1e300, "delta": [0, 1]}, "t"),
+        ("hc_audit", {"t_grid": [1e300]}, "t_grid/0"),
+        ("hc_audit", {"t_grid": [0.0, 0.5, -1e300, 1e300]}, "t_grid/2"),
+    ])
+    def test_overflowing_phase_exits_two_at_the_time(self, tmp_path, capsys, stype, params,
+                                                     field):
+        """A finite dispersion times a huge t overflows exp(-itH); the time is refused."""
+        params = dict(params, n=8, kind="sharp", mass=1e150)
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": stype, "params": params}]})
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: /scenarios/0/params/{field}: the phase t \* max\|omega\| "
+                            r"= -?1e\+300 \* 1\.000e\+150 overflows\n", captured.err)
+
+    def test_a_large_finite_phase_still_runs(self, tmp_path):
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": "cc_residual", "params": {"n": 8, "kind": "sharp", "mass": 1e150,
+                                               "t": 1e150, "delta": [0, 1]}},
+            {"type": "hc_audit", "params": {"n": 8, "kind": "sharp", "mass": 1e150,
+                                            "t_grid": [0.0, 1e150]}}]})
+        assert main(["run", path]) == 0
+
     def test_valid_parameters_still_run(self):
         payload = {"scenarios": [
             {"type": "gentle_sweep", "tol": 1e300, "params": {"instances": 4, "dims": [2, 3]}},

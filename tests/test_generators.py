@@ -3,18 +3,25 @@ import json
 import numpy as np
 import pytest
 
+from povmlab import scenarios
+from povmlab.conditional import gentle_sides
 from povmlab.generators import (
     KINDS,
     commuting_povm_pair,
+    effect_from,
     generate_instance,
+    ginibre,
     haar_unitary,
     make_rng,
     random_effect,
     random_povm,
     random_state,
+    state_from,
+    unitary_from,
 )
-from povmlab.linalg import dag, hermitize, op_norm
+from povmlab.linalg import dag, hermitize, op_norm, stack_size
 from povmlab.measurement import validate_effect, validate_povm, validate_state
+from povmlab.reporting import CheckReport
 from povmlab.signaling import commutator_residual
 
 
@@ -99,3 +106,102 @@ class TestGeneratedObjectsValidate:
         payload = generate_instance("lattice_system", 8, seed=3)
         assert payload["n"] == 8
         assert len(payload["cell_effects"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# stacked generators and the gentle sweep, against the per-instance formulas
+# ---------------------------------------------------------------------------
+
+def old_random_effect(dim, rng):
+    """The per-matrix formulas random_effect had before it was built from stacks."""
+    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    Q, R = np.linalg.qr(G)
+    d = np.diag(R)
+    U = Q * (d / np.abs(d))
+    return hermitize(U @ np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex) @ dag(U))
+
+
+def old_random_state(dim, rng):
+    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = G @ dag(G)
+    return hermitize(rho / np.trace(rho).real)
+
+
+class TestStackedGenerators:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 16])
+    def test_one_draw_is_bit_equal_to_the_old_formulas(self, dim):
+        for seed in range(4):
+            for new, old in ((random_effect, old_random_effect),
+                             (random_state, old_random_state)):
+                assert new(dim, make_rng(seed)).tobytes() == old(dim, make_rng(seed)).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 16])
+    def test_a_stack_is_bit_equal_to_one_draw_at_a_time(self, dim):
+        rng = make_rng(86, dim)
+        draws = [(ginibre(dim, rng), rng.uniform(0.0, 1.0, dim), ginibre(dim, rng))
+                 for _ in range(5)]
+        G, spectrum, W = (np.stack(part) for part in zip(*draws))
+        T, rho = effect_from(unitary_from(G), spectrum), state_from(W)
+        rng = make_rng(86, dim)
+        for k in range(5):
+            assert T[k].tobytes() == random_effect(dim, rng).tobytes()
+            assert rho[k].tobytes() == random_state(dim, rng).tobytes()
+
+
+class ZeroSpectra:
+    """A generator whose every ``period``-th ``uniform`` draw is scaled to
+    zeros, so that T = 0 and tr(rho T) = 0; all other calls pass through."""
+
+    def __init__(self, rng, period):
+        self.rng, self.period, self.calls = rng, period, 0
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs) * (self.calls % self.period != 0)
+
+
+def oracle_sweep(dims, instances, rng):
+    """The per-instance loop: the worst bound - trace distance and the
+    number of instances skipped at tr(rho T) <= 1e-9."""
+    worst, skipped = float("inf"), 0
+    for i in range(instances):
+        dim = dims[i % len(dims)]
+        T, rho = random_effect(dim, rng), random_state(dim, rng)
+        if float(np.trace(rho @ T).real) <= 1e-9:
+            skipped += 1
+            continue
+        _, distance, bound = gentle_sides(T, rho)
+        worst = min(worst, float(bound - distance))
+    return worst, skipped
+
+
+class TestGentleSweepOracle:
+    @pytest.mark.parametrize("dims, instances, period", [
+        ([2, 3, 4, 5, 6, 7, 8], 40, None),
+        ([1], 9, None),
+        ([1, 9, 16], 25, None),
+        ([8], 2 * stack_size(8) + 3, None),  # three flushes of one dimension
+        ([2, 5], 30, 3),  # every third instance skipped
+        ([3], 4, 1),  # every instance skipped
+    ])
+    def test_report_matches_the_per_instance_loop(self, monkeypatch, dims, instances, period):
+        margins = []
+        margin = scenarios._gentle_margin
+        monkeypatch.setattr(scenarios, "_gentle_margin",
+                            lambda draws: margins.append(margin(draws)) or margins[-1])
+        rng = make_rng(87, instances)
+        sc = scenarios.Scenario("gentle_sweep", {"dims": dims, "instances": instances})
+        report = scenarios.CHECKS["gentle_sweep"].run(
+            sc, rng if period is None else ZeroSpectra(rng, period))
+        rng = make_rng(87, instances)
+        worst, skipped = oracle_sweep(dims, instances,
+                                      rng if period is None else ZeroSpectra(rng, period))
+        assert (skipped > 0) == (period is not None)
+        assert min(margins) == worst  # bit for bit
+        expected = CheckReport(name="gentle_sweep")
+        expected.add("min_margin", max(0.0, -worst), 1e-9,
+                     note=f"worst margin {worst:.3e} over {instances} instances")
+        assert report.to_dict() == expected.to_dict()

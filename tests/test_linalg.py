@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from povmlab import linalg
 from povmlab.generators import haar_unitary, make_rng
 from povmlab.linalg import (
     DEFAULT_TOL,
@@ -323,6 +324,70 @@ class TestHermiticityGuard:
                 eigh_checked(M).inv_sqrt()
 
 
+class TestExactHermitianShortcut:
+    """eigh_checked skips the guard where hermitize(A) equals A, and its
+    result is the old formula np.linalg.eigh(hermitize(A)) on every input."""
+
+    @staticmethod
+    def cases(rng):
+        real = rng.normal(size=(5, 6, 6))
+        cplx = real + 1j * rng.normal(size=(5, 6, 6))
+        return [hermitize(real), hermitize(cplx)]
+
+    @staticmethod
+    def assert_old_formula(A):
+        w, V = eigh_checked(A)
+        w_old, V_old = np.linalg.eigh(hermitize(A))
+        assert w.dtype == w_old.dtype and V.dtype == V_old.dtype
+        assert w.tobytes() == w_old.tobytes() and V.tobytes() == V_old.tobytes()
+
+    def test_exact_input_is_bit_equal_to_the_old_formula(self, monkeypatch):
+        guarded = []
+        monkeypatch.setattr(linalg, "is_hermitian", lambda *a, **k: guarded.append(1))
+        for H in self.cases(make_rng(91)):
+            assert (H == dag(H)).all()
+            self.assert_old_formula(H)  # a stack
+            self.assert_old_formula(H[2])  # one matrix
+        assert guarded == []
+
+    def test_signed_zeros_keep_the_old_formula(self):
+        """A equal to A† entry by entry, but with a -0.0 mirrored by +0.0:
+        LAPACK reads the sign of a zero (with OpenBLAS, np.linalg.eigh of
+        both matrices gives other eigenvector bits than of their hermitized
+        forms), so the result must come from hermitize(A)."""
+        A = np.array([[2.0, 0.0, 1.0], [-0.0, 3.0, 0.5], [1.0, 0.5, 4.0]])
+        # conj gives every imaginary part -0.0, which hermitize makes +0.0
+        C = np.array([[2.0, 1.0, -0.5], [1.0, -1.0, 0.0], [-0.5, 0.0, 0.0]], dtype=complex).conj()
+        for M in (A, C):
+            assert (M == dag(M)).all() and M.tobytes() != hermitize(M).tobytes()
+            self.assert_old_formula(M)
+
+    def test_near_hermitian_input_goes_through_the_guard(self, monkeypatch):
+        guarded = []
+        guard = linalg.is_hermitian
+        monkeypatch.setattr(linalg, "is_hermitian",
+                            lambda *a, **k: guarded.append(1) or guard(*a, **k))
+        H = mixed_stack(4, make_rng(92))
+        assert not (hermitize(H) == H).all()
+        self.assert_old_formula(H)
+        self.assert_old_formula(H[1])
+        assert guarded == [1, 1]
+
+    def test_refusals_are_unchanged(self):
+        H = mixed_stack(3, make_rng(93))
+        H[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match=r"^matrix at stack index 2 is not Hermitian "
+                                             r"within tolerance: residual 1\.000e-03$"):
+            eigh_checked(H)
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian within tolerance: "
+                                             r"residual 1\.000e-03$"):
+            eigh_checked(H[2])
+        # an exactly Hermitian matrix passes only a guard with tol >= 0
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eigh_checked(np.eye(2), tol=tol)
+
+
 def mixed_stack(n, rng, count=6):
     """PSD matrices of size n, every other one exactly Hermitian and the
     rest Hermitian only within tolerance (a 1e-14 anti-Hermitian part)."""
@@ -477,7 +542,7 @@ class TestDecompositionCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {}
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
             def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _call(*args, **kwargs)
@@ -531,6 +596,20 @@ class TestDecompositionCounts:
         counts.clear()
         call()
         assert (counts.get("eigh", 0), counts.get("eigvalsh", 0)) == (eigh, eigvalsh)
+
+    def test_laboratory_path(self, counts):
+        """An effect of a built conditional POVM is a sum and a sandwich, and
+        the norm of an exactly symmetric matrix is one eigvalsh."""
+        from povmlab.conditional import build_conditional
+        from povmlab.lattice import build_frame_smeared_system
+
+        cond = build_conditional(build_frame_smeared_system(16, 1.0, 1.0, 1.5), {4, 5, 6, 7})
+        counts.clear()
+        B = cond.effect({4, 5})
+        assert counts == {}
+        assert (B == B.T).all()
+        op_norm(B - np.eye(16))
+        assert counts == {"eigvalsh": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +679,20 @@ class TestDtypeFollowsInput:
             assert as_matrix(M).dtype == np.float64
             assert hermitize(M).dtype == np.float64
             assert eigh_checked(M).V.dtype == np.float64
+
+    def test_as_array_coerces_once_and_keeps_float64_and_complex128(self):
+        for M in (np.eye(2), np.eye(2, dtype=complex)):
+            assert linalg._as_array(M) is M
+        cases = {np.float64: ([[1, 0], [0, 2]], 3, True, 2.5, np.eye(2, dtype=np.float32),
+                              np.eye(2, dtype=np.int64), np.eye(2, dtype=bool),
+                              np.eye(2, dtype=">f8")),
+                 np.complex128: ([[1j, 0], [0, 2]], 1j, np.eye(2, dtype=np.complex64))}
+        for dtype, inputs in cases.items():
+            for M in inputs:
+                A = linalg._as_array(M)
+                assert type(A) is np.ndarray and A.dtype == dtype
+                assert np.array_equal(A, np.asarray(M))
+                assert not (isinstance(M, np.ndarray) and np.shares_memory(A, M))  # a copy
 
     def test_a_complex_operand_upcasts_a_product(self):
         rng = make_rng(63)
