@@ -1,103 +1,50 @@
 """povmlab: finite-dimensional verification toolkit for localization POVMs,
-measurement causality, and conditional laboratory observables."""
+measurement causality, and conditional laboratory observables.
+
+The names of ``__all__`` are served lazily (PEP 562): each one is imported
+from its home module on first access and then cached here, so
+``import povmlab`` loads no numpy and no module the caller does not use.
+"""
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    CausalClass,
-    FourVector,
-    RegionUnion,
-    SpacetimeBox,
-    causally_separated,
-    classify_vector,
-    lab_contains,
-    spatial_distance,
-    translate_region,
-)
-from .linalg import op_norm, psd_sqrt, trace_norm
-from .measurement import (
-    DiscretePOVM,
-    KrausInstrument,
-    luders_instrument,
-    nonselective_post_state,
-    polar_kraus,
-    selective_post_state,
-    sequential_joint_prob,
-)
-from .signaling import (
-    beck_check,
-    commutator_residual,
-    heinosaari_wolf_search,
-    luders_equivalence_check,
-    nsc_deviation,
-    rcc_deviation,
-)
-from .lattice import (
-    LatticeLocalizationSystem,
-    build_alternating_system,
-    build_frame_smeared_system,
-    build_sharp_system,
-    cc_residual,
-    effect_of,
-    hc_audit,
-    ldp_minimal_region,
-    microcausality_residual,
-    projector_screening_identity,
-)
-from .conditional import (
-    ConditionalPOVM,
-    build_conditional,
-    build_conditional_from_unnormalized,
-    composition_identity_check,
-    conditional_prob_bound,
-    cross_lab_commutator,
-    gentle_bound,
-    v_conjugation_reduction,
-)
-from .reporting import CheckReport
+# the instance kinds of ``povmlab gen``, here so the CLI lists them without
+# numpy; ``generate_instance`` seeds each kind's RNG with its index, so the
+# order is fixed
+KINDS = ("state", "effect", "povm", "luders_instrument", "commuting_pair", "lattice_system")
 
-__all__ = [
-    "CausalClass",
-    "CheckReport",
-    "ConditionalPOVM",
-    "DiscretePOVM",
-    "FourVector",
-    "KrausInstrument",
-    "LatticeLocalizationSystem",
-    "RegionUnion",
-    "SpacetimeBox",
-    "beck_check",
-    "build_alternating_system",
-    "build_conditional",
-    "build_conditional_from_unnormalized",
-    "build_frame_smeared_system",
-    "build_sharp_system",
-    "causally_separated",
-    "cc_residual",
-    "classify_vector",
-    "commutator_residual",
-    "composition_identity_check",
-    "conditional_prob_bound",
-    "cross_lab_commutator",
-    "effect_of",
-    "gentle_bound",
-    "hc_audit",
-    "heinosaari_wolf_search",
-    "lab_contains",
-    "ldp_minimal_region",
-    "luders_equivalence_check",
-    "luders_instrument",
-    "microcausality_residual",
-    "nonselective_post_state",
-    "nsc_deviation",
-    "op_norm",
-    "polar_kraus",
-    "projector_screening_identity",
-    "psd_sqrt",
-    "rcc_deviation",
-    "selective_post_state",
-    "sequential_joint_prob",
-    "spatial_distance",
-    "trace_norm",
-    "translate_region",
-]
+_EXPORTS = {
+    "geometry": ("CausalClass", "FourVector", "RegionUnion", "SpacetimeBox", "causally_separated",
+                 "classify_vector", "lab_contains", "spatial_distance", "translate_region"),
+    "linalg": ("op_norm", "psd_sqrt", "trace_norm"),
+    "measurement": ("DiscretePOVM", "KrausInstrument", "luders_instrument",
+                    "nonselective_post_state", "polar_kraus", "selective_post_state",
+                    "sequential_joint_prob"),
+    "signaling": ("beck_check", "commutator_residual", "heinosaari_wolf_search",
+                  "luders_equivalence_check", "nsc_deviation", "rcc_deviation"),
+    "lattice": ("LatticeLocalizationSystem", "build_alternating_system",
+                "build_frame_smeared_system", "build_sharp_system", "cc_residual", "effect_of",
+                "hc_audit", "ldp_minimal_region", "microcausality_residual",
+                "projector_screening_identity"),
+    "conditional": ("ConditionalPOVM", "build_conditional", "build_conditional_from_unnormalized",
+                    "composition_identity_check", "conditional_prob_bound",
+                    "cross_lab_commutator", "gentle_bound"),
+    "reporting": ("CheckReport",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

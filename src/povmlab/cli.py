@@ -15,11 +15,7 @@ import json
 import sys
 from typing import Any
 
-from . import __version__
-from .generators import KINDS, generate_instance
-from .reporting import CheckReport
-from .scenarios import check_seed, check_tol, parse_scenarios, run_scenarios
-from .serialization import SchemaError
+from . import KINDS, __version__
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -27,6 +23,11 @@ EXIT_INPUT_ERROR = 2
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # imported here, so --help, gen and version load none of the check modules
+    from .reporting import CheckReport
+    from .scenarios import check_seed, check_tol, parse_scenarios, run_scenarios
+    from .serialization import SchemaError
+
     try:
         with open(args.file) as fh:
             data = json.load(fh)
@@ -71,6 +72,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import generate_instance
+
     try:
         payload: dict[str, Any] = generate_instance(args.kind, args.dim, args.seed)
     except ValueError as exc:

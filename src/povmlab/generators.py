@@ -10,12 +10,11 @@ from typing import Any
 
 import numpy as np
 
+from . import KINDS
 from .lattice import build_frame_smeared_system
 from .linalg import dag, eigh_checked, hermitize
 from .measurement import DiscretePOVM, KrausInstrument, luders_instrument
 from .serialization import encode_instrument, encode_matrix, encode_povm
-
-KINDS = ("state", "effect", "povm", "luders_instrument", "commuting_pair", "lattice_system")
 
 
 def make_rng(*parts: int) -> np.random.Generator:

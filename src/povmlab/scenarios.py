@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
@@ -81,9 +80,9 @@ def parse_scenarios(data: Any) -> list[Scenario]:
 # the readers of cell lists and decoded objects; the generic readers
 # (Integer, Number, OneOf, Nonempty, Fields) live in ``serialization``
 class Cells(NamedTuple):
-    """A list of JSON integers, cells of the ring of the ``n`` read before it;
-    inside the cells read as ``inside``, and disjoint from those read as
-    ``disjoint_from``, when given."""
+    """A list of JSON integers, cells of the ring of the ``n`` read before it,
+    at least one when ``nonempty``; inside the cells read as ``inside``, and
+    disjoint from those read as ``disjoint_from``, when given."""
     nonempty: bool = False
     inside: str | None = None
     disjoint_from: str | None = None
@@ -92,7 +91,7 @@ class Cells(NamedTuple):
         if not isinstance(raw, list) or not all(type(k) is int for k in raw):
             raise SchemaError(pointer, "expected a list of cell indices")
         if self.nonempty and not raw:
-            raise SchemaError(pointer, "sampled regions must be nonempty")
+            raise SchemaError(pointer, "expected a nonempty list of cell indices")
         try:
             cells = lat.as_cells(raw, values["n"])
         except ValueError as exc:
@@ -132,6 +131,9 @@ def _dimension(value: Any) -> int:
 
 check_tol = Number(positive=True)  # a scenario tolerance
 check_seed = Integer(0, 2**64 - 1)  # a scenario seed
+# the largest lattice a scenario may ask for, the largest n the tests run;
+# each builder allocates dense n x n arrays
+N_MAX = 128
 SYSTEM_KINDS = ("sharp", "alternating", "diagonal_smeared", "frame_smeared")
 
 
@@ -147,7 +149,7 @@ class CheckType(NamedTuple):
 
 
 # read first by every check on a lattice system
-SYSTEM_PARAMS = (Param("n", Integer(2), 16), Param("mass", Number(positive=True), 1.0),
+SYSTEM_PARAMS = (Param("n", Integer(2, N_MAX), 16), Param("mass", Number(positive=True), 1.0),
                  Param("a", Number(positive=True), 1.0),
                  Param("width", Number(positive=True), 1.5),
                  Param("kind", OneOf(SYSTEM_KINDS), "frame_smeared"))
@@ -319,7 +321,7 @@ def _check_cross_lab_commutator(sc: Scenario, rng: np.random.Generator) -> Check
     report = CheckReport(name="cross_lab_commutator")
     report.add("commutator_norm", value, tol=None,
                note="measurement only; commutativity across laboratories is not asserted")
-    if lab1 and lab2 and not (lab1 & lab2):
+    if not lab1 & lab2:
         box1 = lat.cells_bounding_box(sys, lab1)
         box2 = lat.cells_bounding_box(sys, lab2)
         report.add("lab_spatial_distance", spatial_distance(box1, box2), tol=None)
@@ -360,17 +362,18 @@ CHECKS: dict[str, CheckType] = {
     "cc_residual": CheckType(_check_cc_residual, SYSTEM_PARAMS + (
         Param("delta", Cells()), Param("t", Number(), 0.0))),
     "conditional_build": CheckType(_check_conditional_build,
-                                   SYSTEM_PARAMS + (Param("lab", Cells()),)),
+                                   SYSTEM_PARAMS + (Param("lab", Cells(nonempty=True)),)),
     "gentle_sweep": CheckType(_check_gentle_sweep, (
         Param("dims", Nonempty(Integer(1), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
         Param("instances", Integer(1), 1000))),
     "conditional_bound": CheckType(_check_conditional_bound, SYSTEM_PARAMS + (
-        Param("lab", Cells()), Param("delta", Cells(inside="lab")),
+        Param("lab", Cells(nonempty=True)), Param("delta", Cells(inside="lab")),
         Param("state", Decoded(decode_state, dim="n"), None))),
     "composition": CheckType(_check_composition, SYSTEM_PARAMS + (
-        Param("lab1", Cells()), Param("lab2", Cells(disjoint_from="lab1")))),
+        Param("lab1", Cells(nonempty=True)),
+        Param("lab2", Cells(nonempty=True, disjoint_from="lab1")))),
     "cross_lab_commutator": CheckType(_check_cross_lab_commutator, SYSTEM_PARAMS + (
-        Param("lab1", Cells()), Param("lab2", Cells()),
+        Param("lab1", Cells(nonempty=True)), Param("lab2", Cells(nonempty=True)),
         Param("delta1", Cells(inside="lab1"), None),
         Param("delta2", Cells(inside="lab2"), None))),
     "causal_separation": CheckType(_check_causal_separation, (
@@ -411,5 +414,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[CheckRepo
     in input order."""
     if workers <= 1 or len(scenarios) <= 1:
         return [run_one(sc) for sc in scenarios]
+    from concurrent.futures import ThreadPoolExecutor  # only here: it imports logging
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, scenarios))

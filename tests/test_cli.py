@@ -16,6 +16,7 @@ from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
 from povmlab.scenarios import (
     CHECKS,
+    N_MAX,
     SYSTEM_PARAMS,
     Cells,
     Decoded,
@@ -624,6 +625,47 @@ class TestCrossFieldConstraints:
         ]
         reports = run_scenarios(parse_scenarios(payload))
         assert [r.verdict for r in reports] == ["PASS", "PASS", "INFO"]
+
+
+class TestEmptyLaboratory:
+    """A laboratory holds at least one cell: an empty one is refused at
+    parse time, not by the build's kernel floor."""
+
+    @pytest.mark.parametrize("stype, params, field", [
+        ("conditional_build", {"n": 8, "lab": []}, "lab"),
+        ("conditional_bound", {"n": 8, "lab": [], "delta": []}, "lab"),
+        ("composition", {"n": 8, "lab1": [], "lab2": [1]}, "lab1"),
+        ("composition", {"n": 8, "lab1": [1], "lab2": []}, "lab2"),
+        ("cross_lab_commutator", {"n": 8, "lab1": [], "lab2": [1]}, "lab1"),
+        ("cross_lab_commutator", {"n": 8, "lab1": [1], "lab2": []}, "lab2"),
+    ])
+    def test_exits_two_at_the_laboratory(self, tmp_path, capsys, stype, params, field):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": stype, "params": params}]})
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: /scenarios/0/params/{field}: "
+                                "expected a nonempty list of cell indices\n")
+
+
+class TestLatticeCeiling:
+    """``n`` is at most N_MAX = 128 cells; the ceiling itself runs."""
+
+    @pytest.mark.parametrize("stype, params", [
+        ("conditional_build", {"lab": [0]}),
+        ("hc_audit", {}),
+        ("cc_residual", {"delta": [0]}),
+    ])
+    def test_above_the_ceiling_exits_two_at_n(self, tmp_path, capsys, stype, params):
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": stype, "params": dict(params, n=N_MAX + 1)}]})
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == "error: /scenarios/0/params/n: must be <= 128, got 129\n"
+
+    def test_the_ceiling_runs(self):
+        payload = [{"type": "conditional_build", "params": {"n": N_MAX, "lab": [3, 4, 5, 6]}},
+                   {"type": "cc_residual", "params": {"n": N_MAX, "delta": [0, 1], "t": 2.0}}]
+        assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == ["PASS", "INFO"]
 
 
 # the generator kind of each decoded object a scenario can hold

@@ -73,11 +73,16 @@ def cached(strategy):
     return lambda reader, n: build(type(reader), reader, n)
 
 
+def top(reader: Integer) -> float:
+    """An integer reader's maximum, inf when it has none."""
+    return math.inf if reader.maximum is None else reader.maximum
+
+
 @cached
 def valid(reader, n: int) -> st.SearchStrategy:
     """Values the reader accepts, on a lattice of ``n`` cells."""
     if isinstance(reader, Integer):
-        return st.integers(reader.minimum, reader.minimum + 40)
+        return st.integers(reader.minimum, min(reader.minimum + 40, top(reader)))
     if isinstance(reader, Number):
         floats = st.floats(0.0 if reader.positive else -1e6, 1e6, exclude_min=reader.positive)
         return floats | st.integers(1 if reader.positive else -10, 10)
@@ -96,11 +101,19 @@ def valid(reader, n: int) -> st.SearchStrategy:
 
 def fit(reader, value, params: dict):
     """A valid cell list cut to the cells another cell list allows, and a
-    valid object of the dimension of the object it is paired with."""
+    valid object of the dimension of the object it is paired with.  A
+    nonempty list cut to nothing takes the first free cell; when the other
+    list holds every cell, it gives up its first cell of this list."""
     if isinstance(reader, Cells) and reader.inside:
         return [k for k in value if k in params[reader.inside]]
     if isinstance(reader, Cells) and reader.disjoint_from:
-        return [k for k in value if k not in params[reader.disjoint_from]]
+        other = params[reader.disjoint_from]
+        kept = [k for k in value if k not in other]
+        if reader.nonempty and not kept:
+            free = [k for k in range(params.get("n", 16)) if k not in other]
+            kept = free[:1] or value[:1]
+            params[reader.disjoint_from] = [k for k in other if k not in kept]
+        return kept
     if isinstance(reader, Decoded) and reader.dim not in (None, "n"):
         return generate_instance(KIND[reader.decode], dimension(params[reader.dim]), 4)
     return value
@@ -180,8 +193,11 @@ def invalid(reader, n: int) -> st.SearchStrategy:
     """Values the reader refuses: wrong JSON types, numbers out of range or
     not finite, lists with one bad element."""
     if isinstance(reader, Integer):
+        above = () if reader.maximum is None else (
+            st.integers(reader.maximum + 1, reader.maximum + 50),)
         return either(JUNK.filter(lambda v: type(v) is not int),
-                      st.lists(st.integers(), max_size=1), st.integers(-50, reader.minimum - 1))
+                      st.lists(st.integers(), max_size=1), st.integers(-50, reader.minimum - 1),
+                      *above)
     if isinstance(reader, Number):
         non_finite = st.sampled_from([math.inf, -math.inf, math.nan, 10**400])
         not_positive = st.floats(-1e6, 0.0) if reader.positive else non_finite
@@ -204,7 +220,7 @@ def invalid(reader, n: int) -> st.SearchStrategy:
 def declared(reader, value) -> bool:
     """Whether a read value has the type the reader declares."""
     if isinstance(reader, Integer):
-        return type(value) is int and value >= reader.minimum
+        return type(value) is int and reader.minimum <= value <= top(reader)
     if isinstance(reader, Number):
         return type(value) is float and math.isfinite(value) and (value > 0 or not reader.positive)
     if isinstance(reader, OneOf):
@@ -294,8 +310,8 @@ def faulty_file(draw):
             params[field] = generate_instance(KIND[bad.read.decode], size + 1, 4)
         else:
             cell = draw(st.integers(0, n - 1))
-            if bad.read.inside:  # the other list without the cell, this one with it
-                params[other] = [k for k in params[other] if k != cell]
+            if bad.read.inside:  # the other list without the cell (never empty), this one with it
+                params[other] = [k for k in params[other] if k != cell] or [(cell + 1) % n]
             else:  # both lists with the cell
                 params[other] = params[other] + [cell]
             params[field] = draw(valid(bad.read, n)) + [cell]
