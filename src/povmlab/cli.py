@@ -73,9 +73,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import generate_instance
+    from .scenarios import N_MAX, check_seed
+    from .serialization import Integer
 
-    try:
-        payload: dict[str, Any] = generate_instance(args.kind, args.dim, args.seed)
+    try:  # the flags are read as run reads a scenario's dim and seed
+        dim, seed = Integer(1, N_MAX)(args.dim, "--dim"), check_seed(args.seed, "--seed")
+        payload: dict[str, Any] = generate_instance(args.kind, dim, seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -102,8 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen", help="generate a serialized random instance")
     gen_p.add_argument("kind", choices=KINDS)
-    gen_p.add_argument("--dim", type=int, required=True)
-    gen_p.add_argument("--seed", type=int, required=True)
+    gen_p.add_argument("--dim", type=int, required=True,
+                       help="matrix dimension, or cell count (an integer in 1..128)")
+    gen_p.add_argument("--seed", type=int, required=True,
+                       help="an integer in 0..2**64 - 1")
     gen_p.set_defaults(func=_cmd_gen)
 
     ver_p = sub.add_parser("version", help="print the toolkit version")

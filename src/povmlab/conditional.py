@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import LatticeLocalizationSystem, as_cells, cell_sum, effect_of
+from .lattice import LatticeLocalizationSystem, as_cells, cell_sum
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
@@ -221,8 +221,7 @@ def conditional_prob_bound(
         raise ValueError("cells must lie inside the laboratory")
     rho = as_matrix(rho)
     cond = build_conditional(sys, lab, tol=tol)
-    A_lab = effect_of(sys, lab)
-    A_cells = effect_of(sys, cells)
+    A_lab, A_cells = cond._raw(lab), cond._raw(cells)
     p_lab = float(np.trace(rho @ A_lab).real)
     delta = 1.0 - p_lab
     report = CheckReport(name="conditional_prob_bound")
@@ -231,7 +230,7 @@ def conditional_prob_bound(
         report.notes.append("vacuous: tr(rho A(lab)) ~ 0, bound carries no information")
         return report
     fraction = float(np.trace(rho @ A_cells).real) / p_lab
-    B = cond.effect(cells)
+    B = cond._sandwich(A_cells)
     prob_B = float(np.trace(rho @ B).real)
     bound = 2.0 * math.sqrt(max(0.0, delta)) + max(0.0, delta)
     report.add("conditional_fraction", fraction, tol=None)
@@ -301,8 +300,8 @@ def v_conjugation_reduction(
         for cells in _sample_subsets(lab)
     )
     report.add("conjugation_vs_transformed_system", worst, 1e-10)
-    w_orig = np.linalg.eigvalsh(hermitize(sys.hamiltonian))
-    w_tran = np.linalg.eigvalsh(transformed.hamiltonian)
+    w_orig = sys.energy_eigensystem().w
+    w_tran = transformed.energy_eigensystem().w
     report.add("energy_spectrum_preserved", float(np.max(np.abs(w_orig - w_tran))),
                tol * max(1.0, float(np.max(np.abs(w_orig)))))
     return report

@@ -144,32 +144,29 @@ def _same_frame(a: RegionUnion, b: RegionUnion, tol: float = CONE_TOL) -> None:
         raise ValueError(f"frame mismatch: {a.frame} vs {b.frame}")
 
 
-def _interval_gap(lo1: float, hi1: float, lo2: float, hi2: float) -> float:
-    """Distance between closed intervals (0 when they intersect)."""
-    return max(0.0, lo2 - hi1, lo1 - hi2)
-
-
-def _box_pair_separated(a: SpacetimeBox, b: SpacetimeBox, tol: float) -> bool:
-    # The per-coordinate difference set {p - q} is itself a box; every
-    # difference vector is spacelike iff the largest |dt| is beaten by the
-    # smallest Euclidean norm of the spatial projection.
-    dt_max = max(abs(a.lo.t - b.hi.t), abs(a.hi.t - b.lo.t))
+def _spatial_gap(a: SpacetimeBox, b: SpacetimeBox) -> float:
+    """Euclidean distance between the spatial projections of two boxes, from
+    the per-axis gaps between closed intervals (0 where they intersect)."""
     gap_sq = 0.0
     for (lo1, hi1), (lo2, hi2) in zip(a.spatial_intervals(), b.spatial_intervals()):
-        g = _interval_gap(lo1, hi1, lo2, hi2)
+        g = max(0.0, lo2 - hi1, lo1 - hi2)
         gap_sq += g * g
-    return math.sqrt(gap_sq) - dt_max > tol
+    return math.sqrt(gap_sq)
 
 
 def causally_separated(a: RegionUnion, b: RegionUnion, tol: float = CONE_TOL) -> bool:
     """True iff neither region meets the causal future or past of the other.
 
     For box unions this is decided exactly: every pair of boxes must have all
-    difference vectors spacelike, strictly beyond the tolerance band.
+    difference vectors spacelike, strictly beyond the tolerance band.  The
+    per-coordinate difference set {p - q} of two boxes is itself a box; every
+    difference vector is spacelike iff the largest |dt| is beaten by the
+    smallest Euclidean norm of the spatial projection.
     """
     _same_frame(a, b)
     return all(
-        _box_pair_separated(ba, bb, tol) for ba in a.boxes for bb in b.boxes
+        _spatial_gap(ba, bb) - max(abs(ba.lo.t - bb.hi.t), abs(ba.hi.t - bb.lo.t)) > tol
+        for ba in a.boxes for bb in b.boxes
     )
 
 
@@ -180,11 +177,7 @@ def spatial_distance(a: SpacetimeBox, b: SpacetimeBox, tol: float = CONE_TOL) ->
         raise ValueError("both boxes must be spatial (lo.t == hi.t)")
     if abs(a.time - b.time) > tol:
         raise ValueError(f"boxes lie on different rest planes: t={a.time} vs t={b.time}")
-    gap_sq = 0.0
-    for (lo1, hi1), (lo2, hi2) in zip(a.spatial_intervals(), b.spatial_intervals()):
-        g = _interval_gap(lo1, hi1, lo2, hi2)
-        gap_sq += g * g
-    return math.sqrt(gap_sq)
+    return _spatial_gap(a, b)
 
 
 def translate_region(region: RegionUnion, v: FourVector) -> RegionUnion:

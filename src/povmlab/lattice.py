@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FourVector, RegionUnion, SpacetimeBox, TIME_AXIS
+from .geometry import FourVector, RegionUnion, SpacetimeBox, TIME_AXIS, region_contains_box
 from .linalg import (
     DEFAULT_TOL,
     Eig,
@@ -25,6 +25,7 @@ from .linalg import (
     dag,
     hermitize,
     op_norm,
+    stack_size,
 )
 from .reporting import CheckReport
 
@@ -79,11 +80,12 @@ class LatticeLocalizationSystem:
     shift: np.ndarray
     hamiltonian: np.ndarray
 
-    _eig: Eig | None = field(default=None, repr=False)
+    _eig: Eig | None = field(default=None, init=False, repr=False)
 
     def energy_eigensystem(self) -> Eig:
+        """The decomposition of H, made on first call and kept."""
         if self._eig is None:
-            self._eig = Eig(*np.linalg.eigh(hermitize(self.hamiltonian)))
+            self._eig = Eig.of(self.hamiltonian)
         return self._eig
 
     def complement(self, cells: Iterable[int]) -> frozenset[int]:
@@ -242,9 +244,7 @@ def build_frame_smeared_system(
     g = gaussian_frame_vector(n, 0, width)
     g = g / np.linalg.norm(g)
     F = _dft(n)
-    power = np.abs(F @ g) ** 2  # sums to 1
-    if power.max() <= 0:
-        raise ValueError("degenerate frame vector")
+    power = np.abs(F @ g) ** 2  # sums to 1: g is finite with g[0] >= 1
     alpha = sharpness / (n * float(power.max()))
     dvals = 1.0 / n - alpha * power  # >= (1 - sharpness)/n > 0
     # D is real (d_j = d_{n-j}); its computed imaginary parts are rounding
@@ -392,11 +392,11 @@ def hc_audit(
 
     Microcausality is ``microcausality_residual`` over the disjoint pairs,
     taken in H's eigenbasis: Â = V† A V evolves by ``_evolved_in_eigenbasis``
-    (norms are unitarily invariant), with one stacked ``commutator_norm`` per
-    time; H is decomposed once, by ``eigh`` when some t != 0, else by
-    ``eigvalsh``.  When H and the effects are real, time reversal makes
-    (j, i) equal (i, j) at each t, so only i < j is audited and the witness
-    lists the earlier-listed sample first.
+    (norms are unitarily invariant), with stacked ``commutator_norm`` calls
+    of at most ``stack_size(n)`` pairs per time; H is decomposed once, by
+    ``eigh`` when some t != 0, else by ``eigvalsh``.  When H and the effects
+    are real, time reversal makes (j, i) equal (i, j) at each t, so only
+    i < j is audited and the witness lists the earlier-listed sample first.
     """
     samples = [as_cells(c, sys.n) for c in delta_samples]
     if not samples or not all(samples):
@@ -436,11 +436,13 @@ def hc_audit(
     pairs = [(i, j) for i, left in enumerate(samples) for j, right in enumerate(samples)
              if not left & right and (i < j or not time_reversal)]
     norms = np.zeros((len(pairs), len(t_grid)))
-    left = stack[[i for i, _ in pairs]]
-    right = [j for _, j in pairs]
+    step = stack_size(sys.n)  # so memory grows linearly, not quadratically, in the samples
     for k, t in enumerate(t_grid):
         at_t = _evolved_in_eigenbasis(stack, energy.w, t) if t != 0 else stack
-        norms[:, k] = commutator_norm(left, at_t[right])
+        for start in range(0, len(pairs), step):
+            left, right = zip(*pairs[start:start + step])
+            norms[start:start + step, k] = commutator_norm(stack[list(left)],
+                                                           at_t[list(right)])
     by_abs_t = sorted(range(len(t_grid)), key=lambda k: abs(t_grid[k]))
 
     micro = 0.0
@@ -521,14 +523,12 @@ def ldp_minimal_region(
 def claim_consistent_with_ldp(claim: LocalizationClaim, minimal: RegionUnion) -> bool:
     """Sufficient check that the claimed region covers the forced minimal
     region (single-box cover test)."""
-    from .geometry import region_contains_box
-
     return all(region_contains_box(claim.claimed_region, box) for box in minimal.boxes)
 
 
 def lattice_rest_box(sys: LatticeLocalizationSystem, t: float = 0.0) -> SpacetimeBox:
     """Rest-space box of the full ring embedded on the x-axis at time t."""
-    return SpacetimeBox(FourVector(t, 0.0, 0.0, 0.0), FourVector(t, sys.n * sys.a, 0.0, 0.0))
+    return cells_bounding_box(sys, range(sys.n), t)
 
 
 def cells_bounding_box(

@@ -16,7 +16,8 @@ INFO = "INFO"
 
 @dataclass
 class CheckItem:
-    """One named residual with its tolerance and verdict.
+    """One named residual with its tolerance; its verdict ``passed`` is
+    derived from the two.
 
     ``tol is None`` marks a measurement-only item: the value is recorded but
     never asserted against anything.
@@ -25,13 +26,15 @@ class CheckItem:
     name: str
     residual: float
     tol: float | None = None
-    passed: bool | None = None
     note: str = ""
 
     def __post_init__(self) -> None:
         self.residual = float(self.residual)
-        if self.tol is not None and self.passed is None:
-            self.passed = self.residual <= self.tol
+
+    @property
+    def passed(self) -> bool | None:
+        """residual <= tol; None for a measurement-only item."""
+        return None if self.tol is None else self.residual <= self.tol
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -50,14 +53,15 @@ class CheckReport:
     Verdict rule: FAIL iff any asserted item exceeds its tolerance, INFO when
     no item is asserted (every ``tol`` is None), PASS otherwise.
     ``witnesses`` carries serialized matrices/regions that explain a failure.
+    A report is built from its name alone; its items come from ``add``.
     """
 
     name: str
-    items: list[CheckItem] = field(default_factory=list)
-    witnesses: dict[str, Any] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
-    scenario: dict[str, Any] | None = None
+    items: list[CheckItem] = field(default_factory=list, init=False)
+    witnesses: dict[str, Any] = field(default_factory=dict, init=False)
+    notes: list[str] = field(default_factory=list, init=False)
+    wall_time: float = field(default=0.0, init=False)
+    scenario: dict[str, Any] | None = field(default=None, init=False)
 
     def add(
         self,

@@ -131,8 +131,8 @@ def _dimension(value: Any) -> int:
 
 check_tol = Number(positive=True)  # a scenario tolerance
 check_seed = Integer(0, 2**64 - 1)  # a scenario seed
-# the largest lattice a scenario may ask for, the largest n the tests run;
-# each builder allocates dense n x n arrays
+# the largest lattice or matrix dimension a scenario may ask for, the largest
+# n the tests run; each builder and generator allocates dense n x n arrays
 N_MAX = 128
 SYSTEM_KINDS = ("sharp", "alternating", "diagonal_smeared", "frame_smeared")
 
@@ -161,7 +161,7 @@ def _system(sc: Scenario) -> lat.LatticeLocalizationSystem:
     args = (n, mass, a) if kind in ("sharp", "alternating") else (n, mass, a, width)
     try:
         return getattr(lat, f"build_{kind}_system")(*args)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{sc.pointer}/params", str(exc)) from None
 
 
@@ -340,7 +340,7 @@ def _check_causal_separation(sc: Scenario, rng: np.random.Generator) -> CheckRep
     return report
 
 
-_DIM = Param("dim", Integer(1), 3)
+_DIM = Param("dim", Integer(1, N_MAX), 3)
 _INSTRUMENT_EFFECT = (_DIM, Param("instrument", Decoded(decode_instrument), None),
                       Param("effect", Decoded(decode_effect, dim="instrument"), None))
 
@@ -354,7 +354,7 @@ CHECKS: dict[str, CheckType] = {
         Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second")),
     "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     # the search's level-splitting construction needs three distinct levels
-    "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3), 3),
+    "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3, N_MAX), 3),
                                               Param("budget", Integer(1), 1000))),
     "hc_audit": CheckType(_check_hc_audit, SYSTEM_PARAMS + (
         Param("t_grid", Nonempty(Number(), "times"), [0.5, 1.0, 2.0]),
@@ -364,7 +364,7 @@ CHECKS: dict[str, CheckType] = {
     "conditional_build": CheckType(_check_conditional_build,
                                    SYSTEM_PARAMS + (Param("lab", Cells(nonempty=True)),)),
     "gentle_sweep": CheckType(_check_gentle_sweep, (
-        Param("dims", Nonempty(Integer(1), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
+        Param("dims", Nonempty(Integer(1, N_MAX), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
         Param("instances", Integer(1), 1000))),
     "conditional_bound": CheckType(_check_conditional_bound, SYSTEM_PARAMS + (
         Param("lab", Cells(nonempty=True)), Param("delta", Cells(inside="lab")),

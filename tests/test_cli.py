@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povmlab import signaling
+from povmlab import KINDS, signaling
 from povmlab.cli import main
 from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
@@ -35,6 +35,9 @@ from povmlab.serialization import (
     decode_povm,
     decode_region,
     decode_state,
+    encode_instrument,
+    encode_matrix,
+    encode_povm,
 )
 from povmlab.signaling import D2_MIN
 
@@ -238,6 +241,42 @@ class TestGenCommand:
         assert main(["gen", "povm", "--dim", "2", "--seed", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "povm"
+
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dim", ["0", "-1", "129"])
+    def test_gen_dim_outside_one_to_the_ceiling_exits_two(self, capsys, kind, dim):
+        assert main(["gen", kind, "--dim", dim, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --dim: must be ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gen_seed_takes_the_run_range(self, capsys, seed):
+        assert main(["gen", "state", "--dim", "2", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --seed: must be ")
+        assert main(["gen", "state", "--dim", "2", "--seed", str(2**64 - 1)]) == 0
+
+    @pytest.mark.parametrize("dim", [1, N_MAX])
+    def test_the_ceiling_runs(self, capsys, dim):
+        assert main(["gen", "effect", "--dim", str(dim), "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["matrix"]["dim"] == dim
+
+    @pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "lattice_system"])
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_run_reads_back_what_gen_prints(self, capsys, kind, dim):
+        assert main(["gen", kind, "--dim", str(dim), "--seed", "7"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        parts = ([payload["first"], payload["second"]] if kind == "commuting_pair"
+                 else [payload])
+        for part in parts:
+            decode, encode = {"state": (decode_state, encode_matrix),
+                              "effect": (decode_effect, encode_matrix),
+                              "povm": (decode_povm, encode_povm),
+                              "instrument": (decode_instrument, encode_instrument)}[part["kind"]]
+            value = decode(part)
+            assert (value.shape[0] if isinstance(value, np.ndarray) else value.dim) == dim
+            assert encode(value) == (part["matrix"] if encode is encode_matrix else part)
 
 
 class TestVersionCommand:
@@ -666,6 +705,33 @@ class TestLatticeCeiling:
         payload = [{"type": "conditional_build", "params": {"n": N_MAX, "lab": [3, 4, 5, 6]}},
                    {"type": "cc_residual", "params": {"n": N_MAX, "delta": [0, 1], "t": 2.0}}]
         assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == ["PASS", "INFO"]
+
+
+
+class TestDimensionCeiling:
+    """A generated matrix dimension is at most N_MAX = 128, as ``n`` is;
+    the ceiling itself runs."""
+
+    CASES = [("nsc", "dim"), ("rcc", "dim"), ("luders_equivalence", "dim"), ("beck", "dim"),
+             ("hw_search", "dim"), ("gentle_sweep", "dims")]
+
+    @pytest.mark.parametrize("stype, field", CASES)
+    def test_above_the_ceiling_exits_two(self, tmp_path, capsys, stype, field):
+        value, pointer = ([2, N_MAX + 1], "dims/1") if field == "dims" else (N_MAX + 1, "dim")
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": stype, "params": {field: value}}]})
+        assert main(["run", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: /scenarios/0/params/{pointer}: must be <= 128, got 129\n"
+
+    def test_the_ceiling_runs(self):
+        payload = [{"type": stype, "params": {field: [N_MAX] if field == "dims" else N_MAX}}
+                   for stype, field in self.CASES]
+        payload[-1]["params"]["instances"] = 2
+        # nsc's generated effect does not commute with the instrument, at any dim
+        assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == [
+            "FAIL", "PASS", "PASS", "PASS", "PASS", "PASS"]
 
 
 # the generator kind of each decoded object a scenario can hold

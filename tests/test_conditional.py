@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,48 @@ class TestConditionalProbBound:
     def test_cells_must_be_inside_lab(self, smeared16):
         with pytest.raises(ValueError, match="inside"):
             conditional_prob_bound(smeared16, {0}, LAB6, np.eye(16) / 16)
+
+
+def _resummed_prob_bound(sys, cells, lab, rho, tol=1e-10):
+    """(name, residual, tol) of each item of ``conditional_prob_bound``, with
+    A(lab), A(cells) and B summed and sandwiched again instead of taken from
+    the POVM built for the check: the formula the check used to follow."""
+    cond = build_conditional(sys, lab, tol=tol)
+    A_lab, A_cells = effect_of(sys, lab), effect_of(sys, cells)
+    p_lab = float(np.trace(rho @ A_lab).real)
+    delta = 1.0 - p_lab
+    items = [("delta", delta, None)]
+    if delta >= 1.0 - tol:
+        return items
+    fraction = float(np.trace(rho @ A_cells).real) / p_lab
+    B = cond.effect(cells)
+    prob_B = float(np.trace(rho @ B).real)
+    bound = 2.0 * math.sqrt(max(0.0, delta)) + max(0.0, delta)
+    root = cond.lab_spectrum.sqrt()
+    exact = float(np.trace(root @ rho @ root / p_lab @ B).real)
+    return items + [("conditional_fraction", fraction, None), ("tr_rho_B", prob_B, None),
+                    ("fraction_vs_B_difference", abs(prob_B - fraction), bound + 1e-9),
+                    ("exact_conditional_identity", abs(exact - fraction), 1e-10),
+                    ("operator_form_bound", abs(exact - prob_B),
+                     bound * max(op_norm(B), 1e-300) + 1e-9)]
+
+
+class TestProbBoundReadsItsOwnPovm:
+    """The check takes A(lab), A(cells) and B from the conditional POVM it
+    builds; its items are bit-equal to summing them again."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_items_bit_equal_to_the_resummed_formula(self, smeared16, diagonal16, seed):
+        rng = make_rng(70, seed)
+        sys = (smeared16, diagonal16)[seed % 2]
+        lab = frozenset(int(k) for k in rng.choice(16, size=2 + seed, replace=False))
+        cells = frozenset(sorted(lab)[:1 + seed % len(lab)])
+        for cells_, rho in ((cells, random_state(16, rng)), (lab, random_state(16, rng)),
+                            (frozenset(), random_state(16, rng)),
+                            (cells, localized_state(sys, lab, floor=0.0))):
+            rep = conditional_prob_bound(sys, cells_, lab, rho)
+            got = [(it.name, it.residual, it.tol) for it in rep.items]
+            assert got == _resummed_prob_bound(sys, cells_, lab, rho)
 
 
 class TestVConjugation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,49 @@ class TestRegionCover:
         big = box((0, -2, -2, -2), (0, 2, 2, 2))
         assert region_contains_box(region(big), UNIT_CUBE_T0)
         assert not region_contains_box(region(UNIT_CUBE_T0), big)
+
+
+# the constructions causally_separated and spatial_distance used before they
+# shared one spatial gap, kept as their oracles
+def _old_interval_gap(lo1, hi1, lo2, hi2):
+    return max(0.0, lo2 - hi1, lo1 - hi2)
+
+
+def _old_gap_sq(a, b):
+    gap_sq = 0.0
+    for (lo1, hi1), (lo2, hi2) in zip(a.spatial_intervals(), b.spatial_intervals()):
+        g = _old_interval_gap(lo1, hi1, lo2, hi2)
+        gap_sq += g * g
+    return gap_sq
+
+
+def _old_separated(a, b, tol=1e-9):
+    def pair(p, q):
+        dt_max = max(abs(p.lo.t - q.hi.t), abs(p.hi.t - q.lo.t))
+        return math.sqrt(_old_gap_sq(p, q)) - dt_max > tol
+    return all(pair(p, q) for p in a.boxes for q in b.boxes)
+
+
+class TestOneSpatialGap:
+    """Both predicates read one spatial gap, bit-equal to their old
+    constructions on seeded boxes."""
+
+    def test_spatial_distance_equals_the_old_construction(self):
+        rng = make_rng(71)
+        for _ in range(300):
+            t = float(rng.uniform(-2.0, 2.0))
+            a, b = random_box(rng), random_box(rng)
+            a = box((t, *a.lo.components()[1:]), (t, *a.hi.components()[1:]))
+            b = box((t, *b.lo.components()[1:]), (t, *b.hi.components()[1:]))
+            assert spatial_distance(a, b) == math.sqrt(_old_gap_sq(a, b))
+
+    def test_causally_separated_equals_the_old_construction(self):
+        rng = make_rng(72)
+        verdicts = set()
+        for _ in range(300):
+            a = region(*(random_box(rng, extent=4.0) for _ in range(int(rng.integers(1, 3)))))
+            b = region(*(random_box(rng, extent=4.0) for _ in range(int(rng.integers(1, 3)))))
+            verdict = causally_separated(a, b)
+            assert verdict == _old_separated(a, b)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmlab.generators import haar_unitary, make_rng
-from povmlab.geometry import RegionUnion, causally_separated
+from povmlab.geometry import FourVector, RegionUnion, SpacetimeBox, causally_separated
 from povmlab.lattice import (
     LatticeLocalizationSystem,
     LocalizationClaim,
@@ -26,7 +26,7 @@ from povmlab.lattice import (
     projector_screening_identity,
     validate_system,
 )
-from povmlab.linalg import commutator, dag, hermitize, op_norm
+from povmlab.linalg import Eig, commutator, dag, hermitize, op_norm
 
 
 @pytest.fixture(scope="module")
@@ -759,3 +759,63 @@ class TestRealModels:
         # real LAPACK for H wherever H is real: every case but alternating at odd n
         assert [call for call in seen if call[0] != "eigvalsh"] == [
             ("eigh", sys.hamiltonian.dtype)]
+
+
+# ---------------------------------------------------------------------------
+# derived values: H's decomposition, the rest box, the audit's pair stacks
+# ---------------------------------------------------------------------------
+
+class TestDerivedEnergyEigensystem:
+    def test_a_handed_in_decomposition_is_refused(self):
+        # before, Eig(zeros, I) froze the dynamics: E_0 stayed put at t = 1
+        sys = build_sharp_system(16, 1.0, 1.0)
+        with pytest.raises(TypeError):
+            LatticeLocalizationSystem(16, 1.0, sys.cell_effects, sys.shift, sys.hamiltonian,
+                                      _eig=Eig(np.zeros(16), np.eye(16)))
+
+    @pytest.mark.parametrize("kind, n", [("sharp", 16), ("frame_smeared", 16),
+                                         ("alternating", 17)])
+    def test_decomposed_from_h_once(self, kind, n):
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        energy = sys.energy_eigensystem()
+        assert sys.energy_eigensystem() is energy
+        w, V = np.linalg.eigh(hermitize(sys.hamiltonian))
+        assert np.array_equal(energy.w, w) and np.array_equal(energy.V, V)
+
+    def test_the_dynamics_moves_a_cell_effect(self, sharp16):
+        E = sharp16.cell_effects[0]
+        assert op_norm(heisenberg_evolve(sharp16, E, 1.0) - E) > 0.1
+
+
+class TestRestBoxOverEveryCell:
+    def test_equals_the_old_construction(self):
+        rng = make_rng(73)
+        for _ in range(40):
+            n, a = int(rng.integers(2, 129)), float(rng.uniform(0.01, 10.0))
+            t = float(rng.uniform(-5.0, 5.0))
+            sys = build_sharp_system(n, 1.0, a)
+            old = SpacetimeBox(FourVector(t, 0.0, 0.0, 0.0), FourVector(t, n * a, 0.0, 0.0))
+            assert lattice_rest_box(sys, t) == old
+            assert lattice_rest_box(sys, t) == cells_bounding_box(sys, range(n), t)
+
+
+class TestAuditPairStacks:
+    """The audit evaluates its disjoint pairs in stacks of stack_size(n);
+    the report does not depend on the stack size."""
+
+    @pytest.mark.parametrize("kind, n", [("frame_smeared", 16), ("alternating", 17),
+                                         ("diagonal_smeared", 16)])
+    def test_many_samples_bit_equal_to_one_stack(self, monkeypatch, kind, n):
+        import povmlab.lattice as lattice
+
+        rng = make_rng(74)
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        samples = [rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()
+                   for _ in range(32)]
+        t_grid = [0.0, 0.5, -1.5, 3.0]
+        reports = []
+        for size in (10**9, 7, 1):
+            monkeypatch.setattr(lattice, "stack_size", lambda dim, _size=size: _size)
+            reports.append(hc_audit(sys, samples, t_grid, tol=1e-9).to_dict())
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["items"][3]["residual"] > 0

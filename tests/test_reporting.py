@@ -1,4 +1,6 @@
-from povmlab.reporting import FAIL, INFO, PASS, CheckReport
+import pytest
+
+from povmlab.reporting import FAIL, INFO, PASS, CheckItem, CheckReport
 
 
 class TestVerdict:
@@ -58,3 +60,35 @@ class TestSummary:
         row = report.summary_row()
         assert row["verdict"] == INFO
         assert [row[key] for key in ("item", "residual", "tol", "margin")] == [None] * 4
+
+
+class TestDerivedVerdict:
+    """An item's verdict is derived from its residual and tolerance, and a
+    report is built from its name alone: neither takes a verdict handed in."""
+
+    def test_passed_follows_residual_and_tol(self):
+        assert CheckItem("r", 1e-12, 1e-10).passed is True
+        assert CheckItem("r", 1.0, 1e-10).passed is False
+        assert CheckItem("r", 1.0).passed is None
+
+    def test_a_handed_in_verdict_is_refused(self):
+        # before, this item made its report PASS at margin -1.0
+        with pytest.raises(TypeError):
+            CheckItem("r", 1.0, 1e-10, passed=True)
+
+    def test_passed_is_read_only(self):
+        item = CheckItem("r", 1.0, 1e-10)
+        with pytest.raises(AttributeError):
+            item.passed = True
+
+    @pytest.mark.parametrize("field, value", [
+        ("items", [CheckItem("r", 1.0, 1e-10)]), ("witnesses", {}), ("notes", []),
+        ("wall_time", 0.0), ("scenario", None)])
+    def test_a_report_takes_its_name_alone(self, field, value):
+        with pytest.raises(TypeError):
+            CheckReport("check", **{field: value})
+
+    def test_items_come_from_add(self):
+        report = CheckReport("check")
+        report.add("r", 1.0, 1e-10)
+        assert report.verdict == FAIL and report.summary_row()["margin"] == 1e-10 - 1.0
