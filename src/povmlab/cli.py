@@ -5,7 +5,7 @@
     povmlab gen <kind> --dim D --seed S
     povmlab version
 
-Exit codes: 0 when no scenario FAILs, 1 on any FAIL, 2 on input errors.
+Exit codes: 0 when no scenario FAILs, 1 on any FAIL, 2 on refused input, with nothing run.
 """
 from __future__ import annotations
 
@@ -47,10 +47,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed = check_seed(args.seed, "--seed")
             for sc in scenarios:
                 sc.seed = seed
-        reports = run_scenarios(scenarios, workers=args.workers)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    reports = run_scenarios(scenarios, workers=args.workers)
     rows = [r.summary_row() for r in reports]
     for r, row in zip(reports, rows):
         worst = "no asserted item" if row["item"] is None else (
@@ -73,11 +73,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import generate_instance
-    from .scenarios import N_MAX, check_seed
-    from .serialization import Integer
+    from .scenarios import DIM, SYSTEM_PARAMS, check_seed
 
-    try:  # the flags are read as run reads a scenario's dim and seed
-        dim, seed = Integer(1, N_MAX)(args.dim, "--dim"), check_seed(args.seed, "--seed")
+    try:  # read as run reads a system's n or a scenario's dim, and a seed
+        n_or_dim = SYSTEM_PARAMS[0] if args.kind == "lattice_system" else DIM
+        dim, seed = n_or_dim.read(args.dim, "--dim"), check_seed(args.seed, "--seed")
         payload: dict[str, Any] = generate_instance(args.kind, dim, seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser("gen", help="generate a serialized random instance")
     gen_p.add_argument("kind", choices=KINDS)
     gen_p.add_argument("--dim", type=int, required=True,
-                       help="matrix dimension, or cell count (an integer in 1..128)")
+                       help="matrix dimension in 1..128; lattice_system's cell count in 2..128")
     gen_p.add_argument("--seed", type=int, required=True,
                        help="an integer in 0..2**64 - 1")
     gen_p.set_defaults(func=_cmd_gen)

@@ -263,11 +263,11 @@ def build_diagonal_smeared_system(
     """Commuting unsharp localization: position projectors smeared by a
     strictly positive Gaussian kernel.
 
-    E_k = sum_x w(x - k) |x><x| with the periodized kernel w normalized to
-    sum 1, so all effects are diagonal (pairwise commuting), sum to the
-    identity exactly, and every A(cells) has trivial kernel.  The commuting
-    benchmark against which the frame-smeared system's noncommutative
-    obstructions are measured.
+    E_k = sum_x w(x - k) |x><x| with the periodized kernel w normalized to sum 1:
+    diagonal (pairwise commuting) effects that sum to the identity exactly.
+    A(cells) has a trivial kernel in exact arithmetic only (at n = 32, width 1.5,
+    cells [0, 1, 2] its smallest eigenvalue is 1.0e-22, below the kernel floor).
+    The commuting benchmark for the frame-smeared system's noncommutative obstructions.
     """
     if n < 2 or mass <= 0 or a <= 0 or width <= 0:
         raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")

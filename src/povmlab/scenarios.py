@@ -52,7 +52,6 @@ class Scenario:
     tol: float = DEFAULT_TOL
     repeat: int = 1
     index: int = 0
-    pointer: str = ""
 
     def echo(self) -> dict[str, Any]:
         return {"type": self.type, "seed": self.seed, "tol": self.tol, "repeat": self.repeat}
@@ -73,7 +72,7 @@ def parse_scenarios(data: Any) -> list[Scenario]:
         entry = ENTRY(raw, pointer)
         params = CHECKS[entry["type"]].read(entry["params"], f"{pointer}/params")
         out.append(Scenario(entry["type"], params, entry["seed"], entry["tol"], entry["repeat"],
-                            index=i, pointer=pointer))
+                            index=i))
     return out
 
 
@@ -144,8 +143,11 @@ class CheckType(NamedTuple):
     pair: tuple[str, str] | None = None
 
     def read(self, raw: Any, pointer: str) -> dict[str, Any]:
-        """The values of one scenario's params, read in the table's order."""
-        return Fields(self.params, "params", "parameter", self.pair)(raw, pointer)
+        """One scenario's params, read in the table's order; a system's checked whole."""
+        values = Fields(self.params, "params", "parameter", self.pair)(raw, pointer)
+        if self.params[:len(SYSTEM_PARAMS)] == SYSTEM_PARAMS:
+            _check_system(values, pointer)
+        return values
 
 
 # read first by every check on a lattice system
@@ -155,14 +157,29 @@ SYSTEM_PARAMS = (Param("n", Integer(2, N_MAX), 16), Param("mass", Number(positiv
                  Param("kind", OneOf(SYSTEM_KINDS), "frame_smeared"))
 
 
+def _check_system(values: dict[str, Any], pointer: str) -> None:
+    """Refuse, with the builders' own functions, a system whose Gaussian profile or
+    dispersion is not finite, and at its own key a time whose phase t * max|omega| is not."""
+    n, mass, a, width, kind = (values[p.name] for p in SYSTEM_PARAMS)
+    try:
+        if kind not in ("sharp", "alternating"):  # profile first, as the smeared builders do
+            lat.gaussian_frame_vector(n, 0, width)
+        norm = float(lat.lattice_dispersion(n, mass, a).max())
+    except ValueError as exc:
+        raise SchemaError(pointer, str(exc)) from None
+    times = [("t", values["t"])] if "t" in values else [
+        (f"t_grid/{k}", t) for k, t in enumerate(values.get("t_grid", ()))]
+    for key, t in times:
+        if not math.isfinite(t * norm):
+            raise SchemaError(f"{pointer}/{key}",
+                              f"the phase t * max|omega| = {t!r} * {norm:.3e} overflows")
+
+
 def _system(sc: Scenario) -> lat.LatticeLocalizationSystem:
     """The scenario's lattice system, its builder looked up on ``lattice`` at call time."""
     n, mass, a, width, kind = (sc.params[p.name] for p in SYSTEM_PARAMS)
     args = (n, mass, a) if kind in ("sharp", "alternating") else (n, mass, a, width)
-    try:
-        return getattr(lat, f"build_{kind}_system")(*args)
-    except ValueError as exc:
-        raise SchemaError(f"{sc.pointer}/params", str(exc)) from None
+    return getattr(lat, f"build_{kind}_system")(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +241,8 @@ def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     return report
 
 
-def _refuse_overflowing_phase(sc: Scenario, sys: lat.LatticeLocalizationSystem,
-                              times: list[tuple[str, float]]) -> None:
-    """Refuse, at its params key, a time t whose phase t * max|omega| is not
-    finite; the decomposition of H is kept on ``sys`` for the evolution."""
-    for key, t in times:
-        norm = sys.energy_eigensystem().norm if t != 0 else 0.0
-        if not math.isfinite(t * norm):
-            raise SchemaError(f"{sc.pointer}/params/{key}",
-                              f"the phase t * max|omega| = {t!r} * {norm:.3e} overflows")
-
-
 def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     sys, samples = _system(sc), sc.params["delta_samples"]
-    _refuse_overflowing_phase(sc, sys, [(f"t_grid/{k}", t)
-                                        for k, t in enumerate(sc.params["t_grid"])])
     if samples is None:
         quarter = max(1, sys.n // 4)
         samples = [frozenset(range(quarter)), frozenset(
@@ -249,7 +253,6 @@ def _check_hc_audit(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 def _check_cc_residual(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     sys = _system(sc)
     cells, t = sc.params["delta"], sc.params["t"]
-    _refuse_overflowing_phase(sc, sys, [("t", t)])
     shadow, saturated = lat.causal_shadow(sys, cells, t)
     report = CheckReport(name="cc_residual")
     report.add("cc_residual", lat.cc_residual(sys, cells, t), tol=None)
@@ -340,17 +343,17 @@ def _check_causal_separation(sc: Scenario, rng: np.random.Generator) -> CheckRep
     return report
 
 
-_DIM = Param("dim", Integer(1, N_MAX), 3)
-_INSTRUMENT_EFFECT = (_DIM, Param("instrument", Decoded(decode_instrument), None),
+DIM = Param("dim", Integer(1, N_MAX), 3)
+_INSTRUMENT_EFFECT = (DIM, Param("instrument", Decoded(decode_instrument), None),
                       Param("effect", Decoded(decode_effect, dim="instrument"), None))
 
 CHECKS: dict[str, CheckType] = {
     "nsc": CheckType(_check_nsc, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     "rcc": CheckType(_check_rcc, (
-        _DIM, Param("first", Decoded(decode_instrument), None),
+        DIM, Param("first", Decoded(decode_instrument), None),
         Param("second", Decoded(decode_instrument, dim="first"), None)), ("first", "second")),
     "luders_equivalence": CheckType(_check_luders_equivalence, (
-        _DIM, Param("first", Decoded(decode_povm), None),
+        DIM, Param("first", Decoded(decode_povm), None),
         Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second")),
     "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     # the search's level-splitting construction needs three distinct levels

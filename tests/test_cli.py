@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povmlab import KINDS, signaling
+from povmlab import KINDS, lattice, signaling
 from povmlab.cli import main
 from povmlab.generators import generate_instance
 from povmlab.reporting import CheckReport
@@ -243,8 +243,9 @@ class TestGenCommand:
         assert payload["kind"] == "povm"
 
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("dim", ["0", "-1", "129"])
+    # a lattice system's cell count is read as a scenario's n, from 2
+    @pytest.mark.parametrize("dim, kind", [(dim, kind) for dim in ("0", "-1", "129")
+                                           for kind in KINDS] + [("1", "lattice_system")])
     def test_gen_dim_outside_one_to_the_ceiling_exits_two(self, capsys, kind, dim):
         assert main(["gen", kind, "--dim", dim, "--seed", "1"]) == 2
         captured = capsys.readouterr()
@@ -462,6 +463,37 @@ class TestRefusals:
             {"type": "hc_audit", "params": {"n": 8, "kind": "sharp", "mass": 1e150,
                                             "t_grid": [0.0, 1e150]}}]})
         assert main(["run", path]) == 0
+
+    @pytest.mark.parametrize("stype, params, pointer", [
+        ("cc_residual", {"mass": 1e200, "delta": [0]}, "params"),
+        ("conditional_build", {"kind": "diagonal_smeared", "width": 1e-200, "lab": [0, 1]},
+         "params"),
+        ("conditional_build", {"kind": "frame_smeared", "width": 1e-200, "lab": [0, 1]},
+         "params"),
+        ("cc_residual", {"kind": "sharp", "mass": 1e150, "t": 1e300, "delta": [0]}, "params/t"),
+        ("hc_audit", {"kind": "sharp", "mass": 1e150, "t_grid": [0.5, 1e300]}, "params/t_grid/1"),
+    ])
+    def test_a_refused_second_scenario_runs_nothing(self, tmp_path, capsys, monkeypatch,
+                                                    stype, params, pointer):
+        """The system rules are read at parse time: the valid first scenario
+        does not run, no summary line is printed and no report is written."""
+        def build(*args):
+            pytest.fail("a lattice system was built")
+        for name in dir(lattice):
+            if name.startswith("build_") and name.endswith("_system"):
+                monkeypatch.setattr(lattice, name, build)
+        payload = {"scenarios": [{"type": "nsc", "params": {"dim": 2}},
+                                 {"type": stype, "params": dict(params, n=8)}]}
+        out, summary = tmp_path / "report.json", tmp_path / "summary.csv"
+        path = write_scenarios(tmp_path, payload)
+        assert main(["run", path, "--out", str(out), "--csv", str(summary)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: /scenarios/1/{pointer}: ")
+        assert not out.exists() and not summary.exists()
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios(payload)
+        assert err.value.pointer == f"/scenarios/1/{pointer}"
 
     def test_valid_parameters_still_run(self):
         payload = {"scenarios": [

@@ -6,7 +6,10 @@ exception.  A constraint across fields (cells inside another cell list or
 disjoint from it, a state of dimension ``n``, the second object of a pair of
 the first one's dimension) is a fault of the later field.  A fault inside a
 wire object (a matrix entry, a ``dim``, a box coordinate, an unknown key) is
-refused at that entry's own pointer."""
+refused at that entry's own pointer.  A lattice system the rule across its
+fields refuses (a dispersion or smeared Gaussian profile that is not finite)
+is refused at ``params``, and a time whose phase t * max|omega| overflows at
+the time's own pointer."""
 import copy
 import math
 from functools import lru_cache
@@ -23,6 +26,7 @@ from povmlab.geometry import RegionUnion  # noqa: E402
 from povmlab.measurement import DiscretePOVM, KrausInstrument  # noqa: E402
 from povmlab.scenarios import (  # noqa: E402
     CHECKS,
+    SYSTEM_PARAMS,
     Cells,
     Decoded,
     parse_scenarios,
@@ -83,8 +87,8 @@ def valid(reader, n: int) -> st.SearchStrategy:
     """Values the reader accepts, on a lattice of ``n`` cells."""
     if isinstance(reader, Integer):
         return st.integers(reader.minimum, min(reader.minimum + 40, top(reader)))
-    if isinstance(reader, Number):
-        floats = st.floats(0.0 if reader.positive else -1e6, 1e6, exclude_min=reader.positive)
+    if isinstance(reader, Number):  # positive from 1e-150: a tinier a or width is a system fault
+        floats = st.floats(1e-150 if reader.positive else -1e6, 1e6)
         return floats | st.integers(1 if reader.positive else -10, 10)
     if isinstance(reader, OneOf):
         return st.sampled_from(reader.choices)
@@ -252,7 +256,28 @@ def scenario(draw, stype: str | None = None) -> dict:
 
 FIELDS = [(stype, p) for stype, check in CHECKS.items() for p in check.params]
 FAULTS = ["none", "invalid", "invalid", "invalid", "missing", "half", "unknown", "conflict",
-          "conflict", "wire", "wire"]
+          "conflict", "wire", "wire", "system"]
+# the check types on a lattice system
+SYSTEMS = tuple(sorted(stype for stype, check in CHECKS.items()
+                       if check.params[:len(SYSTEM_PARAMS)] == SYSTEM_PARAMS))
+HUGE_TIME = st.floats(1e170, 1e308) | st.floats(-1e308, -1e170)
+# the systems the rule across their fields refuses, each as the check types
+# it fits, the values it sets and the field it is refused at ("" for the
+# whole params): a dispersion whose square overflows (a tiny spacing or a
+# huge mass), a smeared kind's Gaussian profile whose width squared
+# underflows, and a time whose phase t * max|omega| overflows at a mass the
+# dispersion still takes, refused at the time's own pointer
+SYSTEM_FAULTS = [
+    (SYSTEMS, st.fixed_dictionaries({"a": st.floats(0.0, 1e-155, exclude_min=True)}), ""),
+    (SYSTEMS, st.fixed_dictionaries({"mass": st.floats(1e155, 1e308)}), ""),
+    (SYSTEMS, st.fixed_dictionaries({
+        "width": st.floats(0.0, 1e-163, exclude_min=True),
+        "kind": st.sampled_from(["diagonal_smeared", "frame_smeared"])}), ""),
+    (("cc_residual",), st.fixed_dictionaries({"mass": st.floats(1e140, 1e150),
+                                              "t": HUGE_TIME}), "t"),
+    (("hc_audit",), st.fixed_dictionaries({"mass": st.floats(1e140, 1e150), "t_grid": appended(
+        st.lists(st.floats(-1e6, 1e6), max_size=2), HUGE_TIME)}), "t_grid"),
+]
 
 
 @st.composite
@@ -260,13 +285,17 @@ def faulty_file(draw):
     """Valid scenarios around one scenario with at most one fault: a bad
     value, a missing required field, half a pair, an unknown key, a value
     that breaks its constraint on another field, or one fault inside a
-    valid wire object.
+    valid wire object, or a system the rule across its fields refuses.
     Returns the file, the faulty scenario's index, the field the fault
-    lies in (None for a valid file) and, for a fault inside a wire object,
-    its pointer within the field."""
+    lies in (None for a valid file, "" for the whole params) and, for a
+    fault inside a wire object or a system fault, its exact pointer within
+    the field."""
     fault = draw(st.sampled_from(FAULTS))
     inner = None
-    if fault in ("invalid", "conflict", "wire"):
+    if fault == "system":
+        stypes, overrides, at = draw(st.sampled_from(SYSTEM_FAULTS))
+        stype = draw(st.sampled_from(stypes))
+    elif fault in ("invalid", "conflict", "wire"):
         stype, bad = draw(st.sampled_from(
             FIELDS if fault == "invalid" else
             [(t, p) for t, p in FIELDS if isinstance(p.read, Decoded)] if fault == "wire" else
@@ -296,6 +325,9 @@ def faulty_file(draw):
         given, field = draw(st.permutations(check.pair))
         params[given] = draw(valid(next(p.read for p in check.params if p.name == given), n))
         params.pop(field, None)
+    elif fault == "system":
+        params.update(draw(overrides))
+        field, inner = at, f"/{len(params['t_grid']) - 1}" if at == "t_grid" else ""
     elif fault == "unknown":
         names = {p.name for p in check.params}
         field = draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in names))
@@ -342,7 +374,7 @@ def test_one_fault_is_refused_at_its_field_and_valid_values_are_read(drawn):
         parse_scenarios(data)
     base = "" if isinstance(data, list) else "/scenarios"
     escaped = field.replace("~", "~0").replace("/", "~1")
-    prefix = f"{base}/{index}/params/{escaped}"
+    prefix = f"{base}/{index}/params" + (f"/{escaped}" if field else "")
     if inner is not None:
         assert err.value.pointer == prefix + inner
     else:
