@@ -464,6 +464,22 @@ class TestRefusals:
                                             "t_grid": [0.0, 1e150]}}]})
         assert main(["run", path]) == 0
 
+    @pytest.mark.parametrize("stype, key, pointer", [("cc_residual", "t", "t"),
+                                                     ("hc_audit", "t_grid", "t_grid/1")])
+    def test_the_phase_edge_is_refused_and_a_time_inside_the_margin_runs(
+            self, tmp_path, capsys, stype, key, pointer):
+        """H's decomposed spectrum tops max|omega| in its last bits, so the time
+        at which t * max|omega| reaches the largest float is refused at parse
+        time rather than overflowing exp(-itH) in the run."""
+        edge = sys.float_info.max / float(lattice.lattice_dispersion(8, 1e150, 1.0).max())
+        for t, refused in [(edge, True), (edge * (1 - 1e-11), False)]:
+            params = {"n": 8, "kind": "sharp", "mass": 1e150,
+                      key: t if key == "t" else [0.5, t], **({"delta": [0]} if key == "t" else {})}
+            path = write_scenarios(tmp_path, {"scenarios": [{"type": stype, "params": params}]})
+            assert main(["run", path]) == (2 if refused else 0)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: /scenarios/0/params/{pointer}: the phase") == refused
+
     @pytest.mark.parametrize("stype, params, pointer", [
         ("cc_residual", {"mass": 1e200, "delta": [0]}, "params"),
         ("conditional_build", {"kind": "diagonal_smeared", "width": 1e-200, "lab": [0, 1]},
@@ -496,11 +512,19 @@ class TestRefusals:
         assert err.value.pointer == f"/scenarios/1/{pointer}"
 
     def test_valid_parameters_still_run(self):
+        """Tiny values the system rule takes: a sharp kind ignores its width, a
+        mass whose square underflows leaves the dispersion finite, and so does
+        a spacing above about 1.5e-154."""
+        tiny = [{"kind": "sharp", "width": 1e-200}, {"kind": "alternating", "width": 5e-324},
+                {"mass": 1e-200}, {"kind": "sharp", "mass": 5e-324}, {"a": 1e-150}]
         payload = {"scenarios": [
             {"type": "gentle_sweep", "tol": 1e300, "params": {"instances": 4, "dims": [2, 3]}},
             {"type": "hc_audit", "params": {"n": 8, "kind": "sharp", "t_grid": [0, 1.0]}},
-        ]}
-        assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == ["PASS", "PASS"]
+        ] + [{"type": "cc_residual", "params": dict(params, n=8, delta=[0], t=1.0)}
+             for params in tiny]}
+        reports = run_scenarios(parse_scenarios(payload))
+        assert [r.verdict for r in reports] == ["PASS", "PASS"] + ["INFO"] * len(tiny)
+        assert all(math.isfinite(r.items[0].residual) for r in reports[2:])
 
 
 class TestParameterTable:

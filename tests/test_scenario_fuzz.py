@@ -9,7 +9,9 @@ wire object (a matrix entry, a ``dim``, a box coordinate, an unknown key) is
 refused at that entry's own pointer.  A lattice system the rule across its
 fields refuses (a dispersion or smeared Gaussian profile that is not finite)
 is refused at ``params``, and a time whose phase t * max|omega| overflows at
-the time's own pointer."""
+the time's own pointer.  Valid values make such a system too (a tiny ``a``,
+or a tiny ``width`` of a smeared kind); the first scenario refused is the
+one the error names."""
 import copy
 import math
 from functools import lru_cache
@@ -21,11 +23,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from povmlab import lattice  # noqa: E402
 from povmlab.generators import generate_instance  # noqa: E402
 from povmlab.geometry import RegionUnion  # noqa: E402
 from povmlab.measurement import DiscretePOVM, KrausInstrument  # noqa: E402
 from povmlab.scenarios import (  # noqa: E402
     CHECKS,
+    SHARP_KINDS,
     SYSTEM_PARAMS,
     Cells,
     Decoded,
@@ -87,8 +91,8 @@ def valid(reader, n: int) -> st.SearchStrategy:
     """Values the reader accepts, on a lattice of ``n`` cells."""
     if isinstance(reader, Integer):
         return st.integers(reader.minimum, min(reader.minimum + 40, top(reader)))
-    if isinstance(reader, Number):  # positive from 1e-150: a tinier a or width is a system fault
-        floats = st.floats(1e-150 if reader.positive else -1e6, 1e6)
+    if isinstance(reader, Number):
+        floats = st.floats(0.0 if reader.positive else -1e6, 1e6, exclude_min=reader.positive)
         return floats | st.integers(1 if reader.positive else -10, 10)
     if isinstance(reader, OneOf):
         return st.sampled_from(reader.choices)
@@ -280,6 +284,24 @@ SYSTEM_FAULTS = [
 ]
 
 
+def system_refused(entry: dict) -> bool:
+    """Whether the builders' own functions refuse the lattice system of a
+    scenario whose fields are each valid: a tiny ``a``, or a tiny ``width``
+    of a smeared kind, that ``valid`` drew.  Its times never overflow: they
+    are at most 1e6, and a dispersion the builders take is below 1e155."""
+    if entry["type"] not in SYSTEMS:
+        return False
+    values = {p.name: entry["params"].get(p.name, p.default) for p in SYSTEM_PARAMS}
+    n, mass, a, width = (values[key] for key in ("n", "mass", "a", "width"))
+    try:
+        if values["kind"] not in SHARP_KINDS:
+            lattice.gaussian_frame_vector(n, 0, float(width))
+        lattice.lattice_dispersion(n, float(mass), float(a))
+    except ValueError:
+        return True
+    return False
+
+
 @st.composite
 def faulty_file(draw):
     """Valid scenarios around one scenario with at most one fault: a bad
@@ -347,9 +369,16 @@ def faulty_file(draw):
             else:  # both lists with the cell
                 params[other] = params[other] + [cell]
             params[field] = draw(valid(bad.read, n)) + [cell]
+    if fault in ("none", "system") and system_refused(entry):  # refused whole, at params
+        field, inner = "", ""
     entries = draw(st.lists(scenario(), max_size=2))
     index = draw(st.integers(0, len(entries)))
     entries.insert(index, entry)
+    # an earlier valid scenario (or any, in a valid file) whose system is refused comes first
+    ahead = entries if field is None else entries[:index]
+    first = next((i for i, other in enumerate(ahead) if system_refused(other)), None)
+    if first is not None:
+        index, field, inner = first, "", ""
     bare = draw(st.booleans())
     return (entries if bare else {"scenarios": entries}), index, field, inner
 
