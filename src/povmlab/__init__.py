@@ -14,21 +14,19 @@ __version__ = "0.1.0"
 KINDS = ("state", "effect", "povm", "luders_instrument", "commuting_pair", "lattice_system")
 
 _EXPORTS = {
-    "geometry": ("CausalClass", "FourVector", "RegionUnion", "SpacetimeBox", "causally_separated",
-                 "classify_vector", "lab_contains", "spatial_distance", "translate_region"),
+    "geometry": ("FourVector", "RegionUnion", "SpacetimeBox", "causally_separated",
+                 "lab_contains", "spatial_distance", "translate_region"),
     "linalg": ("op_norm", "psd_sqrt", "trace_norm"),
     "measurement": ("DiscretePOVM", "KrausInstrument", "luders_instrument",
-                    "nonselective_post_state", "polar_kraus", "selective_post_state",
-                    "sequential_joint_prob"),
+                    "nonselective_post_state", "polar_kraus", "selective_post_state"),
     "signaling": ("beck_check", "commutator_residual", "heinosaari_wolf_search",
                   "luders_equivalence_check", "nsc_deviation", "rcc_deviation"),
     "lattice": ("LatticeLocalizationSystem", "build_alternating_system",
                 "build_frame_smeared_system", "build_sharp_system", "cc_residual", "effect_of",
                 "hc_audit", "ldp_minimal_region", "microcausality_residual",
                 "projector_screening_identity"),
-    "conditional": ("ConditionalPOVM", "build_conditional", "build_conditional_from_unnormalized",
-                    "composition_identity_check", "conditional_prob_bound",
-                    "cross_lab_commutator", "gentle_bound"),
+    "conditional": ("ConditionalPOVM", "build_conditional", "composition_identity_check",
+                    "conditional_prob_bound", "cross_lab_commutator", "gentle_sides"),
     "reporting": ("CheckReport",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

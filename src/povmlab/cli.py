@@ -37,6 +37,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON in {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # a directory, not UTF-8, too deep
+        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         scenarios = parse_scenarios(data)
         if args.tol is not None:

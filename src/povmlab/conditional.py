@@ -13,7 +13,7 @@ approximates the plain detection fraction.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Iterable
 
 import numpy as np
@@ -54,7 +54,7 @@ class ConditionalPOVM:
     def __init__(
         self,
         lab_cells: frozenset[int],
-        cell_effects: Sequence[np.ndarray] | Mapping[int, np.ndarray],
+        cell_effects: Sequence[np.ndarray],
         dim: int,
         tol: float = DEFAULT_TOL,
     ):
@@ -136,29 +136,6 @@ def build_conditional(
     return ConditionalPOVM(as_cells(lab_cells, sys.n), sys.cell_effects, sys.n, tol)
 
 
-def build_conditional_from_unnormalized(
-    family: Mapping[int, np.ndarray],
-    lab_cells: Iterable[int],
-    n: int,
-    tol: float = DEFAULT_TOL,
-) -> ConditionalPOVM:
-    """Conditional POVM from a merely additive family of positive operators,
-    given by its per-cell operators.
-
-    Normalization of the source family is NOT required; the sandwich is
-    scale-invariant; the report-level gentle condition rescales by
-    ``lab_spectrum.norm`` = ||T(lab)||, A(cells) = T(cells) / ||T(lab)||.
-    """
-    lab = as_cells(lab_cells, n)
-    missing = lab - set(int(k) for k in family)
-    if missing:
-        raise ValueError(f"family does not cover the laboratory cells {sorted(missing)}")
-    if not family:
-        raise ValueError("the family is empty: no per-cell operator gives the dimension")
-    mats = {int(k): as_matrix(M) for k, M in family.items()}
-    return ConditionalPOVM(lab, mats, next(iter(mats.values())).shape[0], tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # gentle measurement bound
 # ---------------------------------------------------------------------------
@@ -183,22 +160,6 @@ def gentle_sides(T, rho, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarr
     root = eig.sqrt()
     conditioned = root @ rho @ root / p[..., None, None]
     return delta, trace_norm(rho - conditioned), 2.0 * np.sqrt(delta) + delta
-
-
-def gentle_bound(T, rho, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Evaluate both sides of the gentle-measurement inequality.
-
-    delta = 1 - tr(rho T)/||T||; the trace distance between rho and the
-    conditioned state sqrt(T) rho sqrt(T) / tr(T rho) is bounded by
-    2 sqrt(delta) + delta.  Measurement only: the items ``delta``,
-    ``trace_distance`` and ``bound`` are recorded, and the caller compares
-    the last two.  One matrix pair of ``gentle_sides``.
-    """
-    report = CheckReport(name="gentle_bound")
-    for name, value in zip(("delta", "trace_distance", "bound"),
-                           gentle_sides(as_matrix(T), as_matrix(rho), tol)):
-        report.add(name, float(value))
-    return report
 
 
 def conditional_prob_bound(

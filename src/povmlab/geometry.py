@@ -11,18 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 CONE_TOL = 1e-9
-
-
-class CausalClass(Enum):
-    ZERO = "zero"
-    SPACELIKE = "spacelike"
-    LIGHTLIKE_FUTURE = "lightlike_future"
-    LIGHTLIKE_PAST = "lightlike_past"
-    TIMELIKE_FUTURE = "timelike_future"
-    TIMELIKE_PAST = "timelike_past"
 
 
 @dataclass(frozen=True)
@@ -59,25 +49,6 @@ class FourVector:
 
 
 TIME_AXIS = FourVector(1.0, 0.0, 0.0, 0.0)
-
-
-def classify_vector(v: FourVector, tol: float = CONE_TOL) -> CausalClass:
-    """Causal class of a vector with a tolerance band around the light cone.
-
-    Near-zero vectors get the dedicated ZERO class, which counts as
-    spacelike.  Future/past for causal vectors follows the sign of the time
-    component.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    if v.inf_norm() <= tol:
-        return CausalClass.ZERO
-    q = v.interval()
-    if q > tol:
-        return CausalClass.SPACELIKE
-    if q < -tol:
-        return CausalClass.TIMELIKE_FUTURE if v.t > 0 else CausalClass.TIMELIKE_PAST
-    return CausalClass.LIGHTLIKE_FUTURE if v.t > 0 else CausalClass.LIGHTLIKE_PAST
 
 
 @dataclass(frozen=True)

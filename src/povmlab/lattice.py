@@ -97,8 +97,8 @@ def cell_sum(effects, cells: Iterable[int], dim: int) -> np.ndarray:
     """The sum of ``effects[k]`` over the cells, a dim x dim matrix; exactly
     additive over disjoint unions by construction.  Summed in sorted cell
     order, so the bits do not depend on how the cells were listed.
-    ``CellEffects`` are fetched in one ``take`` call; any other sequence or
-    mapping is indexed by cell."""
+    ``CellEffects`` are fetched in one ``take`` call; any other sequence is
+    indexed by cell."""
     order = sorted(cells)
     if isinstance(effects, CellEffects):
         members = effects.take(order)

@@ -223,16 +223,3 @@ def nonselective_post_state(rho, instr: KrausInstrument) -> np.ndarray:
     K = instr.kraus
     return (K @ as_matrix(rho) @ dag(K)).sum(axis=0)
 
-
-def sequential_joint_prob(rho, first: KrausInstrument, j: int, second_effect) -> float:
-    """Probability of outcome j for ``first`` followed by a click of
-    ``second_effect``, using the unnormalized sub-state convention:
-    sum_k tr(S K_{jk} rho K†_{jk}).
-
-    Equals prob(j) * tr(rho_j S) when prob(j) > 0 and 0 when the outcome
-    family annihilates rho.
-    """
-    rho = as_matrix(rho)
-    S = as_matrix(second_effect)
-    fam = first.families[j]
-    return float(np.trace(S @ (fam @ rho @ dag(fam)).sum(axis=0)).real)

@@ -15,7 +15,7 @@ from povmlab.conditional import (
     build_conditional,
     composition_identity_check,
     conditional_prob_bound,
-    gentle_bound,
+    gentle_sides,
 )
 from povmlab.generators import (
     commuting_povm_pair,
@@ -87,17 +87,17 @@ def test_criterion_1_gentle_measurement_bound():
         rho = random_state(dim, rng)
         if float(np.trace(rho @ T).real) <= 1e-9:
             continue
-        rep = gentle_bound(T, rho)
-        margin = rep.residual("bound") - rep.residual("trace_distance")
+        _, distance, bound = gentle_sides(T, rho)
+        margin = bound - distance
         worst = min(worst, margin)
         if margin < -1e-9:
             violations += 1
         checked += 1
     assert violations == 0, f"{violations} gentle-bound violations, worst margin {worst:.3e}"
 
-    qubit = gentle_bound(np.diag([1.0, 0.5]), np.eye(2) / 2)
-    assert abs(qubit.residual("trace_distance") - 1.0 / 3.0) <= 1e-12
-    assert abs(qubit.residual("bound") - 1.25) <= 1e-12
+    _, distance, bound = gentle_sides(np.diag([1.0, 0.5]), np.eye(2) / 2)
+    assert abs(distance - 1.0 / 3.0) <= 1e-12
+    assert abs(bound - 1.25) <= 1e-12
 
     elapsed = time.time() - start
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"

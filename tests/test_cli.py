@@ -171,6 +171,19 @@ class TestRunCommand:
         bad.write_text("{not json")
         assert main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("content", [None, b'{"scenarios": ["\xff"]}', b"[" * 100_000],
+                             ids=["directory", "non_utf8", "deep_nesting"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "unreadable.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+
     def test_failing_scenario_exits_one(self, tmp_path, capsys):
         # noncommuting witness asserted at an unreachable tolerance
         payload = {

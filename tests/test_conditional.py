@@ -7,11 +7,9 @@ from povmlab.conditional import (
     MAX_PARTITIONS,
     _sample_subsets,
     build_conditional,
-    build_conditional_from_unnormalized,
     composition_identity_check,
     conditional_prob_bound,
     cross_lab_commutator,
-    gentle_bound,
     gentle_sides,
     v_conjugation_reduction,
 )
@@ -92,6 +90,19 @@ class TestBuildConditional:
         oracle = hermitize(R @ effect_of(smeared16, cells) @ R)
         assert np.array_equal(cond.effect(cells), oracle)
 
+    def test_independent_of_how_the_lab_is_listed(self):
+        """The laboratory's cells are summed in sorted cell order, so a
+        reversed listing of the laboratory gives the same bits."""
+        sys = build_frame_smeared_system(64, 1.0, 1.0, 1.5)
+        rng = make_rng(61)
+        for _ in range(100):
+            size = int(rng.integers(2, 40))
+            lab = [int(k) for k in rng.choice(64, size=size, replace=False)]
+            forward = build_conditional(sys, lab)
+            backward = build_conditional(sys, lab[::-1])
+            assert np.array_equal(forward.inv_sqrt, backward.inv_sqrt)
+            assert np.array_equal(forward.effect(lab[:3]), backward.effect(lab[:3][::-1]))
+
     def test_no_state_changes_after_construction(self, smeared16):
         cond = build_conditional(smeared16, LAB6)
         before = dict(vars(cond))
@@ -160,15 +171,15 @@ class TestStackedEffects:
 
 
 class TestGentleBound:
-    def test_stacked_sides_match_gentle_bound(self):
+    def test_stacked_sides_match_one_pair_sides(self):
         rng = make_rng(63)
         for dim in (1, 2, 3, 5, 8, 16):
             pairs = [(random_effect(dim, rng), random_state(dim, rng)) for _ in range(9)]
             pairs = [(T, rho) for T, rho in pairs if np.trace(rho @ T).real > 1e-9]
             sides = gentle_sides(np.stack([T for T, _ in pairs]), np.stack([r for _, r in pairs]))
-            reports = [gentle_bound(T, rho) for T, rho in pairs]
-            for values, name in zip(sides, ("delta", "trace_distance", "bound")):
-                assert np.array_equal(values, [rep.residual(name) for rep in reports])
+            one_pair = [gentle_sides(T, rho) for T, rho in pairs]
+            for k, values in enumerate(sides):
+                assert np.array_equal(values, [float(pair[k]) for pair in one_pair])
 
     def test_stacked_zero_overlap_names_the_index(self):
         T = np.stack([np.eye(2), np.diag([1.0, 0.0])])
@@ -178,29 +189,29 @@ class TestGentleBound:
 
     def test_identity_effect(self):
         rho = random_state(3, make_rng(61))
-        rep = gentle_bound(np.eye(3), rho)
-        assert rep.residual("delta") == pytest.approx(0.0, abs=1e-12)
-        assert rep.residual("trace_distance") <= 1e-10
-        assert rep.residual("bound") <= 1e-6
+        delta, distance, bound = gentle_sides(np.eye(3), rho)
+        assert delta == pytest.approx(0.0, abs=1e-12)
+        assert distance <= 1e-10
+        assert bound <= 1e-6
 
     def test_eigenstate_at_operator_norm(self):
         T = np.diag([1.0, 0.25]).astype(complex)
         rho = np.diag([1.0, 0.0]).astype(complex)
-        rep = gentle_bound(T, rho)
-        assert rep.residual("delta") == pytest.approx(0.0, abs=1e-12)
-        assert rep.residual("trace_distance") <= 1e-12
+        delta, distance, _ = gentle_sides(T, rho)
+        assert delta == pytest.approx(0.0, abs=1e-12)
+        assert distance <= 1e-12
 
     def test_qubit_closed_form(self):
-        rep = gentle_bound(np.diag([1.0, 0.5]), np.eye(2) / 2)
-        assert rep.residual("delta") == pytest.approx(0.25, abs=1e-14)
-        assert rep.residual("trace_distance") == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert rep.residual("bound") == pytest.approx(1.25, abs=1e-14)
-        margin = rep.residual("bound") - rep.residual("trace_distance")
+        delta, distance, bound = gentle_sides(np.diag([1.0, 0.5]), np.eye(2) / 2)
+        assert delta == pytest.approx(0.25, abs=1e-14)
+        assert distance == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert bound == pytest.approx(1.25, abs=1e-14)
+        margin = bound - distance
         assert margin == pytest.approx(1.25 - 1.0 / 3.0, abs=1e-12)
 
     def test_zero_overlap_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            gentle_bound(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+            gentle_sides(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
     def test_never_violated_on_random_pairs(self):
         rng = make_rng(62)
@@ -212,8 +223,8 @@ class TestGentleBound:
             rho = random_state(dim, rng)
             if np.trace(rho @ T).real <= 1e-9:
                 continue
-            rep = gentle_bound(T, rho)
-            assert rep.residual("bound") - rep.residual("trace_distance") >= -1e-9
+            _, distance, bound = gentle_sides(T, rho)
+            assert bound - distance >= -1e-9
 
 
 class TestConditionalProbBound:
@@ -325,64 +336,6 @@ class TestVConjugation:
         lhs = U @ cond.effect({5, 6}) @ dag(U)
         rhs = cond_shifted.effect({6, 7})
         assert op_norm(lhs - rhs) <= 1e-10
-
-
-class TestUnnormalizedFamily:
-    def test_restriction_matches_normalized_build(self, smeared16):
-        family = {k: smeared16.cell_effects[k] for k in range(16)}
-        cond_a = build_conditional_from_unnormalized(family, LAB6, 16)
-        cond_b = build_conditional(smeared16, LAB6)
-        assert np.array_equal(cond_a.inv_sqrt, cond_b.inv_sqrt)
-        for cells in ({5, 6}, {7, 8, 9}, LAB6):
-            assert np.array_equal(cond_a.effect(cells), cond_b.effect(cells))
-
-    def test_global_scale_cancels(self, smeared16):
-        base = {k: smeared16.cell_effects[k] for k in LAB6}
-        ref = build_conditional_from_unnormalized(base, LAB6, 16)
-        for c in (0.1, 1.0, 7.0):
-            scaled = {k: c * E for k, E in base.items()}
-            cond = build_conditional_from_unnormalized(scaled, LAB6, 16)
-            for cells in ({5}, {6, 7}, LAB6):
-                assert np.max(np.abs(cond.effect(cells) - ref.effect(cells))) <= 1e-12
-
-    def test_local_frame_family(self, smeared16):
-        # positive operators defined only on a neighborhood of the lab
-        neighborhood = set(range(3, 13))
-        family = {k: 0.4 * smeared16.cell_effects[k] for k in neighborhood}
-        cond = build_conditional_from_unnormalized(family, LAB6, 16)
-        assert op_norm(cond.effect(LAB6) - np.eye(16)) <= 1e-10
-        assert cond.lab_spectrum.norm == pytest.approx(
-            0.4 * op_norm(effect_of(smeared16, LAB6)), abs=1e-12
-        )
-
-    def test_independent_of_how_the_lab_is_listed(self):
-        """A per-cell family is summed in sorted cell order, so a reversed
-        listing of the laboratory gives the same bits."""
-        sys = build_frame_smeared_system(64, 1.0, 1.0, 1.5)
-        family = {k: 0.4 * E for k, E in enumerate(sys.cell_effects)}
-        rng = make_rng(61)
-        for _ in range(100):
-            size = int(rng.integers(2, 40))
-            lab = [int(k) for k in rng.choice(64, size=size, replace=False)]
-            forward = build_conditional_from_unnormalized(family, lab, 64)
-            backward = build_conditional_from_unnormalized(family, lab[::-1], 64)
-            assert np.array_equal(forward.inv_sqrt, backward.inv_sqrt)
-            assert np.array_equal(forward.effect(lab[:3]), backward.effect(lab[:3][::-1]))
-
-    def test_missing_cells_rejected(self, smeared16):
-        family = {k: smeared16.cell_effects[k] for k in {5, 6}}
-        with pytest.raises(ValueError, match="cover"):
-            build_conditional_from_unnormalized(family, LAB6, 16)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError, match="family is empty"):
-            build_conditional_from_unnormalized({}, [], 4)
-
-    def test_kernel_rejected(self):
-        sharp = build_sharp_system(8, 1.0, 1.0)
-        family = {k: sharp.cell_effects[k] for k in range(8)}
-        with pytest.raises(ValueError, match="kernel"):
-            build_conditional_from_unnormalized(family, {2, 3}, 8)
 
 
 class TestComposition:

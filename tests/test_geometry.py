@@ -5,12 +5,10 @@ import pytest
 
 from povmlab.generators import make_rng
 from povmlab.geometry import (
-    CausalClass,
     FourVector,
     RegionUnion,
     SpacetimeBox,
     causally_separated,
-    classify_vector,
     lab_contains,
     region_contains_box,
     spatial_distance,
@@ -54,37 +52,6 @@ def mc_separated_oracle(a: SpacetimeBox, b: SpacetimeBox, rng, samples=2000, ban
     if not keep.any():
         return None
     return bool((interval[keep] > 0).all())
-
-
-class TestClassify:
-    def test_unit_time_vector(self):
-        assert classify_vector(FourVector(1, 0, 0, 0)) is CausalClass.TIMELIKE_FUTURE
-
-    def test_unit_space_vector(self):
-        assert classify_vector(FourVector(0, 1, 0, 0)) is CausalClass.SPACELIKE
-
-    def test_null_ray(self):
-        assert classify_vector(FourVector(1, 1, 0, 0)) is CausalClass.LIGHTLIKE_FUTURE
-
-    def test_past_branches(self):
-        assert classify_vector(FourVector(-1, 0, 0, 0)) is CausalClass.TIMELIKE_PAST
-        assert classify_vector(FourVector(-1, 1, 0, 0)) is CausalClass.LIGHTLIKE_PAST
-
-    def test_zero_vector_counts_as_spacelike(self):
-        assert classify_vector(FourVector(0, 0, 0, 0)) is CausalClass.ZERO
-        assert classify_vector(FourVector(0, 2, 0, 0)) is CausalClass.SPACELIKE
-        assert classify_vector(FourVector(1, 0, 0, 0)) is CausalClass.TIMELIKE_FUTURE
-
-    def test_tolerance_band(self):
-        v = FourVector(1.0, 1.0 + 1e-12, 0, 0)
-        assert classify_vector(v, tol=1e-9) is CausalClass.LIGHTLIKE_FUTURE
-        assert classify_vector(v, tol=0.0) is CausalClass.SPACELIKE
-
-    def test_exactly_one_class(self):
-        rng = make_rng(41)
-        for _ in range(200):
-            v = FourVector(*rng.normal(size=4))
-            assert isinstance(classify_vector(v), CausalClass)
 
 
 class TestSeparation:

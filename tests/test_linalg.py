@@ -552,7 +552,7 @@ class TestDecompositionCounts:
     @pytest.mark.parametrize("entry, eigh, eigvalsh", [
         ("composition_identity_check", 5, 2),
         ("conditional_prob_bound", 1, 1),
-        ("gentle_bound", 1, 0),
+        ("gentle_sides", 1, 0),
         ("polar_kraus", 1, 1),
         ("random_povm", 1, 0),
         ("build_conditional", 1, 0),
@@ -583,7 +583,7 @@ class TestDecompositionCounts:
                 lambda: conditional.composition_identity_check(sys, {1, 2, 3}, {6, 7}),
             "conditional_prob_bound":
                 lambda: conditional.conditional_prob_bound(sys, {5, 6}, {4, 5, 6, 7, 8}, rho16),
-            "gentle_bound": lambda: conditional.gentle_bound(T, rho),
+            "gentle_sides": lambda: conditional.gentle_sides(T, rho),
             "polar_kraus": lambda: polar_kraus(T, np.eye(4)),
             "random_povm": lambda: random_povm(4, 3, make_rng(42)),
             "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),

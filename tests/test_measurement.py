@@ -17,7 +17,6 @@ from povmlab.measurement import (
     nonselective_post_state,
     polar_kraus,
     selective_post_state,
-    sequential_joint_prob,
     validate_effect,
     validate_povm,
     validate_state,
@@ -233,43 +232,6 @@ class TestPostStates:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
 
-class TestSequentialJointProb:
-    def test_marginalization(self):
-        rng = make_rng(27)
-        instr = random_luders_instrument(3, 2, rng)
-        rho = random_state(3, rng)
-        for j in range(2):
-            joint = sequential_joint_prob(rho, instr, j, np.eye(3))
-            assert joint == pytest.approx(np.trace(rho @ instr.effect(j)).real, abs=1e-12)
-
-    def test_commuting_diagonal_is_classical_product(self):
-        povm = DiscretePOVM([np.diag([0.2, 0.6]), np.diag([0.8, 0.4])])
-        instr = luders_instrument(povm)
-        rho = np.diag([1.0, 0.0]).astype(complex)
-        S = np.diag([0.5, 0.9]).astype(complex)
-        joint = sequential_joint_prob(rho, instr, 0, S)
-        assert joint == pytest.approx(0.2 * 0.5, abs=1e-12)
-
-    def test_qubit_plus_basis_witness(self):
-        instr = luders_instrument(DiscretePOVM([PLUS, MINUS]))
-        joint = sequential_joint_prob(P0, instr, 0, P0)
-        assert joint == pytest.approx(0.25, abs=1e-12)
-
-    def test_total_probability_one(self):
-        rng = make_rng(28)
-        for _ in range(10):
-            instr = random_luders_instrument(4, 3, rng)
-            rho = random_state(4, rng)
-            total = sum(
-                sequential_joint_prob(rho, instr, j, np.eye(4)) for j in range(len(instr))
-            )
-            assert abs(total - 1.0) <= 1e-10
-
-    def test_annihilated_outcome_gives_zero(self):
-        instr = luders_instrument(DiscretePOVM([P0, P1]))
-        assert sequential_joint_prob(P1, instr, 0, np.eye(2)) == pytest.approx(0.0, abs=1e-14)
-
-
 class TestKrausInstrument:
     def test_non_efficient_family(self):
         K1 = np.sqrt(0.5) * P0
@@ -306,7 +268,6 @@ class TestKrausInstrument:
             sub = sum(K @ rho @ dag(K) for K in fam)
             prob, post = selective_post_state(rho, instr, j)
             assert np.array_equal(post, sub / prob)
-            assert sequential_joint_prob(rho, instr, j, S) == float(np.trace(S @ sub).real)
         assert np.array_equal(instr.dual_apply(S), sum(dag(K) @ S @ K for K in ops))
         assert np.array_equal(nonselective_post_state(rho, instr),
                               sum(K @ rho @ dag(K) for K in ops))

@@ -5,7 +5,13 @@ the two must agree within max(1e-13, 1e-12 |r|)."""
 import numpy as np
 import pytest
 
-from povmlab.conditional import build_conditional, conditional_prob_bound
+from povmlab.conditional import (
+    MAX_PARTITIONS,
+    _sample_subsets,
+    build_conditional,
+    composition_identity_check,
+    conditional_prob_bound,
+)
 from povmlab.generators import make_rng, random_state
 from povmlab.lattice import (
     build_alternating_system,
@@ -27,7 +33,7 @@ def power(A: np.ndarray, p: float) -> np.ndarray:
 
 
 def effect(sys, cells) -> np.ndarray:
-    return sum(sys.cell_effects[k] for k in sorted(cells))
+    return sum((sys.cell_effects[k] for k in sorted(cells)), np.zeros((sys.n, sys.n)))
 
 
 def translation_oracle(sys) -> float:
@@ -41,6 +47,42 @@ def normalization_oracle(sys, lab) -> float:
     A = effect(sys, lab)
     R = power(A, -0.5)
     return svd_norm(R @ A @ R - np.eye(sys.n))
+
+
+def partitions(lab) -> list[frozenset]:
+    """The left sides of the 2-partitions ``validate`` reads: every one when
+    there are at most MAX_PARTITIONS, else the sampled subsets."""
+    cells = sorted(lab)
+    if 1 << (len(cells) - 1) > MAX_PARTITIONS:
+        return _sample_subsets(frozenset(lab))
+    return [frozenset(c for i, c in enumerate(cells) if r >> i & 1)
+            for r in range(1 << (len(cells) - 1))]
+
+
+def additivity_oracle(sys, lab) -> float:
+    """max over 2-partitions L of ||B(L) + B(lab - L) - B(lab)||, with
+    B(cells) = A(lab)^-1/2 A(cells) A(lab)^-1/2."""
+    R = power(effect(sys, lab), -0.5)
+
+    def B(cells):
+        return R @ effect(sys, cells) @ R
+
+    return max(svd_norm(B(left) + B(set(lab) - left) - B(lab)) for left in partitions(lab))
+
+
+def composition_oracle(sys, lab1, lab2) -> float:
+    """max over the sampled subsets D of the union of ||B_u(D) - A_u^-1/2
+    (A_1^1/2 B_1(D & lab1) A_1^1/2 + A_2^1/2 B_2(D & lab2) A_2^1/2) A_u^-1/2||,
+    with B_i(cells) = A_i^-1/2 A(cells) A_i^-1/2 for A_i = A(lab_i)."""
+    union = frozenset(lab1) | frozenset(lab2)
+    Ru = power(effect(sys, union), -0.5)
+    sides = [(frozenset(lab), power(effect(sys, lab), -0.5), power(effect(sys, lab), 0.5))
+             for lab in (lab1, lab2)]
+    worst = 0.0
+    for D in _sample_subsets(union):
+        rhs = sum(S @ R @ effect(sys, D & lab) @ R @ S for lab, R, S in sides)
+        worst = max(worst, svd_norm(Ru @ effect(sys, D) @ Ru - Ru @ rhs @ Ru))
+    return worst
 
 
 def operator_form_oracle(sys, cells, lab, rho) -> float:
@@ -57,6 +99,8 @@ def operator_form_oracle(sys, cells, lab, rho) -> float:
 ORACLES = {
     ("lattice_system", "dynamics_translation_invariant"): translation_oracle,
     ("conditional_povm", "lab_normalization"): normalization_oracle,
+    ("conditional_povm", "in_lab_additivity"): additivity_oracle,
+    ("composition_identity", "identity_residual"): composition_oracle,
     ("conditional_prob_bound", "operator_form_bound"): operator_form_oracle,
 }
 
@@ -79,6 +123,11 @@ def validated_conditional(kind, lab):
     return build_conditional(sys, lab).validate(), (sys, lab)
 
 
+def composed(kind, lab1, lab2):
+    sys = SYSTEMS[kind]()
+    return composition_identity_check(sys, lab1, lab2), (sys, lab1, lab2)
+
+
 def bounded_probability(kind, cells, seed):
     sys = SYSTEMS[kind]()
     rho = random_state(sys.n, make_rng(seed))
@@ -95,6 +144,8 @@ CASES = {
     "bound-frame_smeared-2cells": (bounded_probability, ("frame_smeared", CELLS, 71)),
     "bound-frame_smeared-lab": (bounded_probability, ("frame_smeared", LAB, 72)),
     "bound-diagonal_smeared-1cell": (bounded_probability, ("diagonal_smeared", {8}, 73)),
+    "composition-frame_smeared": (composed, ("frame_smeared", {2, 3, 4, 5}, {8, 9, 10})),
+    "composition-diagonal_smeared": (composed, ("diagonal_smeared", {1, 2}, {6, 7, 8, 9})),
 }
 
 

@@ -303,16 +303,17 @@ def system_refused(entry: dict) -> bool:
 
 
 @st.composite
-def faulty_file(draw):
-    """Valid scenarios around one scenario with at most one fault: a bad
-    value, a missing required field, half a pair, an unknown key, a value
-    that breaks its constraint on another field, or one fault inside a
-    valid wire object, or a system the rule across its fields refuses.
+def faulty_file(draw, faults=FAULTS):
+    """Valid scenarios around one scenario with at most one fault, drawn
+    from ``faults`` ("none" for none): a bad value, a missing required
+    field, half a pair, an unknown key, a value that breaks its constraint
+    on another field, or one fault inside a valid wire object, or a system
+    the rule across its fields refuses.
     Returns the file, the faulty scenario's index, the field the fault
     lies in (None for a valid file, "" for the whole params) and, for a
     fault inside a wire object or a system fault, its exact pointer within
     the field."""
-    fault = draw(st.sampled_from(FAULTS))
+    fault = draw(st.sampled_from(faults))
     inner = None
     if fault == "system":
         stypes, overrides, at = draw(st.sampled_from(SYSTEM_FAULTS))
@@ -408,6 +409,30 @@ def test_one_fault_is_refused_at_its_field_and_valid_values_are_read(drawn):
         assert err.value.pointer == prefix + inner
     else:
         assert err.value.pointer == prefix or err.value.pointer.startswith(prefix + "/")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(faulty_file(faults=("none",)))
+def test_a_file_without_a_fault_is_read_to_its_declared_types(drawn):
+    """Each value is read to its reader's type and each absent one to its
+    default, unless a valid value made a system the builders refuse: then
+    the first such scenario is refused at its params."""
+    data, index, field, _ = drawn
+    entries = data if isinstance(data, list) else data["scenarios"]
+    if field is not None:
+        assert field == "" and system_refused(entries[index])
+        with pytest.raises(SchemaError) as err:
+            parse_scenarios(data)
+        assert err.value.pointer == ("" if data is entries else "/scenarios") + f"/{index}/params"
+        return
+    for entry, sc in zip(entries, parse_scenarios(data), strict=True):
+        check = CHECKS[entry["type"]]
+        assert list(sc.params) == [p.name for p in check.params]
+        for p in check.params:
+            if p.name in entry["params"]:
+                assert declared(p.read, sc.params[p.name]), (p.name, sc.params[p.name])
+            else:
+                assert sc.params[p.name] == p.default
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
