@@ -5,6 +5,7 @@ import pytest
 
 from povmlab.conditional import (
     MAX_PARTITIONS,
+    ConditionalPOVM,
     _sample_subsets,
     build_conditional,
     composition_identity_check,
@@ -103,6 +104,14 @@ class TestBuildConditional:
             assert np.array_equal(forward.inv_sqrt, backward.inv_sqrt)
             assert np.array_equal(forward.effect(lab[:3]), backward.effect(lab[:3][::-1]))
 
+    def test_lab_outside_the_lattice_rejected(self, smeared16):
+        with pytest.raises(ValueError, match="0..15"):
+            build_conditional(smeared16, {15, 16})
+
+    def test_empty_lab_refused(self, smeared16):
+        with pytest.raises(ValueError, match="kernel"):
+            build_conditional(smeared16, [])
+
     def test_no_state_changes_after_construction(self, smeared16):
         cond = build_conditional(smeared16, LAB6)
         before = dict(vars(cond))
@@ -111,6 +120,36 @@ class TestBuildConditional:
         cond.validate()
         assert vars(cond).keys() == before.keys()
         assert all(vars(cond)[key] is value for key, value in before.items())
+
+
+class TestConditionalPOVMOnCellEffects:
+    """ConditionalPOVM built directly on a sequence of cell effects."""
+
+    def test_plain_list_matches_build_conditional(self, smeared16):
+        cond_a = ConditionalPOVM(LAB6, list(smeared16.cell_effects), 16)
+        cond_b = build_conditional(smeared16, LAB6)
+        assert np.array_equal(cond_a.inv_sqrt, cond_b.inv_sqrt)
+        for cells in ({5, 6}, {7, 8, 9}, LAB6):
+            assert np.array_equal(cond_a.effect(cells), cond_b.effect(cells))
+
+    def test_global_scale_cancels(self, smeared16):
+        base = list(smeared16.cell_effects)
+        ref = ConditionalPOVM(LAB6, base, 16)
+        for c in (0.1, 1.0, 7.0):
+            cond = ConditionalPOVM(LAB6, [c * E for E in base], 16)
+            for cells in ({5}, {6, 7}, LAB6):
+                assert np.max(np.abs(cond.effect(cells) - ref.effect(cells))) <= 1e-12
+
+    def test_effects_only_near_the_lab(self, smeared16):
+        # positive operators on a neighborhood of the lab, zero elsewhere
+        neighborhood = set(range(3, 13))
+        effects = [0.4 * E if k in neighborhood else np.zeros((16, 16))
+                   for k, E in enumerate(smeared16.cell_effects)]
+        cond = ConditionalPOVM(LAB6, effects, 16)
+        assert op_norm(cond.effect(LAB6) - np.eye(16)) <= 1e-10
+        assert cond.lab_spectrum.norm == pytest.approx(
+            0.4 * op_norm(effect_of(smeared16, LAB6)), abs=1e-12
+        )
 
 
 # an 11-cell laboratory on the n=64 frame-smeared ring: more than 256

@@ -54,6 +54,53 @@ def mc_separated_oracle(a: SpacetimeBox, b: SpacetimeBox, rng, samples=2000, ban
     return bool((interval[keep] > 0).all())
 
 
+def points_separated(v: FourVector, tol: float = 1e-9) -> bool:
+    """causally_separated for the point regions {0} and {v}."""
+    origin = FourVector()
+    return causally_separated(region(SpacetimeBox(origin, origin)),
+                              region(SpacetimeBox(v, v)), tol)
+
+
+class TestPointSeparation:
+    """Two points are separated iff their difference is spacelike beyond the
+    cone band; each causal class of the difference is read on point regions."""
+
+    def test_unit_time_displacement(self):
+        assert not points_separated(FourVector(1, 0, 0, 0))
+
+    def test_unit_space_displacement(self):
+        assert points_separated(FourVector(0, 1, 0, 0))
+
+    def test_null_ray_is_not_separated(self):
+        assert not points_separated(FourVector(1, 1, 0, 0))
+
+    def test_past_displacements(self):
+        assert not points_separated(FourVector(-1, 0, 0, 0))
+        assert not points_separated(FourVector(-1, 1, 0, 0))
+        assert points_separated(FourVector(-1, 2, 0, 0))
+
+    def test_coincident_points_are_not_separated(self):
+        assert not points_separated(FourVector(0, 0, 0, 0))
+        assert points_separated(FourVector(0, 2, 0, 0))
+
+    def test_tolerance_band(self):
+        v = FourVector(1.0, 1.0 + 1e-12, 0, 0)
+        assert not points_separated(v, tol=1e-9)
+        assert points_separated(v, tol=0.0)
+
+    def test_agrees_with_the_sign_of_the_interval(self):
+        rng = make_rng(41)
+        checked = 0
+        for _ in range(200):
+            v = FourVector(*rng.normal(size=4))
+            if abs(v.interval()) <= 1e-6:
+                continue
+            checked += 1
+            assert points_separated(v) == (v.interval() > 0)
+            assert points_separated(v) == points_separated(-v)
+        assert checked >= 190
+
+
 class TestSeparation:
     def test_self_intersection(self):
         r = region(UNIT_CUBE_T0)

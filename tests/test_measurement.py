@@ -232,6 +232,62 @@ class TestPostStates:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
 
+def product_form(rho, instr, j, S) -> float:
+    """p(j) tr(S rho_j) with the normalized conditional state rho_j."""
+    prob, post = selective_post_state(rho, instr, j)
+    return prob * float(np.trace(S @ post).real)
+
+
+def heisenberg_form(rho, instr, j, S) -> float:
+    """tr(rho sum_k K†_jk S K_jk), the joint operator rcc_deviation reads."""
+    return float(np.trace(rho @ KrausInstrument([instr.families[j]]).dual_apply(S)).real)
+
+
+class TestSequentialProbability:
+    """The joint probability of (j then S) in the two forms
+    RCC_CONVENTION_NOTE names: they agree."""
+
+    def test_marginalization(self):
+        rng = make_rng(27)
+        instr = random_luders_instrument(3, 2, rng)
+        rho = random_state(3, rng)
+        for j in range(2):
+            marginal = np.trace(rho @ instr.effect(j)).real
+            assert product_form(rho, instr, j, np.eye(3)) == pytest.approx(marginal, abs=1e-12)
+            assert heisenberg_form(rho, instr, j, np.eye(3)) == pytest.approx(marginal, abs=1e-12)
+
+    def test_commuting_diagonal_is_classical_product(self):
+        povm = DiscretePOVM([np.diag([0.2, 0.6]), np.diag([0.8, 0.4])])
+        instr = luders_instrument(povm)
+        S = np.diag([0.5, 0.9]).astype(complex)
+        for form in (product_form, heisenberg_form):
+            assert form(P0, instr, 0, S) == pytest.approx(0.2 * 0.5, abs=1e-12)
+
+    def test_qubit_plus_basis_witness(self):
+        instr = luders_instrument(DiscretePOVM([PLUS, MINUS]))
+        for form in (product_form, heisenberg_form):
+            assert form(P0, instr, 0, P0) == pytest.approx(0.25, abs=1e-12)
+
+    def test_total_probability_one(self):
+        rng = make_rng(28)
+        for _ in range(10):
+            instr = random_luders_instrument(4, 3, rng)
+            second = random_povm(4, 2, rng)
+            rho = random_state(4, rng)
+            for form in (product_form, heisenberg_form):
+                total = sum(form(rho, instr, j, S) for j in range(3) for S in second.effects)
+                assert abs(total - 1.0) <= 1e-10
+
+    def test_the_two_forms_agree(self):
+        rng = make_rng(31)
+        for _ in range(20):
+            instr = random_luders_instrument(3, 3, rng)
+            rho, S = random_state(3, rng), random_povm(3, 2, rng)[0]
+            for j in range(3):
+                assert abs(product_form(rho, instr, j, S)
+                           - heisenberg_form(rho, instr, j, S)) <= 1e-12
+
+
 class TestKrausInstrument:
     def test_non_efficient_family(self):
         K1 = np.sqrt(0.5) * P0
