@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # the instance kinds of ``povmlab gen``, here so the CLI lists them without
 # numpy; ``generate_instance`` seeds each kind's RNG with its index, so the
 # order is fixed
-KINDS = ("state", "effect", "povm", "luders_instrument", "commuting_pair", "lattice_system")
+KINDS = ("state", "effect", "povm", "luders_instrument", "commuting_pair")
 
 _EXPORTS = {
     "geometry": ("FourVector", "RegionUnion", "SpacetimeBox", "causally_separated",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Any
 
@@ -53,6 +54,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    for flag, path in (("--out", args.out), ("--csv", args.csv)):  # before anything runs
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            print(f"error: {flag}: no such directory: {os.path.dirname(path)}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     reports = run_scenarios(scenarios, workers=args.workers)
     rows = [r.summary_row() for r in reports]
     for r, row in zip(reports, rows):
@@ -76,11 +81,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import generate_instance
-    from .scenarios import DIM, SYSTEM_PARAMS, check_seed
+    from .scenarios import DIM, check_seed
 
-    try:  # read as run reads a system's n or a scenario's dim, and a seed
-        n_or_dim = SYSTEM_PARAMS[0] if args.kind == "lattice_system" else DIM
-        dim, seed = n_or_dim.read(args.dim, "--dim"), check_seed(args.seed, "--seed")
+    try:  # read as run reads a scenario's dim and seed
+        dim, seed = DIM.read(args.dim, "--dim"), check_seed(args.seed, "--seed")
         payload: dict[str, Any] = generate_instance(args.kind, dim, seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser("gen", help="generate a serialized random instance")
     gen_p.add_argument("kind", choices=KINDS)
     gen_p.add_argument("--dim", type=int, required=True,
-                       help="matrix dimension in 1..128; lattice_system's cell count in 2..128")
+                       help="matrix dimension in 1..128")
     gen_p.add_argument("--seed", type=int, required=True,
                        help="an integer in 0..2**64 - 1")
     gen_p.set_defaults(func=_cmd_gen)

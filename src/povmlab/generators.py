@@ -11,7 +11,6 @@ from typing import Any
 import numpy as np
 
 from . import KINDS
-from .lattice import build_frame_smeared_system
 from .linalg import dag, eigh_checked, hermitize
 from .measurement import DiscretePOVM, KrausInstrument, luders_instrument
 from .serialization import encode_instrument, encode_matrix, encode_povm
@@ -114,17 +113,5 @@ def generate_instance(kind: str, dim: int, seed: int) -> dict[str, Any]:
         return encode_povm(random_povm(dim, 2, rng))
     if kind == "luders_instrument":
         return encode_instrument(random_luders_instrument(dim, 2, rng))
-    if kind == "commuting_pair":
-        T, S = commuting_povm_pair(dim, rng)
-        return {"kind": "commuting_pair", "first": encode_povm(T), "second": encode_povm(S)}
-    # lattice_system: dim is the cell count
-    sys = build_frame_smeared_system(dim, 1.0, 1.0, 1.5)
-    return {
-        "kind": "lattice_system",
-        "n": sys.n,
-        "a": sys.a,
-        "system": "frame_smeared",
-        "cell_effects": [encode_matrix(E) for E in sys.cell_effects],
-        "shift": encode_matrix(sys.shift),
-        "hamiltonian": encode_matrix(sys.hamiltonian),
-    }
+    T, S = commuting_povm_pair(dim, rng)
+    return {"kind": "commuting_pair", "first": encode_povm(T), "second": encode_povm(S)}

@@ -136,13 +136,6 @@ def _dft(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
-def _shift_matrix(n: int) -> np.ndarray:
-    U = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        U[(k + 1) % n, k] = 1.0
-    return U
-
-
 def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
     """Positive branch omega_j = sqrt(mass^2 + p_j^2) with the lattice
     momentum p_j = (2/a) sin(pi j / n).  p_j is taken at min(j, n - j), so
@@ -157,29 +150,21 @@ def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
     return omega
 
 
-def _hamiltonian_from_spectrum(F: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """F† diag(omega) F for the DFT matrix F of ``_dft``; its real part when
-    omega_j = omega_{n-j} bit for bit, where the imaginary parts are rounding."""
-    H = hermitize((dag(F) * omega) @ F)
-    if np.array_equal(omega, omega[-np.arange(len(omega)) % len(omega)]):
-        return H.real.copy()
-    return H
-
-
-def _position_basis_system(
-    n: int, mass: float, a: float, alternating: bool
+def _ring_system(
+    n: int, a: float, effect: Callable[[int], np.ndarray], omega: np.ndarray,
+    F: np.ndarray | None = None,
 ) -> LatticeLocalizationSystem:
-    """Position projectors and the shift, with H from the lattice dispersion,
-    its signs alternating when asked."""
-    if n < 2 or mass <= 0 or a <= 0:
-        raise ValueError("need n >= 2, mass > 0, a > 0")
-    eye = np.eye(n)
-    effects = CellEffects(n, lambda k: np.outer(eye[:, k], eye[:, k]))
-    omega = lattice_dispersion(n, mass, a)
-    if alternating:
-        omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    H = _hamiltonian_from_spectrum(_dft(n), omega)
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H)
+    """The system every builder assembles: the cell effects ``effect(k)``,
+    each built on first read, the one-cell shift, and H = F† diag(omega) F
+    for the DFT matrix F of ``_dft`` (made here unless given).  H is its real
+    part when omega_j = omega_{n-j} bit for bit, where the imaginary parts
+    are rounding."""
+    F = _dft(n) if F is None else F
+    H = hermitize((dag(F) * omega) @ F)
+    if np.array_equal(omega, omega[-np.arange(n) % n]):
+        H = H.real.copy()
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    return LatticeLocalizationSystem(n, a, CellEffects(n, effect), shift, H)
 
 
 def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
@@ -189,7 +174,10 @@ def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizati
     and H shares the Fourier eigenbasis with the shift, so [H, U] = 0 and the
     energy is bounded below by the mass.
     """
-    return _position_basis_system(n, mass, a, alternating=False)
+    if n < 2 or mass <= 0 or a <= 0:
+        raise ValueError("need n >= 2, mass > 0, a > 0")
+    return _ring_system(n, a, lambda k: np.diag(np.eye(1, n, k)[0]),
+                        lattice_dispersion(n, mass, a))
 
 
 def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
@@ -199,7 +187,10 @@ def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLoca
     below on purpose: the escape route where localization projectors may
     commute without forcing trivial effects.
     """
-    return _position_basis_system(n, mass, a, alternating=True)
+    if n < 2 or mass <= 0 or a <= 0:
+        raise ValueError("need n >= 2, mass > 0, a > 0")
+    omega = lattice_dispersion(n, mass, a) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return _ring_system(n, a, lambda k: np.diag(np.eye(1, n, k)[0]), omega)
 
 
 def gaussian_frame_vector(n: int, center: int, width: float) -> np.ndarray:
@@ -252,9 +243,8 @@ def build_frame_smeared_system(
     # alpha |g_k><g_k| is alpha |g><g| rolled by k along both axes; it and D
     # are exactly symmetric, so each effect is too, with no hermitize
     P = alpha * np.outer(g, g)
-    effects = CellEffects(n, lambda k: np.roll(P, (k, k), axis=(0, 1)) + D)
-    H = _hamiltonian_from_spectrum(F, lattice_dispersion(n, mass, a))
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H)
+    return _ring_system(n, a, lambda k: np.roll(P, (k, k), axis=(0, 1)) + D,
+                        lattice_dispersion(n, mass, a), F)
 
 
 def build_diagonal_smeared_system(
@@ -273,9 +263,7 @@ def build_diagonal_smeared_system(
         raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
     w = gaussian_frame_vector(n, 0, width)
     w = w / w.sum()
-    effects = CellEffects(n, lambda k: np.diag(np.roll(w, k)))
-    H = _hamiltonian_from_spectrum(_dft(n), lattice_dispersion(n, mass, a))
-    return LatticeLocalizationSystem(n, a, effects, _shift_matrix(n), H)
+    return _ring_system(n, a, lambda k: np.diag(np.roll(w, k)), lattice_dispersion(n, mass, a))
 
 
 def validate_system(sys: LatticeLocalizationSystem, tol: float = DEFAULT_TOL) -> CheckReport:

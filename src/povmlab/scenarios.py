@@ -22,9 +22,9 @@ from . import lattice as lat
 from . import signaling as sig
 from .generators import (commuting_povm_pair, effect_from, ginibre, make_rng, random_effect,
                          random_state, state_from, unitary_from)
-from .geometry import RegionUnion, causally_separated, spatial_distance
+from .geometry import RegionUnion, _same_frame, causally_separated, spatial_distance
 from .linalg import DEFAULT_TOL, op_norm, stack_size
-from .measurement import luders_instrument
+from .measurement import KrausInstrument, luders_instrument
 from .reporting import CheckReport
 from .serialization import (
     Fields,
@@ -35,6 +35,7 @@ from .serialization import (
     Param,
     SchemaError,
     as_given,
+    built,
     decode_effect,
     decode_instrument,
     decode_povm,
@@ -108,9 +109,11 @@ class Cells(NamedTuple):
 class Decoded(NamedTuple):
     """An object read by one of the ``serialization`` decoders; with ``dim``,
     of the dimension of the value read under that key: an integer, or a
-    decoded matrix, instrument or POVM."""
+    decoded matrix, instrument or POVM; with ``rule``, refused by
+    ``rule(value, pointer, values)`` as well."""
     decode: Callable[[Any, str], Any]
     dim: str | None = None
+    rule: Callable[[Any, str, dict], None] | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict) -> Any:
         out = self.decode(raw, pointer)
@@ -118,7 +121,21 @@ class Decoded(NamedTuple):
             want, got = _dimension(values[self.dim]), _dimension(out)
             if got != want:
                 raise SchemaError(pointer, f"expected dimension {self.dim} = {want}, got {got}")
+        if self.rule is not None:
+            self.rule(out, pointer, values)
         return out
+
+
+def _efficient(instrument: KrausInstrument, pointer: str, values: dict) -> None:
+    """rcc's rule: an efficient instrument, one Kraus operator per outcome."""
+    if not instrument.efficient:
+        raise SchemaError(pointer, "rcc needs an efficient instrument: one Kraus operator "
+                                   "per outcome")
+
+
+def _in_frame_of_first(region: RegionUnion, pointer: str, values: dict) -> None:
+    """causal_separation's rule: a region in the frame of ``first``, by ``geometry``'s own test."""
+    built(_same_frame, f"{pointer}/frame", values["first"], region)
 
 
 def _dimension(value: Any) -> int:
@@ -351,8 +368,9 @@ _INSTRUMENT_EFFECT = (DIM, Param("instrument", Decoded(decode_instrument), None)
 CHECKS: dict[str, CheckType] = {
     "nsc": CheckType(_check_nsc, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     "rcc": CheckType(_check_rcc, (
-        DIM, Param("first", Decoded(decode_instrument), None),
-        Param("second", Decoded(decode_instrument, dim="first"), None)), ("first", "second")),
+        DIM, Param("first", Decoded(decode_instrument, rule=_efficient), None),
+        Param("second", Decoded(decode_instrument, dim="first", rule=_efficient), None)),
+        ("first", "second")),
     "luders_equivalence": CheckType(_check_luders_equivalence, (
         DIM, Param("first", Decoded(decode_povm), None),
         Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second")),
@@ -381,7 +399,8 @@ CHECKS: dict[str, CheckType] = {
         Param("delta1", Cells(inside="lab1"), None),
         Param("delta2", Cells(inside="lab2"), None))),
     "causal_separation": CheckType(_check_causal_separation, (
-        Param("first", Decoded(decode_region)), Param("second", Decoded(decode_region)))),
+        Param("first", Decoded(decode_region)),
+        Param("second", Decoded(decode_region, rule=_in_frame_of_first)))),
 }
 
 

@@ -163,6 +163,17 @@ class TestRunCommand:
         path = write_scenarios(tmp_path, {"scenarios": [{"type": "nope"}]})
         assert main(["run", path]) == 2
 
+    @pytest.mark.parametrize("flag, other", [("--out", "--csv"), ("--csv", "--out")])
+    def test_a_report_in_a_missing_directory_exits_two(self, tmp_path, capsys, flag, other):
+        """Refused after parsing, before anything runs: no summary line and no file."""
+        path = write_scenarios(tmp_path, GOOD_BATCH)
+        written, missing = tmp_path / "written", tmp_path / "missing" / "report"
+        assert main(["run", path, other, str(written), flag, str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: no such directory: {missing.parent}\n"
+        assert not written.exists() and not missing.parent.exists()
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["run", "/nonexistent/file.json"]) == 2
 
@@ -255,10 +266,8 @@ class TestGenCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "povm"
 
-
-    # a lattice system's cell count is read as a scenario's n, from 2
     @pytest.mark.parametrize("dim, kind", [(dim, kind) for dim in ("0", "-1", "129")
-                                           for kind in KINDS] + [("1", "lattice_system")])
+                                           for kind in KINDS])
     def test_gen_dim_outside_one_to_the_ceiling_exits_two(self, capsys, kind, dim):
         assert main(["gen", kind, "--dim", dim, "--seed", "1"]) == 2
         captured = capsys.readouterr()
@@ -276,7 +285,7 @@ class TestGenCommand:
         assert main(["gen", "effect", "--dim", str(dim), "--seed", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["matrix"]["dim"] == dim
 
-    @pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "lattice_system"])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_run_reads_back_what_gen_prints(self, capsys, kind, dim):
         assert main(["gen", kind, "--dim", str(dim), "--seed", "7"]) == 0
@@ -291,6 +300,14 @@ class TestGenCommand:
             value = decode(part)
             assert (value.shape[0] if isinstance(value, np.ndarray) else value.dim) == dim
             assert encode(value) == (part["matrix"] if encode is encode_matrix else part)
+
+    def test_a_lattice_system_is_no_kind(self, capsys):
+        """``run`` has no reader for a lattice system, so ``gen`` prints none."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", "lattice_system", "--dim", "4", "--seed", "1"])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'lattice_system'" in captured.err
 
 
 class TestVersionCommand:
@@ -688,6 +705,13 @@ class TestCrossFieldConstraints:
     its own pointer, before the scenarios ahead of it run."""
 
     SWEEP = {"type": "gentle_sweep", "params": {"instances": 4}}
+    # two rules of the library are read so too: rcc's instruments are
+    # efficient, and causal_separation's regions share one frame
+    NOT_EFFICIENT = {"kind": "instrument", "families": [[
+        {"dim": 1, "re": [0.6], "im": [0.0]}, {"dim": 1, "re": [0.8], "im": [0.0]}]]}
+    EFFICIENT = generate_instance("luders_instrument", 1, 1)
+    REGION = {"boxes": [{"lo": [0, 0, 0, 0], "hi": [0, 1, 1, 1]}]}
+    BOOSTED = dict(REGION, frame=[1.25, 0.75, 0, 0])
 
     @pytest.mark.parametrize("stype, params, field, message", [
         ("composition", {"n": 64, "lab1": [1, 2, 3], "lab2": [3, 4]}, "lab2",
@@ -713,6 +737,16 @@ class TestCrossFieldConstraints:
         ("luders_equivalence", {"first": generate_instance("povm", 3, 1),
                                 "second": generate_instance("povm", 2, 1)},
          "second", "expected dimension first = 3, got 2"),
+        ("rcc", {"first": NOT_EFFICIENT, "second": EFFICIENT}, "first",
+         "rcc needs an efficient instrument: one Kraus operator per outcome"),
+        ("rcc", {"first": EFFICIENT, "second": NOT_EFFICIENT}, "second",
+         "rcc needs an efficient instrument: one Kraus operator per outcome"),
+        ("causal_separation", {"first": REGION, "second": BOOSTED}, "second/frame",
+         "frame mismatch: FourVector(t=1.0, x=0.0, y=0.0, z=0.0) vs "
+         "FourVector(t=1.25, x=0.75, y=0.0, z=0.0)"),
+        ("causal_separation", {"first": BOOSTED, "second": REGION}, "second/frame",
+         "frame mismatch: FourVector(t=1.25, x=0.75, y=0.0, z=0.0) vs "
+         "FourVector(t=1.0, x=0.0, y=0.0, z=0.0)"),
     ])
     def test_refused_before_anything_runs(self, tmp_path, capsys, stype, params, field,
                                           message):
@@ -730,9 +764,12 @@ class TestCrossFieldConstraints:
                                                      "state": generate_instance("state", 8, 1)}},
             {"type": "cross_lab_commutator", "params": {"n": 8, "lab1": [1, 2], "lab2": [2, 5],
                                                         "delta1": [2], "delta2": [2, 5]}},
+            {"type": "rcc", "params": {"first": self.EFFICIENT, "second": self.EFFICIENT}},
+            {"type": "causal_separation", "params": {"first": self.BOOSTED,
+                                                     "second": self.BOOSTED}},
         ]
         reports = run_scenarios(parse_scenarios(payload))
-        assert [r.verdict for r in reports] == ["PASS", "PASS", "INFO"]
+        assert [r.verdict for r in reports] == ["PASS", "PASS", "INFO", "PASS", "INFO"]
 
 
 class TestEmptyLaboratory:

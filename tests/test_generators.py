@@ -102,11 +102,6 @@ class TestGeneratedObjectsValidate:
         with pytest.raises(ValueError, match="unknown kind"):
             generate_instance("qubit_soup", 2, seed=0)
 
-    def test_lattice_system_payload(self):
-        payload = generate_instance("lattice_system", 8, seed=3)
-        assert payload["n"] == 8
-        assert len(payload["cell_effects"]) == 8
-
 
 # ---------------------------------------------------------------------------
 # stacked generators and the gentle sweep, against the per-instance formulas
