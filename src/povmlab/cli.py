@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ EXIT_INPUT_ERROR = 2
 def _cmd_run(args: argparse.Namespace) -> int:
     # imported here, so --help, gen and version load none of the check modules
     from .reporting import CheckReport
-    from .scenarios import check_seed, check_tol, parse_scenarios, run_scenarios
+    from .scenarios import parse_scenarios, run_scenarios
     from .serialization import SchemaError
 
     try:
@@ -42,20 +43,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        scenarios = parse_scenarios(data)
-        if args.tol is not None:
-            tol = check_tol(args.tol, "--tol")
-            for sc in scenarios:
-                sc.tol = tol
-        if args.seed is not None:
-            seed = check_seed(args.seed, "--seed")
-            for sc in scenarios:
-                sc.seed = seed
+        scenarios = parse_scenarios(data, tol=args.tol, seed=args.seed)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     for flag, path in (("--out", args.out), ("--csv", args.csv)):  # before anything runs
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            print(f"error: {flag}: is a directory: {path}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        if not os.path.isdir(os.path.dirname(path) or "."):
             print(f"error: {flag}: no such directory: {os.path.dirname(path)}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     reports = run_scenarios(scenarios, workers=args.workers)
@@ -67,10 +65,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{r.verdict:4s} {r.name} ({worst}, {r.wall_time:.3f}s)")
         for note in r.notes:
             print(f"     note: {note}")
-    if args.out:  # the full structure, witness matrices included
+    if args.out:  # the full structure, witness matrices included, one report per line
+        # a compact json.dumps runs json's C encoder; indent= would run its Python one
+        body = ",\n".join(json.dumps(r.to_dict()) for r in reports)
         with open(args.out, "w") as fh:
-            json.dump({"reports": [r.to_dict() for r in reports]}, fh, indent=2)
-            fh.write("\n")
+            fh.write('{"reports": [\n' + (body + "\n" if body else "") + "]}\n")
     if args.csv:  # one summary row per scenario; an empty batch still gets the header
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(CheckReport(name="").summary_row()))
@@ -124,8 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call and shared by every later one: parse_args
+# fills a fresh namespace each call, so no call sees another's flags
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import LatticeLocalizationSystem, as_cells, cell_sum
+from .lattice import LatticeLocalizationSystem, as_cells, cell_sum, cell_sums
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
@@ -65,23 +65,29 @@ class ConditionalPOVM:
         self.lab_spectrum = eigh_checked(self._lab_sum, tol)
         self.inv_sqrt = self.lab_spectrum.inv_sqrt()
 
-    def _raw(self, cells: Iterable[int]) -> np.ndarray:
-        """A(cells), for cells inside the laboratory."""
+    def _inside(self, cells: Iterable[int]) -> frozenset[int]:
+        """The cells as a set, refused unless inside the laboratory."""
         key = frozenset(map(int, cells))
-        if key == self.lab_cells:
-            return self._lab_sum
         if not key <= self.lab_cells:
             raise ValueError("cells must lie inside the laboratory region")
+        return key
+
+    def _raw(self, cells: Iterable[int]) -> np.ndarray:
+        """A(cells), for cells inside the laboratory."""
+        key = self._inside(cells)
+        if key == self.lab_cells:
+            return self._lab_sum
         return cell_sum(self.cell_effects, key, self.dim)
 
     def effect(self, cells: Iterable[int]) -> np.ndarray:
         return self._sandwich(self._raw(cells))
 
     def effects(self, cell_sets: Iterable[Iterable[int]]) -> np.ndarray:
-        """The effects of several cell sets as one (B, d, d) stack, computed
-        in one stacked sandwich, each bit-equal to what ``effect`` computes."""
-        raw = [self._raw(cells) for cells in cell_sets]
-        return self._sandwich(np.stack(raw) if raw else np.zeros((0, self.dim, self.dim)))
+        """The effects of several cell sets as one (B, d, d) stack: the raw
+        sums from one ``cell_sums`` call, then one stacked sandwich; each
+        effect bit-equal to what ``effect`` computes."""
+        keys = [self._inside(cells) for cells in cell_sets]
+        return self._sandwich(cell_sums(self.cell_effects, keys, self.dim))
 
     def _sandwich(self, A: np.ndarray) -> np.ndarray:
         """hermitize(R A R) for one raw effect or a stack of them."""

@@ -93,20 +93,40 @@ class LatticeLocalizationSystem:
         return frozenset(range(self.n)) - cells
 
 
+def _members(effects, order: list[int]) -> list[np.ndarray]:
+    """``effects[k]`` for each k of ``order``: ``CellEffects`` in one ``take``
+    call, any other sequence indexed by cell."""
+    if isinstance(effects, CellEffects):
+        return effects.take(order)
+    return [effects[k] for k in order]
+
+
+def _sum_into(out: np.ndarray, members: Iterable[np.ndarray]) -> np.ndarray:
+    """The summation rule of ``cell_sum`` and ``cell_sums``: the members added
+    to the zero matrix ``out`` one by one, in the order given."""
+    for E in members:
+        out += E
+    return out
+
+
 def cell_sum(effects, cells: Iterable[int], dim: int) -> np.ndarray:
     """The sum of ``effects[k]`` over the cells, a dim x dim matrix; exactly
     additive over disjoint unions by construction.  Summed in sorted cell
-    order, so the bits do not depend on how the cells were listed.
-    ``CellEffects`` are fetched in one ``take`` call; any other sequence is
-    indexed by cell."""
-    order = sorted(cells)
-    if isinstance(effects, CellEffects):
-        members = effects.take(order)
-    else:
-        members = [effects[k] for k in order]
-    out = np.zeros((dim, dim), dtype=np.result_type(float, *members))
-    for E in members:
-        out += E
+    order from zero, so the bits do not depend on how the cells were listed."""
+    members = _members(effects, sorted(cells))
+    return _sum_into(np.zeros((dim, dim), dtype=np.result_type(float, *members)), members)
+
+
+def cell_sums(effects, cell_sets: Iterable[Iterable[int]], dim: int) -> np.ndarray:
+    """``cell_sum`` of each cell set, as one (B, dim, dim) stack of the
+    members' common dtype: the members of all sets are fetched once, and each
+    set is summed by the same rule into its own slot."""
+    orders = [sorted(cells) for cells in cell_sets]
+    union = sorted(set().union(*orders))
+    member = dict(zip(union, _members(effects, union)))
+    out = np.zeros((len(orders), dim, dim), dtype=np.result_type(float, *member.values()))
+    for total, order in zip(out, orders):
+        _sum_into(total, map(member.__getitem__, order))
     return out
 
 

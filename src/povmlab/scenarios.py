@@ -58,9 +58,13 @@ class Scenario:
         return {"type": self.type, "seed": self.seed, "tol": self.tol, "repeat": self.repeat}
 
 
-def parse_scenarios(data: Any) -> list[Scenario]:
+def parse_scenarios(data: Any, tol: Any = None, seed: Any = None) -> list[Scenario]:
     """Validate the scenario file and read every scenario's parameters;
-    schema violations carry JSON-pointer paths."""
+    schema violations carry JSON-pointer paths.  A given ``tol`` or ``seed``
+    (``run``'s ``--tol`` and ``--seed``) replaces every scenario's, read
+    first, so each table rule reads the tolerance that will be used."""
+    tol = None if tol is None else check_tol(tol, "--tol")
+    seed = None if seed is None else check_seed(seed, "--seed")
     if isinstance(data, dict):
         items, base = FILE(data, "")["scenarios"], "/scenarios"
     else:
@@ -71,9 +75,10 @@ def parse_scenarios(data: Any) -> list[Scenario]:
     for i, raw in enumerate(items):
         pointer = f"{base}/{i}"
         entry = ENTRY(raw, pointer)
-        params = CHECKS[entry["type"]].read(entry["params"], f"{pointer}/params")
-        out.append(Scenario(entry["type"], params, entry["seed"], entry["tol"], entry["repeat"],
-                            index=i))
+        sc_tol = entry["tol"] if tol is None else tol
+        params = CHECKS[entry["type"]].read(entry["params"], f"{pointer}/params", sc_tol)
+        out.append(Scenario(entry["type"], params, entry["seed"] if seed is None else seed,
+                            sc_tol, entry["repeat"], index=i))
     return out
 
 
@@ -138,6 +143,15 @@ def _in_frame_of_first(region: RegionUnion, pointer: str, values: dict) -> None:
     built(_same_frame, f"{pointer}/frame", values["first"], region)
 
 
+def _luders_povms(values: dict, pointer: str, tol: float) -> None:
+    """luders_equivalence's rule: each explicit family a POVM at ``tol``, by
+    ``luders_instrument``'s own test, which names the failed items of
+    ``validate_povm``."""
+    for key in ("first", "second"):
+        if values[key] is not None:
+            built(luders_instrument, f"{pointer}/{key}", values[key], tol)
+
+
 def _dimension(value: Any) -> int:
     """An integer itself, an instrument's or POVM's ``dim``, a matrix's size."""
     if isinstance(value, int):
@@ -155,16 +169,21 @@ SYSTEM_KINDS = (*SHARP_KINDS, "diagonal_smeared", "frame_smeared")
 
 
 class CheckType(NamedTuple):
-    """An adapter, its parameters in read order, and a pair given both or neither."""
+    """An adapter, its parameters in read order, a pair given both or neither,
+    and a rule on the values read that depends on the scenario's tolerance."""
     run: Callable[[Scenario, np.random.Generator], CheckReport]
     params: tuple[Param, ...]
     pair: tuple[str, str] | None = None
+    rule: Callable[[dict, str, float], None] | None = None
 
-    def read(self, raw: Any, pointer: str) -> dict[str, Any]:
-        """One scenario's params, read in the table's order; a system's checked whole."""
+    def read(self, raw: Any, pointer: str, tol: float) -> dict[str, Any]:
+        """One scenario's params, read in the table's order; a system's
+        checked whole, and ``rule`` applied at ``tol``."""
         values = Fields(self.params, "params", "parameter", self.pair)(raw, pointer)
         if self.params[:len(SYSTEM_PARAMS)] == SYSTEM_PARAMS:
             _check_system(values, pointer)
+        if self.rule is not None:
+            self.rule(values, pointer, tol)
         return values
 
 
@@ -373,7 +392,8 @@ CHECKS: dict[str, CheckType] = {
         ("first", "second")),
     "luders_equivalence": CheckType(_check_luders_equivalence, (
         DIM, Param("first", Decoded(decode_povm), None),
-        Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second")),
+        Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second"),
+        _luders_povms),
     "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     # the search's level-splitting construction needs three distinct levels
     "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3, N_MAX), 3),

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from povmlab import KINDS, lattice, signaling
+from povmlab import KINDS, cli, lattice, signaling
 from povmlab.cli import main
 from povmlab.generators import generate_instance
+from povmlab.linalg import DEFAULT_TOL
 from povmlab.reporting import CheckReport
 from povmlab.scenarios import (
     CHECKS,
@@ -173,6 +174,19 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err == f"error: {flag}: no such directory: {missing.parent}\n"
         assert not written.exists() and not missing.parent.exists()
+
+    @pytest.mark.parametrize("flag, other", [("--out", "--csv"), ("--csv", "--out")])
+    def test_a_report_path_that_names_a_directory_exits_two(self, tmp_path, capsys, flag,
+                                                           other):
+        """Refused after parsing, before anything runs: one error line and no file."""
+        path = write_scenarios(tmp_path, GOOD_BATCH)
+        written, directory = tmp_path / "written", tmp_path / "reports"
+        directory.mkdir()
+        assert main(["run", path, other, str(written), flag, str(directory)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}: is a directory: {directory}\n"
+        assert not written.exists() and list(directory.iterdir()) == []
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["run", "/nonexistent/file.json"]) == 2
@@ -770,6 +784,119 @@ class TestCrossFieldConstraints:
         ]
         reports = run_scenarios(parse_scenarios(payload))
         assert [r.verdict for r in reports] == ["PASS", "PASS", "INFO", "PASS", "INFO"]
+
+
+class TestLudersFamilies:
+    """An explicit luders_equivalence family that is no POVM at the tolerance
+    in force is refused at parse time by ``luders_instrument``'s own test;
+    ``--tol`` is that tolerance when given."""
+
+    TWO = {"kind": "povm", "effects": [{"dim": 1, "re": [2.0], "im": [0.0]}]}
+    ONE = {"kind": "povm", "effects": [{"dim": 1, "re": [1.0], "im": [0.0]}]}
+    FAILED = "invalid POVM for a Lüders instrument: max_eigenvalue <= 1+tol, normalization"
+
+    @pytest.mark.parametrize("field", ["first", "second"])
+    def test_refused_before_anything_runs(self, tmp_path, capsys, field):
+        params = {"first": self.ONE, "second": self.ONE, field: self.TWO}
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": "nsc"}, {"type": "luders_equivalence", "params": params}]})
+        report = tmp_path / "report.json"
+        assert main(["run", path, "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not report.exists()
+        assert captured.err == f"error: /scenarios/1/params/{field}: {self.FAILED}\n"
+        # the same file at a tolerance that accepts the family
+        assert main(["run", path, "--tol", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("PASS luders_equivalence")
+
+    def test_the_override_is_the_tolerance_read(self, tmp_path, capsys):
+        path = write_scenarios(tmp_path, [{"type": "luders_equivalence", "tol": 2.0,
+                                           "params": {"first": self.TWO, "second": self.ONE}}])
+        assert main(["run", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "--tol", "1e-9"]) == 2
+        assert capsys.readouterr().err == f"error: /0/params/first: {self.FAILED}\n"
+
+    def test_parse_scenarios_takes_the_overrides(self):
+        payload = [{"type": "nsc", "seed": 3, "tol": 1e-6}, {"type": "rcc"}]
+        assert [(sc.seed, sc.tol) for sc in parse_scenarios(payload)] == [
+            (3, 1e-6), (0, DEFAULT_TOL)]
+        assert [(sc.seed, sc.tol) for sc in parse_scenarios(payload, tol=1e-3, seed=9)] == [
+            (9, 1e-3), (9, 1e-3)]
+        for override, flag in (({"tol": float("nan")}, "--tol"), ({"seed": -1}, "--seed")):
+            with pytest.raises(SchemaError) as err:
+                parse_scenarios(payload, **override)
+            assert err.value.pointer == flag
+
+
+class TestReportFile:
+    """``--out`` holds one compact report per line inside {"reports": [...]},
+    parsing to the reports' ``to_dict()`` content."""
+
+    def test_demo_report_holds_one_report_per_line(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["run", str(DEMO_FILE), "--out", str(out)]) == 0
+        with open(DEMO_FILE) as fh:
+            fresh = [r.to_dict() for r in run_scenarios(parse_scenarios(json.load(fh)))]
+        text = out.read_text()
+        wire = json.loads(text)["reports"]
+        lines = text.splitlines()
+        assert (lines[0], lines[-1], len(lines)) == ('{"reports": [', "]}", len(fresh) + 2)
+        assert text.endswith("]}\n")
+        assert [json.loads(line.removesuffix(",")) for line in lines[1:-1]] == wire
+        for report in fresh + wire:
+            report.pop("wall_time")
+        assert wire == fresh
+
+    def test_an_empty_batch_writes_valid_json(self, tmp_path):
+        path = write_scenarios(tmp_path, {"scenarios": []})
+        out = tmp_path / "report.json"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert out.read_text() == '{"reports": [\n]}\n'
+        assert json.loads(out.read_text()) == {"reports": []}
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, and no call sees the
+    flags of another."""
+
+    WALL_TIME = re.compile(r"\d+\.\d{3}s\)")
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_a_tol_override_ends_with_its_call(self, tmp_path, capsys):
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "rcc", "params": {"dim": 2}}]})
+        out = tmp_path / "report.json"
+        tols = []
+        for flags in (["--tol", "1e-6"], []):
+            assert main(["run", path, "--out", str(out), *flags]) == 0
+            tols.append(json.loads(out.read_text())["reports"][0]["scenario"]["tol"])
+        assert tols == [1e-6, DEFAULT_TOL]
+
+    def call(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own refusals
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, self.WALL_TIME.sub("T)", out), err
+
+    def test_interleaved_calls_print_what_each_prints_alone(self, tmp_path, capsys):
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": "rcc", "params": {"dim": 2}}, {"type": "luders_equivalence"}]})
+        calls = [["gen", "state", "--dim", "2", "--seed", "3"], ["version"],
+                 ["run", path, "--tol", "1e-6", "--seed", "5"],
+                 ["gen", "povm", "--dim", "2"],  # no --seed: argparse exits 2
+                 ["run", path], ["gen", "povm", "--dim", "2", "--seed", "4"], ["version"],
+                 ["run", path, "--seed", "5"]]
+        alone = []
+        for argv in calls:
+            cli._parser.cache_clear()  # a fresh parser, as in a fresh process
+            alone.append(self.call(argv, capsys))
+        cli._parser.cache_clear()
+        assert [self.call(argv, capsys) for argv in calls] == alone
+        assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0, 0, 0, 0]
 
 
 class TestEmptyLaboratory:

@@ -16,9 +16,12 @@ from povmlab.conditional import (
 )
 from povmlab.generators import haar_unitary, make_rng, random_effect, random_state
 from povmlab.lattice import (
+    build_alternating_system,
     build_diagonal_smeared_system,
     build_frame_smeared_system,
     build_sharp_system,
+    cell_sum,
+    cell_sums,
     effect_of,
 )
 from povmlab.linalg import dag, eigh_checked, hermitize, op_norm, psd_sqrt
@@ -207,6 +210,74 @@ class TestStackedEffects:
         cond = build_conditional(smeared16, LAB6)
         with pytest.raises(ValueError, match="inside the laboratory"):
             cond.effects([{5}, {4, 5}])
+
+
+BUILDERS = {
+    "sharp": lambda n: build_sharp_system(n, 1.0, 1.0),
+    "alternating": lambda n: build_alternating_system(n, 1.0, 1.0),
+    "diagonal_smeared": lambda n: build_diagonal_smeared_system(n, 1.0, 1.0, 1.5),
+    "frame_smeared": lambda n: build_frame_smeared_system(n, 1.0, 1.0, 1.5),
+}
+
+
+def random_cell_sets(lab, rng, count=24):
+    """The empty set, the whole laboratory, and ``count`` random subsets of
+    it, each listed in a random order."""
+    cells = sorted(lab)
+    sets = [[], cells[::-1]]
+    for _ in range(count):
+        size = int(rng.integers(1, len(cells) + 1))
+        sets.append([int(k) for k in rng.choice(cells, size=size, replace=False)])
+    return sets
+
+
+class TestStackedRawSums:
+    """``effects`` takes its raw sums from one ``cell_sums`` call; each raw sum
+    and each effect is bit-equal to the per-set ``cell_sum`` route."""
+
+    @staticmethod
+    def assert_bit_equal(cond, sets):
+        raw = np.stack([cell_sum(cond.cell_effects, cells, cond.dim) for cells in sets])
+        stacked = cell_sums(cond.cell_effects, sets, cond.dim)
+        assert (stacked.dtype, stacked.shape) == (raw.dtype, raw.shape)
+        assert stacked.tobytes() == raw.tobytes()
+        R = cond.inv_sqrt
+        effects, oracle = cond.effects(sets), hermitize(R @ raw @ R)
+        assert (effects.dtype, effects.shape) == (oracle.dtype, oracle.shape)
+        assert effects.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_every_builder_on_the_whole_ring(self, kind, n):
+        """A(ring) = I, so every kind conditions on the whole ring, the sharp
+        ones included."""
+        sys = BUILDERS[kind](n)
+        cond = build_conditional(sys, range(n))
+        self.assert_bit_equal(cond, random_cell_sets(cond.lab_cells, make_rng(n, len(kind))))
+
+    @pytest.mark.parametrize("n, lab", [(16, LAB6), (64, LAB11)])
+    def test_a_proper_laboratory(self, n, lab):
+        cond = build_conditional(build_frame_smeared_system(n, 1.0, 1.0, 1.5), lab)
+        self.assert_bit_equal(cond, random_cell_sets(lab, make_rng(n)))
+
+    def test_complex_cell_effects(self, smeared16):
+        """The cell effects of ``v_conjugation_reduction``'s transformed
+        system, and a list mixing real and complex members."""
+        V = haar_unitary(16, make_rng(67))
+        transformed = [hermitize(V @ E @ dag(V)) for E in smeared16.cell_effects]
+        mixed = [E.astype(complex) if k % 3 == 0 else E
+                 for k, E in enumerate(smeared16.cell_effects)]
+        for effects in (transformed, mixed):
+            cond = ConditionalPOVM(LAB6, effects, 16)
+            sets = random_cell_sets(LAB6, make_rng(68))
+            self.assert_bit_equal(cond, sets)
+            assert cond.effects(sets).dtype == np.complex128
+
+    def test_cells_outside_the_lab_refused_with_the_same_message(self, smeared16):
+        cond = build_conditional(smeared16, LAB6)
+        for call in (lambda: cond.effects([{5}, {4, 5}]), lambda: cond.effect({4, 5})):
+            with pytest.raises(ValueError, match="^cells must lie inside the laboratory region$"):
+                call()
 
 
 class TestGentleBound:

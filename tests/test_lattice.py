@@ -13,6 +13,7 @@ from povmlab.lattice import (
     causal_shadow,
     cc_residual,
     cell_sum,
+    cell_sums,
     cells_bounding_box,
     claim_consistent_with_ldp,
     effect_of,
@@ -191,6 +192,16 @@ class TestEffectOf:
         assert total.dtype == np.complex128
         assert np.array_equal(total, np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
 
+
+    def test_cell_sums_stack_each_cell_sum(self):
+        real = [np.diag(np.eye(4)[k]) for k in range(4)]
+        empty = cell_sums(real, [], 4)
+        assert (empty.shape, empty.dtype) == ((0, 4, 4), np.float64)
+        mixed = [real[0], real[1].astype(complex), real[2], real[3]]
+        sets = [{0, 2}, (), [3, 1, 0], {3}]
+        stack = cell_sums(mixed, sets, 4)
+        assert stack.dtype == np.complex128
+        assert np.array_equal(stack, np.stack([cell_sum(mixed, cells, 4) for cells in sets]))
 
 class TestMicrocausality:
     def test_frozen_dynamics(self, sharp16):
