@@ -41,12 +41,10 @@ def state_from(G: np.ndarray) -> np.ndarray:
 
 
 def effect_from(U: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """U diag(spectrum) U† for unitaries U (..., d, d) and spectra (..., d),
-    through a complex diagonal matrix."""
-    d = spectrum.shape[-1]
-    D = np.zeros((*spectrum.shape, d), dtype=complex)
-    D[..., range(d), range(d)] = spectrum
-    return hermitize(U @ D @ dag(U))
+    """U diag(spectrum) U† for unitaries U (..., d, d) and spectra (..., d):
+    U's columns scaled by the spectrum, as complex numbers, which gives the
+    bits of the product with the complex diagonal matrix."""
+    return hermitize((U * spectrum.astype(complex)[..., None, :]) @ dag(U))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -383,6 +383,20 @@ def _evolved_in_eigenbasis(B: np.ndarray, w: np.ndarray, t: float) -> np.ndarray
     return out
 
 
+def _largest_norms(*groups: list[np.ndarray]) -> list[float]:
+    """The largest ``op_norm`` of each group of matrices.  The matrices of all
+    groups are normed in one call per dtype, since stacking a real matrix
+    with a complex one would change its LAPACK routine; numpy runs one LAPACK
+    call per matrix of a stack, so each norm has the bits of its own call."""
+    matrices = [M for group in groups for M in group]
+    norms = np.empty(len(matrices))
+    for dtype in {M.dtype for M in matrices}:
+        at = [i for i, M in enumerate(matrices) if M.dtype == dtype]
+        norms[at] = op_norm(np.stack([matrices[i] for i in at]))
+    parts = np.split(norms, np.cumsum([len(group) for group in groups])[:-1])
+    return [float(part.max()) for part in parts]
+
+
 def hc_audit(
     sys: LatticeLocalizationSystem,
     delta_samples: Sequence[Iterable[int]],
@@ -394,6 +408,8 @@ def hc_audit(
 
     Additivity and covariance are asserted at tol * n; the energy minimum,
     the microcausality residual and the largest effect norm are recorded.
+    The additivity and covariance residuals and the effects are normed
+    together, by ``_largest_norms``.
     The audit never claims the continuum theorem holds on the lattice: its
     one note names the hypothesis that fails whenever the effects are
     nontrivial, and the ``microcausality_witness`` records the worst pair.
@@ -414,23 +430,16 @@ def hc_audit(
     shift_is_roll = np.array_equal(sys.shift, np.roll(eye, 1, axis=0))
 
     effects = [effect_of(sys, cells) for cells in samples]
-    additivity = 0.0
-    covariance = 0.0
-    max_norm = 0.0
-    for cells, A in zip(samples, effects):
-        comp = effect_of(sys, sys.complement(cells))
-        additivity = max(additivity, op_norm(A + comp - eye))
-        shifted = frozenset((k + 1) % sys.n for k in cells)
-        moved = np.roll(A, (1, 1), (0, 1)) if shift_is_roll else sys.shift @ A @ dag(sys.shift)
-        covariance = max(covariance, op_norm(moved - effect_of(sys, shifted)))
-        max_norm = max(max_norm, op_norm(A))
-    # additivity over sampled disjoint unions
-    for k, (left, right) in enumerate(zip(samples, samples[1:])):
-        if left & right:
-            continue
-        additivity = max(
-            additivity, op_norm(effects[k] + effects[k + 1] - effect_of(sys, left | right))
-        )
+    additivity, covariance, max_norm = _largest_norms(
+        # additivity per sample, then over sampled disjoint unions
+        [A + effect_of(sys, sys.complement(cells)) - eye for cells, A in zip(samples, effects)]
+        + [effects[k] + effects[k + 1] - effect_of(sys, left | right)
+           for k, (left, right) in enumerate(zip(samples, samples[1:])) if not left & right],
+        [(np.roll(A, (1, 1), (0, 1)) if shift_is_roll else sys.shift @ A @ dag(sys.shift))
+         - effect_of(sys, frozenset((k + 1) % sys.n for k in cells))
+         for cells, A in zip(samples, effects)],
+        effects,
+    )
 
     # microcausality_residual over the disjoint pairs, in H's eigenbasis
     stack = np.stack(effects)

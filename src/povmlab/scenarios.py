@@ -164,6 +164,10 @@ check_seed = Integer(0, 2**64 - 1)  # a scenario seed
 # the largest lattice or matrix dimension a scenario may ask for, the largest
 # n the tests run; each builder and generator allocates dense n x n arrays
 N_MAX = 128
+# the most instances of one gentle sweep and the most repeats of one scenario,
+# far above the largest in use (2000 and 3); each costs a loop turn, not memory
+INSTANCES_MAX = 100_000
+REPEAT_MAX = 100
 SHARP_KINDS = ("sharp", "alternating")  # the system kinds whose builders take no width
 SYSTEM_KINDS = (*SHARP_KINDS, "diagonal_smeared", "frame_smeared")
 
@@ -407,7 +411,7 @@ CHECKS: dict[str, CheckType] = {
                                    SYSTEM_PARAMS + (Param("lab", Cells(nonempty=True)),)),
     "gentle_sweep": CheckType(_check_gentle_sweep, (
         Param("dims", Nonempty(Integer(1, N_MAX), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
-        Param("instances", Integer(1), 1000))),
+        Param("instances", Integer(1, INSTANCES_MAX), 1000))),
     "conditional_bound": CheckType(_check_conditional_bound, SYSTEM_PARAMS + (
         Param("lab", Cells(nonempty=True)), Param("delta", Cells(inside="lab")),
         Param("state", Decoded(decode_state, dim="n"), None))),
@@ -429,7 +433,7 @@ CHECKS: dict[str, CheckType] = {
 FILE = Fields((Param("scenarios", as_given),), "scenario file")
 ENTRY = Fields((Param("type", OneOf(tuple(CHECKS))), Param("params", as_given, {}),
                 Param("seed", check_seed, 0), Param("tol", check_tol, DEFAULT_TOL),
-                Param("repeat", Integer(1), 1)), "scenario")
+                Param("repeat", Integer(1, REPEAT_MAX), 1)), "scenario")
 
 
 def run_one(sc: Scenario) -> CheckReport:

@@ -18,6 +18,7 @@ from .linalg import (
     commutator,
     commutator_norm,
     dag,
+    hermitize,
     max_abs,
     op_norm,
 )
@@ -38,12 +39,14 @@ def nsc_deviation(instr: KrausInstrument, S) -> float:
     This equals sup over states rho of |tr(rho' S) - tr(rho S)| for the
     non-selective post-state rho', because the expression is linear in rho and
     the supremum of |tr(rho X)| over states is the spectral radius of the
-    Hermitian X.
+    Hermitian X.  The dual image is Hermitian for Hermitian S, so it is
+    hermitized; the difference is then bit-Hermitian, and normed by
+    ``eigvalsh``, exactly when S is.
     """
     S = as_matrix(S)
     if S.shape[0] != instr.dim:
         raise ValueError(f"dimension mismatch: effect {S.shape[0]}, instrument {instr.dim}")
-    return op_norm(instr.dual_apply(S) - S)
+    return op_norm(hermitize(instr.dual_apply(S)) - S)
 
 
 def rcc_deviation(first: KrausInstrument, second: KrausInstrument) -> float:
@@ -120,7 +123,7 @@ def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> CheckRepo
     """
     S = as_matrix(S)
     d1 = nsc_deviation(instr, S)
-    d2 = nsc_deviation(instr, S @ S)
+    d2 = nsc_deviation(instr, hermitize(S @ S))
     kappa = kraus_commutator_residual(instr, S)
     scale = max(op_norm(S), 1e-300)
     kraus_commuting = kappa <= tol

@@ -17,7 +17,9 @@ from povmlab.linalg import DEFAULT_TOL
 from povmlab.reporting import CheckReport
 from povmlab.scenarios import (
     CHECKS,
+    INSTANCES_MAX,
     N_MAX,
+    REPEAT_MAX,
     SYSTEM_PARAMS,
     Cells,
     Decoded,
@@ -965,6 +967,42 @@ class TestDimensionCeiling:
         # nsc's generated effect does not commute with the instrument, at any dim
         assert [r.verdict for r in run_scenarios(parse_scenarios(payload))] == [
             "FAIL", "PASS", "PASS", "PASS", "PASS", "PASS"]
+
+
+class TestWorkCeilings:
+    """A gentle sweep holds at most INSTANCES_MAX = 100000 instances and a
+    scenario at most REPEAT_MAX = 100 repeats: each ceiling is read, one
+    more exits 2 at its pointer with nothing run."""
+
+    CASES = [({"type": "gentle_sweep", "params": {"instances": INSTANCES_MAX}},
+              "params/instances", INSTANCES_MAX),
+             ({"type": "nsc", "params": {"dim": 1}, "repeat": REPEAT_MAX}, "repeat", REPEAT_MAX)]
+
+    @pytest.mark.parametrize("entry, key, ceiling", CASES)
+    def test_the_ceiling_is_read(self, entry, key, ceiling):
+        (scenario,) = parse_scenarios({"scenarios": [entry]})
+        read = scenario.repeat if key == "repeat" else scenario.params["instances"]
+        assert read == ceiling
+
+    @pytest.mark.parametrize("entry, key, ceiling", CASES)
+    def test_above_the_ceiling_exits_two(self, tmp_path, capsys, entry, key, ceiling):
+        entry = json.loads(json.dumps(entry))
+        if key == "repeat":
+            entry["repeat"] += 1
+        else:
+            entry["params"]["instances"] += 1
+        out = tmp_path / "report.json"
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": "nsc"}, entry]})
+        assert main(["run", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: /scenarios/1/{key}: must be <= {ceiling}, "
+                                f"got {ceiling + 1}\n")
+        assert not out.exists()
+
+    def test_the_repeat_ceiling_runs(self):
+        (report,) = run_scenarios(parse_scenarios([self.CASES[1][0]]))
+        assert len(report.items) == REPEAT_MAX
 
 
 # the generator kind of each decoded object a scenario can hold

@@ -479,11 +479,11 @@ class TestComposition:
         for cells in _sample_subsets(lab1 | lab2):
             lhs = cond_u.effect(cells)
             b1, b2 = cond1.effect(cells & lab1), cond2.effect(cells & lab2)
-            rhs = cond_u.inv_sqrt @ (s1 @ b1 @ s1 + s2 @ b2 @ s2) @ cond_u.inv_sqrt
+            rhs = hermitize(cond_u.inv_sqrt @ (s1 @ b1 @ s1 + s2 @ b2 @ s2) @ cond_u.inv_sqrt)
             identity = max(identity, op_norm(lhs - rhs))
             if cells:
                 plain = max(plain, op_norm(lhs - b1 - b2))
-                weighted = max(weighted, op_norm(lhs - w1 @ b1 @ w1 - w2 @ b2 @ w2))
+                weighted = max(weighted, op_norm(lhs - hermitize(w1 @ b1 @ w1 + w2 @ b2 @ w2)))
         assert [item.residual for item in rep.items] == [identity, plain, weighted]
 
     def test_empty_intersection_required(self, smeared16):

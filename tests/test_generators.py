@@ -143,6 +143,35 @@ class TestStackedGenerators:
             assert rho[k].tobytes() == random_state(dim, rng).tobytes()
 
 
+def dense_effect_from(U, spectrum):
+    """U D U† through the complex diagonal matrix D of the spectrum, the
+    product ``effect_from`` had before it scaled U's columns."""
+    d = spectrum.shape[-1]
+    D = np.zeros((*spectrum.shape, d), dtype=complex)
+    D[..., range(d), range(d)] = spectrum
+    return hermitize(U @ D @ dag(U))
+
+
+class TestEffectFromColumnScaling:
+    @pytest.mark.parametrize("dim", range(1, 33))
+    def test_bytes_equal_the_dense_diagonal_product(self, dim):
+        """One matrix and stacks, with uniform spectra and spectra holding
+        zero eigenvalues.  Only the zero matrix of an all-zero spectrum may
+        differ, in the signs of its zeros: each BLAS sums its own signed
+        zeros.  Its tr(rho T) is 0, so the gentle sweep skips it."""
+        rng = make_rng(88, dim)
+        for shape in ((), (3,), (2, 4)):
+            U = unitary_from(rng.normal(size=(*shape, dim, dim))
+                             + 1j * rng.normal(size=(*shape, dim, dim)))
+            spectrum = rng.uniform(0.0, 1.0, size=(*shape, dim))
+            zeros = spectrum * (rng.uniform(size=spectrum.shape) < 0.5)
+            for values in (spectrum, zeros, np.zeros_like(spectrum)):
+                T, dense = effect_from(U, values), dense_effect_from(U, values)
+                nonzero = values.any(axis=-1)
+                assert T[nonzero].tobytes() == dense[nonzero].tobytes()
+                assert not T[~nonzero].any() and not dense[~nonzero].any()
+
+
 class ZeroSpectra:
     """A generator whose every ``period``-th ``uniform`` draw is scaled to
     zeros, so that T = 0 and tr(rho T) = 0; all other calls pass through."""

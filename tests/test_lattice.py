@@ -203,6 +203,74 @@ class TestEffectOf:
         assert stack.dtype == np.complex128
         assert np.array_equal(stack, np.stack([cell_sum(mixed, cells, 4) for cells in sets]))
 
+
+BUILDERS = [build_sharp_system, build_alternating_system, build_diagonal_smeared_system,
+            build_frame_smeared_system]
+
+
+class TestCellSumsBytes:
+    """Each slot of ``cell_sums`` keeps the bytes of that set's ``cell_sum``,
+    whatever the order of the sets."""
+
+    @staticmethod
+    def assert_bytes_equal(effects, sets, dim):
+        stack = cell_sums(effects, sets, dim)
+        assert stack.shape == (len(sets), dim, dim)
+        for total, cells in zip(stack, sets):
+            alone = cell_sum(effects, cells, dim)
+            if cells:
+                assert alone.dtype == stack.dtype
+            assert total.tobytes() == alone.astype(stack.dtype).tobytes()
+
+    @staticmethod
+    def random_sets(n: int, count: int, rng) -> list:
+        """Random sets, with their prefixes, extensions and duplicates."""
+        sets = []
+        for _ in range(count):
+            cells = sorted(int(k) for k in rng.choice(n, size=int(rng.integers(1, n)),
+                                                       replace=False))
+            cut = int(rng.integers(0, len(cells) + 1))
+            sets += [frozenset(cells), frozenset(cells[:cut]), list(cells[::-1])]
+        return sets
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_bytes_equal_each_cell_sum(self, build, n):
+        sys = build(n, 1.0)
+        rng = make_rng(57, n)
+        sets = self.random_sets(n, 12, rng)
+        self.assert_bytes_equal(sys.cell_effects, sets, n)
+        for _ in range(3):  # any order of the sets
+            order = rng.permutation(len(sets))
+            self.assert_bytes_equal(sys.cell_effects, [sets[i] for i in order], n)
+
+    def test_every_partition_of_a_laboratory(self):
+        """The left sides ``ConditionalPOVM.validate`` reads, and their
+        complements."""
+        sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
+        cells = list(range(3, 11))
+        lefts = [frozenset(c for i, c in enumerate(cells) if r >> i & 1) for r in range(128)]
+        self.assert_bytes_equal(sys.cell_effects, lefts, 16)
+        self.assert_bytes_equal(sys.cell_effects, [frozenset(cells) - s for s in lefts], 16)
+
+    def test_complex_effects_and_the_empty_set(self):
+        """A complex effect list, with signed zeros; the empty set is the
+        stack's zero, of the stack's dtype."""
+        rng = make_rng(58)
+        effects = [hermitize(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+                   for _ in range(6)]
+        effects[2][0, 1] = -0.0
+        sets = [(), {0, 1, 2}, {0, 1}, {0, 1, 2}, (), {5}, {2, 4, 5}, {0, 1, 2, 3, 4, 5}, {2}]
+        self.assert_bytes_equal(effects, sets, 6)
+        stack = cell_sums(effects, sets, 6)
+        assert stack.dtype == np.complex128
+        assert stack[0].tobytes() == np.zeros((6, 6), dtype=complex).tobytes()
+
+    def test_only_empty_sets(self):
+        stack = cell_sums([np.eye(3)] * 3, [(), frozenset()], 3)
+        assert (stack.dtype, stack.tobytes()) == (np.float64, np.zeros((2, 3, 3)).tobytes())
+
+
 class TestMicrocausality:
     def test_frozen_dynamics(self, sharp16):
         frozen = build_sharp_system(16, 1.0, 1.0)

@@ -537,7 +537,8 @@ class TestEig:
 
 class TestDecompositionCounts:
     """Each operator is decomposed once: the np.linalg.eigh and eigvalsh
-    calls of each entry point that needs more than one function of it."""
+    calls of each entry point that needs more than one function of it.  A
+    norm of a matrix that is Hermitian by construction takes no SVD."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -549,22 +550,24 @@ class TestDecompositionCounts:
             monkeypatch.setattr(np.linalg, name, counted)
         return counts
 
-    @pytest.mark.parametrize("entry, eigh, eigvalsh", [
-        ("composition_identity_check", 5, 2),
-        ("conditional_prob_bound", 1, 1),
-        ("gentle_sides", 1, 0),
-        ("polar_kraus", 1, 1),
-        ("random_povm", 1, 0),
-        ("build_conditional", 1, 0),
-        ("hc_audit", 1, 14),
-        ("luders_instrument", 2, 1),
-        ("validate_povm", 2, 1),
-        ("validate_effect", 1, 0),
-        ("validate_state", 1, 0),
+    @pytest.mark.parametrize("entry, eigh, eigvalsh, svd", [
+        ("composition_identity_check", 5, 3, 0),
+        ("conditional_prob_bound", 1, 1, 0),
+        ("gentle_sides", 1, 1, 0),
+        ("polar_kraus", 1, 1, 0),
+        ("random_povm", 1, 0, 0),
+        ("build_conditional", 1, 0, 0),
+        ("hc_audit", 1, 4, 0),
+        ("luders_instrument", 2, 1, 0),
+        ("validate_povm", 2, 1, 0),
+        ("validate_effect", 1, 0, 0),
+        ("validate_state", 1, 0, 0),
+        ("nsc_deviation", 0, 1, 0),
     ])
-    def test_counts(self, counts, entry, eigh, eigvalsh):
+    def test_counts(self, counts, entry, eigh, eigvalsh, svd):
         from povmlab import conditional
         from povmlab import measurement
+        from povmlab import signaling
         from povmlab.generators import (
             commuting_povm_pair,
             random_effect,
@@ -578,6 +581,7 @@ class TestDecompositionCounts:
         rng = make_rng(41)
         T, rho, rho16 = random_effect(4, rng), random_state(4, rng), random_state(16, rng)
         povm = commuting_povm_pair(4, rng)[0]
+        instrument = measurement.luders_instrument(povm)
         call = {
             "composition_identity_check":
                 lambda: conditional.composition_identity_check(sys, {1, 2, 3}, {6, 7}),
@@ -592,10 +596,12 @@ class TestDecompositionCounts:
             "validate_povm": lambda: measurement.validate_povm(povm),
             "validate_effect": lambda: measurement.validate_effect(T),
             "validate_state": lambda: measurement.validate_state(rho),
+            "nsc_deviation": lambda: signaling.nsc_deviation(instrument, T),
         }[entry]
         counts.clear()
         call()
-        assert (counts.get("eigh", 0), counts.get("eigvalsh", 0)) == (eigh, eigvalsh)
+        assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
+            eigh, eigvalsh, svd)
 
     def test_laboratory_path(self, counts):
         """An effect of a built conditional POVM is a sum and a sandwich, and

@@ -8,7 +8,7 @@ from povmlab.generators import (
     random_povm,
     random_state,
 )
-from povmlab.linalg import dag, hermitize, op_norm, psd_sqrt
+from povmlab.linalg import DEFAULT_TOL, PROB_FLOOR, dag, hermitize, op_norm, psd_sqrt
 from povmlab.measurement import (
     DiscretePOVM,
     KrausInstrument,
@@ -48,6 +48,16 @@ class TestValidate:
         povm = DiscretePOVM([np.diag([0.5, 0.5]), np.diag([0.4, 0.5])])
         rep = validate_povm(povm)
         assert not rep.passed
+
+    @pytest.mark.parametrize("excess, passed", [(0.5, True), (2.0, False), (9.0, False)])
+    def test_normalization_at_the_boundary(self, excess, passed):
+        """A two-outcome POVM off normalization by excess * tol * m, m = 2:
+        refused from tol * m on, well below 10 * tol * m."""
+        e = excess * DEFAULT_TOL * 2
+        povm = DiscretePOVM([np.diag([0.5 + e, 0.5 + e]), np.diag([0.5, 0.5])])
+        (item,) = [it for it in validate_povm(povm).items if it.name == "normalization"]
+        assert item.residual == pytest.approx(e, rel=1e-6)
+        assert item.passed == passed
 
     def test_state_validation(self):
         assert validate_state(np.eye(3) / 3).passed
@@ -185,6 +195,20 @@ class TestPostStates:
         instr = luders_instrument(DiscretePOVM([P0, P1]))
         with pytest.raises(ValueError, match="probability"):
             selective_post_state(P1, instr, 0)
+
+    @pytest.mark.parametrize("prob", [PROB_FLOOR / 100, PROB_FLOOR / 10, PROB_FLOOR])
+    def test_refused_at_and_below_the_floor(self, prob):
+        """An outcome probability in (PROB_FLOOR / 1000, PROB_FLOOR] is refused."""
+        instr = luders_instrument(DiscretePOVM([P0, P1]))
+        with pytest.raises(ValueError, match=f"probability {prob:.3e} <= floor"):
+            selective_post_state(np.diag([prob, 1.0 - prob]), instr, 0)
+
+    def test_accepted_just_above_the_floor(self):
+        instr = luders_instrument(DiscretePOVM([P0, P1]))
+        prob = float(np.nextafter(PROB_FLOOR, 1.0))
+        got, state = selective_post_state(np.diag([prob, 1.0 - prob]), instr, 0)
+        assert got == prob
+        assert np.array_equal(state, P0)
 
     def test_nonselective_identity(self):
         rho = random_state(3, make_rng(24))

@@ -11,8 +11,14 @@ from povmlab.conditional import (
     build_conditional,
     composition_identity_check,
     conditional_prob_bound,
+    gentle_sides,
 )
-from povmlab.generators import make_rng, random_state
+from povmlab.generators import (
+    commuting_povm_pair,
+    make_rng,
+    random_effect,
+    random_state,
+)
 from povmlab.lattice import (
     build_alternating_system,
     build_diagonal_smeared_system,
@@ -20,6 +26,8 @@ from povmlab.lattice import (
     build_sharp_system,
     validate_system,
 )
+from povmlab.measurement import DiscretePOVM, luders_instrument
+from povmlab.signaling import beck_check, luders_equivalence_check
 
 
 def svd_norm(M: np.ndarray) -> float:
@@ -30,6 +38,13 @@ def power(A: np.ndarray, p: float) -> np.ndarray:
     """A^p of a positive definite matrix, from a plain eigendecomposition."""
     w, V = np.linalg.eigh(A)
     return (V * w**p) @ V.conj().T
+
+
+def psd_root(A: np.ndarray) -> np.ndarray:
+    """A^1/2 of a positive semidefinite matrix, from a plain
+    eigendecomposition, its eigenvalues clipped at 0."""
+    w, V = np.linalg.eigh(A)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
 def effect(sys, cells) -> np.ndarray:
@@ -95,6 +110,32 @@ def operator_form_oracle(sys, cells, lab, rho) -> float:
     return abs(np.trace(conditioned @ B).real - np.trace(rho @ B).real)
 
 
+def nsc_oracle(instr, S) -> float:
+    """||sum_k K_k† S K_k - S|| over the instrument's Kraus operators, as
+    summed, not hermitized."""
+    return svd_norm(sum(K.conj().T @ S @ K for K in instr.kraus) - S)
+
+
+def nsc_squared_oracle(instr, S) -> float:
+    """``nsc_oracle`` of S @ S."""
+    return nsc_oracle(instr, S @ S)
+
+
+def luders_nsc_oracle(T, S) -> float:
+    """max over the effects S_i of ||sum_j K_j S_i K_j - S_i||, with the
+    Lüders operators K_j = T_j^1/2 of ``psd_root``."""
+    K = [psd_root(Tj) for Tj in T.effects]
+    return max(svd_norm(sum(Kj @ Si @ Kj for Kj in K) - Si) for Si in S.effects)
+
+
+def trace_distance_oracle(T, rho) -> float:
+    """||rho - T^1/2 rho T^1/2 / tr(rho T)||_1, the sum of the singular
+    values, with T^1/2 from ``psd_root``."""
+    R = psd_root(T)
+    conditioned = R @ rho @ R / np.trace(rho @ T).real
+    return float(np.linalg.svd(rho - conditioned, compute_uv=False).sum())
+
+
 # (report name, item name) -> the oracle of that item
 ORACLES = {
     ("lattice_system", "dynamics_translation_invariant"): translation_oracle,
@@ -102,6 +143,9 @@ ORACLES = {
     ("conditional_povm", "in_lab_additivity"): additivity_oracle,
     ("composition_identity", "identity_residual"): composition_oracle,
     ("conditional_prob_bound", "operator_form_bound"): operator_form_oracle,
+    ("beck", "nsc_deviation"): nsc_oracle,
+    ("beck", "nsc_deviation_squared"): nsc_squared_oracle,
+    ("luders_equivalence", "nsc_deviation"): luders_nsc_oracle,
 }
 
 SYSTEMS = {
@@ -111,6 +155,7 @@ SYSTEMS = {
     "frame_smeared": lambda: build_frame_smeared_system(16, 1.0, 1.0, 1.5),
 }
 LAB, CELLS = frozenset(range(5, 11)), frozenset({6, 7})
+SIGNALING = {"commuting": 0.0, "signaling": 0.5}  # the rotation angles of ``turned_pair``
 
 
 def validated_system(kind):
@@ -134,6 +179,40 @@ def bounded_probability(kind, cells, seed):
     return conditional_prob_bound(sys, cells, LAB, rho), (sys, cells, LAB, rho)
 
 
+def rotation(dim: int, seed: int, angle: float) -> np.ndarray:
+    """exp(i angle G) for a seeded Hermitian G of norm 1."""
+    rng = make_rng(seed)
+    G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, V = np.linalg.eigh(G + G.conj().T)
+    return (V * np.exp(1j * angle * w / np.abs(w).max())) @ V.conj().T
+
+
+def rotated(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """W M W†, made bit-Hermitian."""
+    X = W @ M @ W.conj().T
+    return 0.5 * (X + X.conj().T)
+
+
+def turned_pair(dim, seed, angle):
+    """A commuting POVM pair whose second POVM is turned by ``rotation``: at
+    angle 0 it commutes, and no-signaling holds; at 0.5 its nsc deviations
+    lie between 1e-4 and 1e-1."""
+    T, S = commuting_povm_pair(dim, make_rng(seed))
+    W = rotation(dim, seed + 1, angle)
+    return T, DiscretePOVM([rotated(E, W) for E in S.effects])
+
+
+def becked(dim, seed, angle):
+    T, S = turned_pair(dim, seed, angle)
+    instr = luders_instrument(T)
+    return beck_check(instr, S[0]), (instr, S[0])
+
+
+def luders_compared(dim, seed, angle):
+    T, S = turned_pair(dim, seed, angle)
+    return luders_equivalence_check(T, S), (T, S)
+
+
 # seeded inputs: a library call and its arguments, returning the report and
 # the arguments its oracles take
 CASES = {
@@ -146,6 +225,10 @@ CASES = {
     "bound-diagonal_smeared-1cell": (bounded_probability, ("diagonal_smeared", {8}, 73)),
     "composition-frame_smeared": (composed, ("frame_smeared", {2, 3, 4, 5}, {8, 9, 10})),
     "composition-diagonal_smeared": (composed, ("diagonal_smeared", {1, 2}, {6, 7, 8, 9})),
+    **{f"beck-dim{dim}-{name}": (becked, (dim, 80 + dim, angle))
+       for dim in (2, 4, 7) for name, angle in SIGNALING.items()},
+    **{f"luders-dim{dim}-{name}": (luders_compared, (dim, 90 + dim, angle))
+       for dim in (2, 3, 6) for name, angle in SIGNALING.items()},
 }
 
 
@@ -170,3 +253,29 @@ def test_every_oracle_is_exercised():
         report, _ = run(*args)
         seen |= {(report.name, item.name) for item in report.items}
     assert set(ORACLES) <= seen
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.endswith("-signaling")])
+def test_signaling_inputs_are_compared_relatively(case):
+    """Each nsc entry has inputs whose residual is far above the absolute
+    floor 1e-13 of the comparison, so a check reporting half or 0 fails."""
+    run, args = CASES[case]
+    report, inputs = run(*args)
+    for item in report.items:
+        oracle = ORACLES.get((report.name, item.name))
+        if oracle is not None:
+            assert oracle(*inputs) > 1e-4, item.name
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_gentle_trace_distance_matches_its_oracle(dim):
+    """``gentle_sides``' trace distance, on a seeded stack, against the SVD
+    trace norm of rho - T^1/2 rho T^1/2 / p per instance."""
+    rng = make_rng(60, dim)
+    T = np.stack([random_effect(dim, rng) for _ in range(12)])
+    rho = np.stack([random_state(dim, rng) for _ in range(12)])
+    _, distance, _ = gentle_sides(T, rho)
+    for k in range(len(T)):
+        expected = trace_distance_oracle(T[k], rho[k])
+        assert abs(distance[k] - expected) <= max(1e-13, 1e-12 * expected), (k, expected)
+    assert distance.max() > 1e-2
