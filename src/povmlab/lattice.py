@@ -6,10 +6,14 @@ finite matrices.  Cell effects sum to the identity (the discrete analogue of
 POVM normalization on a rest space), the one-cell shift is unitary, and the
 dynamics commutes with translations.  The cell effects are real symmetric
 float64 matrices and the shift is complex; the Hamiltonian is real exactly
-when its spectrum is mirror-symmetric (time reversal).
+when its spectrum is mirror-symmetric (time reversal).  What a builder's
+arguments decide (H, the shift and the ingredients of the cell effects) is
+made once per process and shared read-only; every system builds its own cell
+effects and its own energy decomposition.
 """
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -71,7 +75,9 @@ class LatticeLocalizationSystem:
     """Cell effects, shift unitary, and Hamiltonian on an n-cell ring.
 
     The builders give ``cell_effects`` as ``CellEffects``; any sequence of
-    n matrices, a plain list included, works as well.
+    n matrices, a plain list included, works as well.  Their ``hamiltonian``
+    and ``shift`` are read-only, shared with every system built from the same
+    arguments; rebinding a field changes this system only.
     """
 
     n: int
@@ -170,21 +176,58 @@ def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
     return omega
 
 
-def _ring_system(
-    n: int, a: float, effect: Callable[[int], np.ndarray], omega: np.ndarray,
-    F: np.ndarray | None = None,
-) -> LatticeLocalizationSystem:
-    """The system every builder assembles: the cell effects ``effect(k)``,
-    each built on first read, the one-cell shift, and H = F† diag(omega) F
-    for the DFT matrix F of ``_dft`` (made here unless given).  H is its real
-    part when omega_j = omega_{n-j} bit for bit, where the imaginary parts
-    are rounding."""
+# the most lattice systems whose fixed parts one process keeps (``_fixed_parts``):
+# a scenario file in use asks for at most 4 distinct systems, and one kept
+# frame-smeared system holds 0.25 MB at n = 64 and 1 MB at n = 128, the largest
+# n a scenario may ask for (``scenarios.N_MAX``)
+SYSTEMS_KEPT = 8
+
+
+def _ring_parts(
+    n: int, omega: np.ndarray, effect: Callable[[int], np.ndarray], F: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
+    """H = F† diag(omega) F for the DFT matrix F of ``_dft`` (made here unless
+    given), the one-cell shift, and the cell rule ``effect``.  H is its real
+    part when omega_j = omega_{n-j} bit for bit, where the imaginary parts are
+    rounding.  H and the shift are read-only: ``_fixed_parts`` hands them to
+    every system built from the same arguments."""
     F = _dft(n) if F is None else F
     H = hermitize((dag(F) * omega) @ F)
     if np.array_equal(omega, omega[-np.arange(n) % n]):
         H = H.real.copy()
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    H.flags.writeable = shift.flags.writeable = False
+    return H, shift, effect
+
+
+@functools.lru_cache(maxsize=SYSTEMS_KEPT, typed=True)
+def _fixed_parts(parts: Callable, *args) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """``parts(*args)``, made once per process for each of the last
+    ``SYSTEMS_KEPT`` distinct calls: what a builder's arguments decide.  A
+    refusal is not kept, so it is raised again on every call."""
+    return parts(*args)
+
+
+def _ring_system(parts: Callable, n: int, mass: float, a: float,
+                 *smearing: float) -> LatticeLocalizationSystem:
+    """The system every builder assembles from its fixed parts
+    ``parts(n, mass, a, *smearing)`` (H, the shift and the cell rule, shared
+    through ``_fixed_parts``), with cell effects of its own, each built on
+    first read, and an energy decomposition of its own, made on first call."""
+    H, shift, effect = _fixed_parts(parts, n, mass, a, *smearing)
     return LatticeLocalizationSystem(n, a, CellEffects(n, effect), shift, H)
+
+
+def _position_projector(n: int, k: int) -> np.ndarray:
+    """|k><k|, the float64 projector on cell k."""
+    E = np.zeros((n, n))
+    E[k, k] = 1.0
+    return E
+
+
+def _sharp_parts(n: int, mass: float, a: float):
+    return _ring_parts(n, lattice_dispersion(n, mass, a),
+                       functools.partial(_position_projector, n))
 
 
 def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
@@ -196,8 +239,12 @@ def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizati
     """
     if n < 2 or mass <= 0 or a <= 0:
         raise ValueError("need n >= 2, mass > 0, a > 0")
-    return _ring_system(n, a, lambda k: np.diag(np.eye(1, n, k)[0]),
-                        lattice_dispersion(n, mass, a))
+    return _ring_system(_sharp_parts, n, mass, a)
+
+
+def _alternating_parts(n: int, mass: float, a: float):
+    omega = lattice_dispersion(n, mass, a) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return _ring_parts(n, omega, functools.partial(_position_projector, n))
 
 
 def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizationSystem:
@@ -209,8 +256,7 @@ def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLoca
     """
     if n < 2 or mass <= 0 or a <= 0:
         raise ValueError("need n >= 2, mass > 0, a > 0")
-    omega = lattice_dispersion(n, mass, a) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return _ring_system(n, a, lambda k: np.diag(np.eye(1, n, k)[0]), omega)
+    return _ring_system(_alternating_parts, n, mass, a)
 
 
 def gaussian_frame_vector(n: int, center: int, width: float) -> np.ndarray:
@@ -223,6 +269,24 @@ def gaussian_frame_vector(n: int, center: int, width: float) -> np.ndarray:
     if not np.isfinite(g).all():
         raise ValueError(f"width {width!r} gives a non-finite Gaussian profile")
     return g
+
+
+def _frame_smeared_parts(n: int, mass: float, a: float, width: float, sharpness: float):
+    g = gaussian_frame_vector(n, 0, width)
+    g = g / np.linalg.norm(g)
+    F = _dft(n)
+    power = np.abs(F @ g) ** 2  # sums to 1: g is finite with g[0] >= 1
+    alpha = sharpness / (n * float(power.max()))
+    dvals = 1.0 / n - alpha * power  # >= (1 - sharpness)/n > 0
+    # D is real (d_j = d_{n-j}); its computed imaginary parts are rounding
+    D = hermitize((dag(F) * dvals) @ F).real
+    # alpha |g_k><g_k| is P = alpha |g><g| rolled by k along both axes, which
+    # is the n x n window of P tiled 2 x 2 at (n - k, n - k); it and D are
+    # exactly symmetric, so each effect is too, with no hermitize
+    tiled = np.tile(alpha * np.outer(g, g), (2, 2))
+    tiled.flags.writeable = D.flags.writeable = False
+    return _ring_parts(n, lattice_dispersion(n, mass, a),
+                       lambda k: tiled[n - k:2 * n - k, n - k:2 * n - k] + D, F)
 
 
 def build_frame_smeared_system(
@@ -252,19 +316,14 @@ def build_frame_smeared_system(
         raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
     if not 0.0 < sharpness < 1.0:
         raise ValueError("sharpness must lie strictly between 0 and 1")
-    g = gaussian_frame_vector(n, 0, width)
-    g = g / np.linalg.norm(g)
-    F = _dft(n)
-    power = np.abs(F @ g) ** 2  # sums to 1: g is finite with g[0] >= 1
-    alpha = sharpness / (n * float(power.max()))
-    dvals = 1.0 / n - alpha * power  # >= (1 - sharpness)/n > 0
-    # D is real (d_j = d_{n-j}); its computed imaginary parts are rounding
-    D = hermitize((dag(F) * dvals) @ F).real
-    # alpha |g_k><g_k| is alpha |g><g| rolled by k along both axes; it and D
-    # are exactly symmetric, so each effect is too, with no hermitize
-    P = alpha * np.outer(g, g)
-    return _ring_system(n, a, lambda k: np.roll(P, (k, k), axis=(0, 1)) + D,
-                        lattice_dispersion(n, mass, a), F)
+    return _ring_system(_frame_smeared_parts, n, mass, a, width, sharpness)
+
+
+def _diagonal_smeared_parts(n: int, mass: float, a: float, width: float):
+    w = gaussian_frame_vector(n, 0, width)
+    w = w / w.sum()
+    w.flags.writeable = False
+    return _ring_parts(n, lattice_dispersion(n, mass, a), lambda k: np.diag(np.roll(w, k)))
 
 
 def build_diagonal_smeared_system(
@@ -281,9 +340,7 @@ def build_diagonal_smeared_system(
     """
     if n < 2 or mass <= 0 or a <= 0 or width <= 0:
         raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
-    w = gaussian_frame_vector(n, 0, width)
-    w = w / w.sum()
-    return _ring_system(n, a, lambda k: np.diag(np.roll(w, k)), lattice_dispersion(n, mass, a))
+    return _ring_system(_diagonal_smeared_parts, n, mass, a, width)
 
 
 def validate_system(sys: LatticeLocalizationSystem, tol: float = DEFAULT_TOL) -> CheckReport:

@@ -168,6 +168,10 @@ N_MAX = 128
 # far above the largest in use (2000 and 3); each costs a loop turn, not memory
 INSTANCES_MAX = 100_000
 REPEAT_MAX = 100
+# the most sampled regions and times of one hc_audit, far above the largest in
+# use (3 and 4): its work grows with the square of the samples times the times
+SAMPLES_MAX = 32
+TIMES_MAX = 32
 SHARP_KINDS = ("sharp", "alternating")  # the system kinds whose builders take no width
 SYSTEM_KINDS = (*SHARP_KINDS, "diagonal_smeared", "frame_smeared")
 
@@ -403,8 +407,9 @@ CHECKS: dict[str, CheckType] = {
     "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3, N_MAX), 3),
                                               Param("budget", Integer(1), 1000))),
     "hc_audit": CheckType(_check_hc_audit, SYSTEM_PARAMS + (
-        Param("t_grid", Nonempty(Number(), "times"), [0.5, 1.0, 2.0]),
-        Param("delta_samples", Nonempty(Cells(nonempty=True), "cell lists"), None))),
+        Param("t_grid", Nonempty(Number(), "times", TIMES_MAX), [0.5, 1.0, 2.0]),
+        Param("delta_samples", Nonempty(Cells(nonempty=True), "cell lists", SAMPLES_MAX),
+              None))),
     "cc_residual": CheckType(_check_cc_residual, SYSTEM_PARAMS + (
         Param("delta", Cells()), Param("t", Number(), 0.0))),
     "conditional_build": CheckType(_check_conditional_build,

@@ -89,13 +89,17 @@ class Numbers(NamedTuple):
 
 
 class Nonempty(NamedTuple):
-    """A nonempty JSON list, each element read by ``item`` at its own pointer."""
+    """A nonempty JSON list, of at most ``most`` elements when given, each
+    element read by ``item`` at its own pointer."""
     item: Callable[[Any, str, dict], Any]
     what: str
+    most: int | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict | None = None) -> list:
         if not isinstance(raw, list) or not raw:
             raise SchemaError(pointer, f"expected a nonempty list of {self.what}")
+        if self.most is not None and len(raw) > self.most:
+            raise SchemaError(pointer, f"expected at most {self.most} {self.what}, got {len(raw)}")
         return [self.item(x, f"{pointer}/{j}", values) for j, x in enumerate(raw)]
 
 

@@ -7,6 +7,7 @@ calibration run that fixed them.  Run with ``pytest tests/test_acceptance.py -v`
 import json
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,3 +464,27 @@ def test_criterion_9_determinism():
     assert first == second, "rerun with the same master seed changed the reports"
     assert first == parallel, "worker count changed the reports"
     report(9, "reruns and worker counts reproduce reports bit-identically")
+
+
+@pytest.mark.parametrize("name", ["demo", "lattice64"])
+def test_criterion_9_order(name):
+    """No report depends on what ran before it in the process, where the
+    lattice builders keep their fixed parts: the committed scenario file run
+    forward, reversed and one scenario at a time gives the same reports and
+    summary rows, without wall_time.  The scenarios are read once, so each
+    keeps the index that seeds its draws wherever it runs."""
+    with open(Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json") as fh:
+        scenarios = parse_scenarios(json.load(fh))
+
+    def strip(reports):
+        out = [(r.to_dict(), r.summary_row()) for r in reports]
+        for report_dict, row in out:
+            report_dict.pop("wall_time")
+            row.pop("wall_time")
+        return json.dumps(out)
+
+    forward = strip(run_scenarios(scenarios))
+    assert strip(run_scenarios(scenarios[::-1])[::-1]) == forward, "reversing changed a report"
+    assert strip([run_scenarios([sc])[0] for sc in scenarios]) == forward, (
+        "running a scenario alone changed its report")
+    report(9, f"{name}.json forward, reversed and one at a time: identical reports")

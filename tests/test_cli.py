@@ -20,7 +20,9 @@ from povmlab.scenarios import (
     INSTANCES_MAX,
     N_MAX,
     REPEAT_MAX,
+    SAMPLES_MAX,
     SYSTEM_PARAMS,
+    TIMES_MAX,
     Cells,
     Decoded,
     parse_scenarios,
@@ -970,34 +972,50 @@ class TestDimensionCeiling:
 
 
 class TestWorkCeilings:
-    """A gentle sweep holds at most INSTANCES_MAX = 100000 instances and a
-    scenario at most REPEAT_MAX = 100 repeats: each ceiling is read, one
-    more exits 2 at its pointer with nothing run."""
+    """A gentle sweep holds at most INSTANCES_MAX = 100000 instances, a
+    scenario at most REPEAT_MAX = 100 repeats, and an hc_audit at most
+    SAMPLES_MAX = 32 sampled regions and TIMES_MAX = 32 times: each ceiling
+    is read, one more exits 2 at its pointer with nothing run."""
 
+    # an entry at the ceiling, the pointer of the bounded value under the
+    # scenario, and the ceiling
     CASES = [({"type": "gentle_sweep", "params": {"instances": INSTANCES_MAX}},
               "params/instances", INSTANCES_MAX),
-             ({"type": "nsc", "params": {"dim": 1}, "repeat": REPEAT_MAX}, "repeat", REPEAT_MAX)]
+             ({"type": "nsc", "params": {"dim": 1}, "repeat": REPEAT_MAX}, "repeat", REPEAT_MAX),
+             ({"type": "hc_audit",
+               "params": {"n": 8, "delta_samples": [[k % 8] for k in range(SAMPLES_MAX)]}},
+              "params/delta_samples", SAMPLES_MAX),
+             ({"type": "hc_audit", "params": {"t_grid": [k / 8 for k in range(TIMES_MAX)]}},
+              "params/t_grid", TIMES_MAX)]
+    LISTS = {"params/delta_samples": "cell lists", "params/t_grid": "times"}  # what each holds
+
+    @staticmethod
+    def bounded(scenario, key):
+        value = scenario.repeat if key == "repeat" else scenario.params[key.split("/")[1]]
+        return len(value) if isinstance(value, list) else value
 
     @pytest.mark.parametrize("entry, key, ceiling", CASES)
     def test_the_ceiling_is_read(self, entry, key, ceiling):
         (scenario,) = parse_scenarios({"scenarios": [entry]})
-        read = scenario.repeat if key == "repeat" else scenario.params["instances"]
-        assert read == ceiling
+        assert self.bounded(scenario, key) == ceiling
 
     @pytest.mark.parametrize("entry, key, ceiling", CASES)
     def test_above_the_ceiling_exits_two(self, tmp_path, capsys, entry, key, ceiling):
         entry = json.loads(json.dumps(entry))
-        if key == "repeat":
-            entry["repeat"] += 1
+        owner = entry if key == "repeat" else entry["params"]
+        name = key.split("/")[-1]
+        if key in self.LISTS:
+            owner[name].append(owner[name][-1])
         else:
-            entry["params"]["instances"] += 1
+            owner[name] += 1
         out = tmp_path / "report.json"
         path = write_scenarios(tmp_path, {"scenarios": [{"type": "nsc"}, entry]})
         assert main(["run", path, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: /scenarios/1/{key}: must be <= {ceiling}, "
-                                f"got {ceiling + 1}\n")
+        message = (f"expected at most {ceiling} {self.LISTS[key]}" if key in self.LISTS
+                   else f"must be <= {ceiling}")
+        assert captured.err == f"error: /scenarios/1/{key}: {message}, got {ceiling + 1}\n"
         assert not out.exists()
 
     def test_the_repeat_ceiling_runs(self):

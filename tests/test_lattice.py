@@ -897,3 +897,128 @@ class TestAuditPairStacks:
             reports.append(hc_audit(sys, samples, t_grid, tol=1e-9).to_dict())
         assert reports[0] == reports[1] == reports[2]
         assert reports[0]["items"][3]["residual"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the builders' fixed parts, made once per process and shared read-only
+# ---------------------------------------------------------------------------
+
+def _old_cells(kind, n, width):
+    """E_0, ..., E_{n-1} by the expressions the builders evaluated before
+    their cells were built from views of the shared parts."""
+    if kind in ("sharp", "alternating"):
+        return [np.diag(np.eye(1, n, k)[0]) for k in range(n)]
+    if kind == "diagonal_smeared":
+        w = gaussian_frame_vector(n, 0, width)
+        w = w / w.sum()
+        return [np.diag(np.roll(w, k)) for k in range(n)]
+    g = gaussian_frame_vector(n, 0, width)
+    g = g / np.linalg.norm(g)
+    j = np.arange(n)
+    F = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    power = np.abs(F @ g) ** 2
+    alpha = 0.9 / (n * float(power.max()))
+    D = hermitize((dag(F) * (1.0 / n - alpha * power)) @ F).real
+    P = alpha * np.outer(g, g)
+    return [np.roll(P, (k, k), axis=(0, 1)) + D for k in range(n)]
+
+
+class TestFixedParts:
+    """H, the shift and the cell ingredients are made once per process for
+    the last SYSTEMS_KEPT distinct systems; every builder call still returns
+    a new system with cell effects and an energy decomposition of its own."""
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
+    def test_view_built_cells_equal_the_roll_and_diag_expressions(self, kind, n):
+        old = _old_cells(kind, n, 1.5)
+        first, second = MAKE_SYSTEM[kind](n, 1.5), MAKE_SYSTEM[kind](n, 1.5)  # a miss or a hit
+        for sys in (first, second):
+            for E, reference in zip(sys.cell_effects, old, strict=True):
+                assert E.dtype == reference.dtype
+                assert E.tobytes() == reference.tobytes()
+                assert E.flags.c_contiguous and E.flags.writeable
+        assert first.cell_effects is not second.cell_effects
+        first.cell_effects[0][0, 0] = 7.0  # a cell is the system's own
+        assert second.cell_effects[0].tobytes() == old[0].tobytes()
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    def test_an_in_place_write_into_a_shared_array_raises(self, kind):
+        sys = MAKE_SYSTEM[kind](8, 1.5)
+        for array in (sys.hamiltonian, sys.shift):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+        _, H, shift = _eager_system(kind, 8, 1.5)
+        again = MAKE_SYSTEM[kind](8, 1.5)
+        assert again.hamiltonian.tobytes() == H.tobytes()
+        assert again.shift.tobytes() == shift.tobytes()
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    def test_rebinding_a_field_touches_only_that_system(self, kind):
+        sys = MAKE_SYSTEM[kind](16, 1.5)
+        sys.hamiltonian = np.zeros((16, 16))
+        sys.shift = np.eye(16)
+        sys.cell_effects = [np.eye(16)] * 16
+        effects, H, shift = _eager_system(kind, 16, 1.5)
+        again = MAKE_SYSTEM[kind](16, 1.5)
+        assert again.hamiltonian.tobytes() == H.tobytes()
+        assert again.shift.tobytes() == shift.tobytes()
+        assert [E.tobytes() for E in again.cell_effects] == [E.tobytes() for E in effects]
+
+    @pytest.mark.parametrize("build, args, message", [
+        (build_frame_smeared_system, (8, 1.0, 1.0, 1e-200), "non-finite Gaussian profile"),
+        (build_diagonal_smeared_system, (8, 1.0, 1.0, 1e-200), "non-finite Gaussian profile"),
+        (build_sharp_system, (8, 1e200, 1.0), "non-finite dispersion"),
+        (build_alternating_system, (8, 1.0, 1e-300), "non-finite dispersion"),
+    ])
+    def test_a_refused_build_is_refused_again(self, build, args, message):
+        from povmlab.lattice import _fixed_parts
+
+        for _ in range(2):
+            kept = _fixed_parts.cache_info().currsize
+            with pytest.raises(ValueError, match=message):
+                build(*args)
+            assert _fixed_parts.cache_info().currsize == kept
+
+    def test_at_most_systems_kept(self):
+        from povmlab.lattice import SYSTEMS_KEPT, _fixed_parts
+
+        for i in range(SYSTEMS_KEPT + 5):
+            build_frame_smeared_system(8, 1.0, 1.0, 1.0 + i / 64)
+            assert _fixed_parts.cache_info().currsize <= SYSTEMS_KEPT
+        assert _fixed_parts.cache_info().currsize == SYSTEMS_KEPT
+
+    def test_threads_building_one_system_get_identical_bytes(self):
+        import threading
+        from sys import getswitchinterval, setswitchinterval
+
+        from povmlab.lattice import _fixed_parts
+
+        def arrays(sys):
+            return [sys.hamiltonian.tobytes(), sys.shift.tobytes(),
+                    *(E.tobytes() for E in sys.cell_effects)]
+
+        expected = arrays(build_frame_smeared_system(64, 1.0, 1.0, 1.25))
+        switch = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                _fixed_parts.cache_clear()  # the threads race on a miss
+                barrier = threading.Barrier(8)
+                results = []
+
+                def build():
+                    barrier.wait(timeout=10)
+                    results.append(arrays(build_frame_smeared_system(64, 1.0, 1.0, 1.25)))
+
+                threads = [threading.Thread(target=build) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 8
+        finally:
+            setswitchinterval(switch)

@@ -603,6 +603,21 @@ class TestDecompositionCounts:
         assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
             eigh, eigvalsh, svd)
 
+    def test_audit_decomposes_h_once_after_the_same_system_was_evolved(self, counts):
+        """The builders share H between systems of the same arguments, not
+        its decomposition: each new system decomposes H itself."""
+        from povmlab.lattice import build_frame_smeared_system, hc_audit, heisenberg_evolve
+
+        evolved = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
+        heisenberg_evolve(evolved, evolved.cell_effects[0], 0.5)
+        assert counts.get("eigh") == 1
+        sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
+        assert sys.hamiltonian is evolved.hamiltonian
+        counts.clear()
+        hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0])
+        assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
+            1, 4, 0)
+
     def test_laboratory_path(self, counts):
         """An effect of a built conditional POVM is a sum and a sandwich, and
         the norm of an exactly symmetric matrix is one eigvalsh."""
