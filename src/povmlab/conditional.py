@@ -235,11 +235,7 @@ def _sample_subsets(lab: frozenset[int]) -> list[frozenset[int]]:
     out = [frozenset(), frozenset(cells), frozenset(cells[:1]), frozenset(cells[: len(cells) // 2])]
     for step in range(2, min(len(cells), SAMPLE_STEPS)):
         out.append(frozenset(cells[::step]))
-    seen: list[frozenset[int]] = []
-    for s in out:
-        if s not in seen:
-            seen.append(s)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 def v_conjugation_reduction(

@@ -213,7 +213,12 @@ def _ring_system(parts: Callable, n: int, mass: float, a: float,
     """The system every builder assembles from its fixed parts
     ``parts(n, mass, a, *smearing)`` (H, the shift and the cell rule, shared
     through ``_fixed_parts``), with cell effects of its own, each built on
-    first read, and an energy decomposition of its own, made on first call."""
+    first read, and an energy decomposition of its own, made on first call.
+    The arguments, ``smearing`` = (width[, sharpness]), are checked first."""
+    if n < 2 or mass <= 0 or a <= 0 or (smearing and smearing[0] <= 0):
+        raise ValueError("need n >= 2, mass > 0, a > 0" + (", width > 0" if smearing else ""))
+    if len(smearing) == 2 and not 0.0 < smearing[1] < 1.0:
+        raise ValueError("sharpness must lie strictly between 0 and 1")
     H, shift, effect = _fixed_parts(parts, n, mass, a, *smearing)
     return LatticeLocalizationSystem(n, a, CellEffects(n, effect), shift, H)
 
@@ -237,8 +242,6 @@ def build_sharp_system(n: int, mass: float, a: float = 1.0) -> LatticeLocalizati
     and H shares the Fourier eigenbasis with the shift, so [H, U] = 0 and the
     energy is bounded below by the mass.
     """
-    if n < 2 or mass <= 0 or a <= 0:
-        raise ValueError("need n >= 2, mass > 0, a > 0")
     return _ring_system(_sharp_parts, n, mass, a)
 
 
@@ -254,8 +257,6 @@ def build_alternating_system(n: int, mass: float, a: float = 1.0) -> LatticeLoca
     below on purpose: the escape route where localization projectors may
     commute without forcing trivial effects.
     """
-    if n < 2 or mass <= 0 or a <= 0:
-        raise ValueError("need n >= 2, mass > 0, a > 0")
     return _ring_system(_alternating_parts, n, mass, a)
 
 
@@ -312,10 +313,6 @@ def build_frame_smeared_system(
     commutator-rich); small width approaches the sharp projectors plus a thin
     invariant floor.
     """
-    if n < 2 or mass <= 0 or a <= 0 or width <= 0:
-        raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
-    if not 0.0 < sharpness < 1.0:
-        raise ValueError("sharpness must lie strictly between 0 and 1")
     return _ring_system(_frame_smeared_parts, n, mass, a, width, sharpness)
 
 
@@ -338,8 +335,6 @@ def build_diagonal_smeared_system(
     cells [0, 1, 2] its smallest eigenvalue is 1.0e-22, below the kernel floor).
     The commuting benchmark for the frame-smeared system's noncommutative obstructions.
     """
-    if n < 2 or mass <= 0 or a <= 0 or width <= 0:
-        raise ValueError("need n >= 2, mass > 0, a > 0, width > 0")
     return _ring_system(_diagonal_smeared_parts, n, mass, a, width)
 
 

@@ -278,8 +278,8 @@ def _check_beck(sc: Scenario, rng: np.random.Generator) -> CheckReport:
 def _check_hw_search(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     report = CheckReport(name="hw_search")
     seed = int(rng.integers(2**63))  # per repeat, so repeats draw distinct witnesses
-    # the table's dim >= 3 and budget >= 1 make the first draw a witness
-    result = sig.heinosaari_wolf_search(sc.params["dim"], seed, sc.params["budget"])
+    # one draw, a witness at the table's dim >= 3: a miss fails, never redrawn
+    result = sig.heinosaari_wolf_search(sc.params["dim"], seed)
     report.add("d1_reverified", result.d1, sig.D1_MAX)
     report.add("d2_shortfall", sig.D2_MIN - result.d2, 0.0, note="D2_MIN - d2")
     report.witnesses["effect"] = encode_matrix(result.effect)
@@ -403,7 +403,7 @@ CHECKS: dict[str, CheckType] = {
         Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second"),
         _luders_povms),
     "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
-    # the search's level-splitting construction needs three distinct levels
+    # the draw needs three distinct levels; ``budget`` is read and not used
     "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3, N_MAX), 3),
                                               Param("budget", Integer(1), 1000))),
     "hc_audit": CheckType(_check_hc_audit, SYSTEM_PARAMS + (

@@ -137,10 +137,9 @@ def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> CheckRepo
 
 
 # ---------------------------------------------------------------------------
-# counterexample search: no-signaling for S but not for S^2
+# counterexample: no-signaling for S but not for S^2
 # ---------------------------------------------------------------------------
 
-NOT_FOUND = "NOT_FOUND"
 # a witness has nsc(S) <= D1_MAX and nsc(S^2) >= D2_MIN
 D1_MAX = 1e-9
 D2_MIN = 1e-3
@@ -154,7 +153,6 @@ class SearchWitness:
     effect: np.ndarray
     d1: float
     d2: float
-    evaluations: int
 
 
 def _level_fixing_instance(
@@ -186,25 +184,18 @@ def _level_fixing_instance(
     return (Q @ ops @ dag(Q))[:, None], S
 
 
-def heinosaari_wolf_search(dim: int, seed: int, budget: int):
+def heinosaari_wolf_search(dim: int, seed: int) -> SearchWitness:
     """Seeded draw of an instrument and effect with nsc(S) <= D1_MAX while
     nsc(S^2) >= D2_MIN.
 
-    Draws level-fixing instances, at most ``budget`` of them, and returns the
-    first that qualifies as a :class:`SearchWitness`, or the string
-    ``NOT_FOUND``.  The first draw qualifies: its dual map fixes S, so d1 is
-    rounding, and it moves the split level's S^2 expectation by
-    alpha(1 - alpha)(s_hi - s_lo)^2 >= 0.35 * 0.65 * 0.8^2 > 0.145.
+    One level-fixing instance is drawn, and it qualifies: its dual map fixes
+    S, so d1 is rounding, and it moves the split level's S^2 expectation by
+    alpha(1 - alpha)(s_hi - s_lo)^2 >= 0.35 * 0.65 * 0.8^2 > 0.145.  The
+    caller asserts both bounds on the returned d1 and d2.
     """
     if dim < 3:
-        # the level-splitting construction needs three distinct levels
-        return NOT_FOUND
+        raise ValueError(f"need dim >= 3 for three distinct levels, got {dim}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, dim]))
-    for evaluations in range(1, budget + 1):
-        families, S = _level_fixing_instance(dim, rng)
-        instr = KrausInstrument(families)
-        d1 = nsc_deviation(instr, S)
-        d2 = nsc_deviation(instr, S @ S)
-        if d1 <= D1_MAX and d2 >= D2_MIN:
-            return SearchWitness(instr, S, d1, d2, evaluations)
-    return NOT_FOUND
+    families, S = _level_fixing_instance(dim, rng)
+    instr = KrausInstrument(families)
+    return SearchWitness(instr, S, nsc_deviation(instr, S), nsc_deviation(instr, S @ S))

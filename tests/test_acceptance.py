@@ -153,7 +153,7 @@ def test_criterion_2_luders_equivalence():
 
 def test_criterion_3_beck_direction_and_search():
     """kappa <= 1e-12 forces d1, d2 <= 1e-10 on 10^3 constructed instances;
-    the counterexample search succeeds at dims 3-4 within budget."""
+    one counterexample draw per seed is a witness at dims 3-4, all 8 seeds."""
     rng = make_rng(MASTER_SEED, 3)
     checked = 0
     for i in range(1000):
@@ -167,21 +167,16 @@ def test_criterion_3_beck_direction_and_search():
             assert rep.residual("nsc_deviation_squared") <= 1e-10
     assert checked >= 900, f"only {checked} instances reached kappa <= 1e-12"
 
-    successes = 0
-    evaluations = []
     for seed in range(8):
         dim = 3 + seed % 2
-        result = heinosaari_wolf_search(dim, seed=seed, budget=100_000)
-        if isinstance(result, SearchWitness):
-            d1 = nsc_deviation(result.instrument, result.effect)
-            d2 = nsc_deviation(result.instrument, result.effect @ result.effect)
-            assert d1 <= 1e-9, f"seed {seed}: witness fails reverification d1={d1:.3e}"
-            assert d2 >= 1e-3, f"seed {seed}: witness fails reverification d2={d2:.3e}"
-            successes += 1
-            evaluations.append(result.evaluations)
-    assert successes >= 1, "search found no witness across 8 seeds (soft failure: raise budget)"
-    report(3, f"forward direction on {checked} commuting instances; search "
-              f"succeeded {successes}/8 seeds (evaluations: {evaluations})")
+        result = heinosaari_wolf_search(dim, seed=seed)
+        assert isinstance(result, SearchWitness)
+        d1 = nsc_deviation(result.instrument, result.effect)
+        d2 = nsc_deviation(result.instrument, result.effect @ result.effect)
+        assert d1 <= 1e-9, f"seed {seed}: witness fails reverification d1={d1:.3e}"
+        assert d2 >= 1e-3, f"seed {seed}: witness fails reverification d2={d2:.3e}"
+    report(3, f"forward direction on {checked} commuting instances; one draw "
+              "per seed is a witness at 8/8 seeds")
 
 
 def test_criterion_4_conditional_povm(smeared16):

@@ -125,6 +125,19 @@ class TestRunCommand:
         effects = {json.dumps(w, sort_keys=True) for w in report.witnesses.values()}
         assert len(effects) == 3
 
+    def test_hw_search_budget_is_read_and_not_used(self):
+        def report_without_wall_time(params):
+            payload = {"scenarios": [{"type": "hw_search", "seed": 7, "repeat": 2,
+                                      "params": params}]}
+            report = run_scenarios(parse_scenarios(payload))[0].to_dict()
+            del report["wall_time"]
+            return report
+
+        absent = report_without_wall_time({"dim": 4})
+        assert absent["verdict"] == "PASS"
+        for budget in (1, 1000):
+            assert report_without_wall_time({"dim": 4, "budget": budget}) == absent
+
     def test_hw_search_d2_item_margin_is_d2_above_its_floor(self, monkeypatch):
         payload = {"scenarios": [{"type": "hw_search", "seed": 7}]}
         real, drawn = signaling.heinosaari_wolf_search, []

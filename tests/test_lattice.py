@@ -1022,3 +1022,27 @@ class TestFixedParts:
                 assert results == [expected] * 8
         finally:
             setswitchinterval(switch)
+
+
+GUARD = "need n >= 2, mass > 0, a > 0"
+SMEARED_GUARD = GUARD + ", width > 0"
+SHARPNESS = "sharpness must lie strictly between 0 and 1"
+
+
+@pytest.mark.parametrize("build, args, message", [
+    *((build, args, GUARD) for build in (build_sharp_system, build_alternating_system)
+      for args in ((1, 1.0, 1.0), (8, 0.0, 1.0), (8, 1.0, 0.0))),
+    *((build, args + rest, SMEARED_GUARD)
+      for build, rest in ((build_diagonal_smeared_system, ()),
+                          (build_frame_smeared_system, (0.9,)))
+      for args in ((1, 1.0, 1.0, 1.5), (8, 0.0, 1.0, 1.5), (8, 1.0, 0.0, 1.5),
+                   (8, 1.0, 1.0, 0.0))),
+    (build_frame_smeared_system, (8, 1.0, 1.0, 1.5, 0.0), SHARPNESS),
+    (build_frame_smeared_system, (8, 1.0, 1.0, 1.5, 1.0), SHARPNESS),
+    # the size, mass, spacing and width guard comes before sharpness
+    (build_frame_smeared_system, (1, 1.0, 1.0, 1.5, 1.0), SMEARED_GUARD),
+])
+def test_builders_refuse_with_their_messages(build, args, message):
+    with pytest.raises(ValueError) as refused:
+        build(*args)
+    assert str(refused.value) == message

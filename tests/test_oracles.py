@@ -2,6 +2,10 @@
 residual a check reports by another route (dense formulas through
 ``np.linalg.eigh``, norms through ``np.linalg.svd``), on seeded inputs, and
 the two must agree within max(1e-13, 1e-12 |r|)."""
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from povmlab.conditional import (
     build_conditional,
     composition_identity_check,
     conditional_prob_bound,
+    cross_lab_commutator,
     gentle_sides,
 )
 from povmlab.generators import (
@@ -27,6 +32,7 @@ from povmlab.lattice import (
     validate_system,
 )
 from povmlab.measurement import DiscretePOVM, luders_instrument
+from povmlab.scenarios import parse_scenarios, run_scenarios
 from povmlab.signaling import beck_check, luders_equivalence_check
 
 
@@ -136,11 +142,19 @@ def trace_distance_oracle(T, rho) -> float:
     return float(np.linalg.svd(rho - conditioned, compute_uv=False).sum())
 
 
-# (report name, item name) -> the oracle of that item
+# (report name, item name) -> the oracle of that item.  Three entries are
+# identities on every input the kernel floor admits, so only rounding moves
+# them, no input makes them large, and no ledger input can fail them; a
+# same-path test, the check against a per-effect loop bit for bit, guards
+# each of them instead
 ORACLES = {
     ("lattice_system", "dynamics_translation_invariant"): translation_oracle,
+    # R A(lab) R = 1: guarded by TestStackedEffects (test_conditional.py)
     ("conditional_povm", "lab_normalization"): normalization_oracle,
+    # A(L) + A(lab - L) = A(lab): guarded by TestStackedEffects
     ("conditional_povm", "in_lab_additivity"): additivity_oracle,
+    # sqrt(A_i) B_i(D & lab_i) sqrt(A_i) = A(D & lab_i): guarded by
+    # TestComposition.test_stacked_check_matches_the_per_effect_loop
     ("composition_identity", "identity_residual"): composition_oracle,
     ("conditional_prob_bound", "operator_form_bound"): operator_form_oracle,
     ("beck", "nsc_deviation"): nsc_oracle,
@@ -160,6 +174,16 @@ SIGNALING = {"commuting": 0.0, "signaling": 0.5}  # the rotation angles of ``tur
 
 def validated_system(kind):
     sys = SYSTEMS[kind]()
+    return validate_system(sys), (sys,)
+
+
+def perturbed_dynamics(seed):
+    """The n = 16 frame-smeared system with its H rebound to H + diag(u), u
+    seeded uniform in [0, 0.3): H no longer commutes with the shift, and
+    ``dynamics_translation_invariant`` reads about 0.25, far above its
+    bound."""
+    sys = SYSTEMS["frame_smeared"]()
+    sys.hamiltonian = sys.hamiltonian + np.diag(make_rng(seed).uniform(0.0, 0.3, sys.n))
     return validate_system(sys), (sys,)
 
 
@@ -217,6 +241,7 @@ def luders_compared(dim, seed, angle):
 # the arguments its oracles take
 CASES = {
     **{f"validate_system-{kind}": (validated_system, (kind,)) for kind in SYSTEMS},
+    "validate_system-frame_smeared-perturbed": (perturbed_dynamics, (74,)),
     "validate-frame_smeared-lab6": (validated_conditional, ("frame_smeared", LAB)),
     "validate-frame_smeared-lab1": (validated_conditional, ("frame_smeared", {3})),
     "validate-diagonal_smeared-lab3": (validated_conditional, ("diagonal_smeared", {0, 1, 2})),
@@ -267,6 +292,16 @@ def test_signaling_inputs_are_compared_relatively(case):
             assert oracle(*inputs) > 1e-4, item.name
 
 
+def test_perturbed_dynamics_fails_far_above_its_bound():
+    """The translation entry has an input whose residual is far above its
+    bound, compared relatively there, so a check reporting half or 0 fails
+    the ledger; the check's verdict on that input is FAIL."""
+    report, inputs = perturbed_dynamics(74)
+    assert translation_oracle(*inputs) > 0.1
+    assert report.verdict == "FAIL"
+    assert [item.name for item in report.failed_items] == ["dynamics_translation_invariant"]
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_gentle_trace_distance_matches_its_oracle(dim):
     """``gentle_sides``' trace distance, on a seeded stack, against the SVD
@@ -279,3 +314,100 @@ def test_gentle_trace_distance_matches_its_oracle(dim):
         expected = trace_distance_oracle(T[k], rho[k])
         assert abs(distance[k] - expected) <= max(1e-13, 1e-12 * expected), (k, expected)
     assert distance.max() > 1e-2
+
+
+def periodized_gaussian(n: int, width: float) -> np.ndarray:
+    """w(x) = sum over m in -2..2 of exp(-(x + m n)^2 / (2 width^2)), the
+    diagonal-smeared kernel before its normalization, which any ratio of
+    its sums cancels."""
+    x = np.arange(n)[:, None] + n * np.arange(-2, 3)
+    return np.exp(-x**2 / (2.0 * width * width)).sum(axis=1)
+
+
+def diagonal_closed_form(n: int, width: float, cells, lab) -> np.ndarray:
+    """The diagonal of B_lab(cells) on the diagonal-smeared ring, entry by
+    entry: E_j = diag(w(x - j)), so B_lab(cells) is the diagonal of
+    sum_{j in cells} w(x - j) / sum_{j in lab} w(x - j)."""
+    w = periodized_gaussian(n, width)
+    x = np.arange(n)
+    return sum(w[(x - j) % n] for j in cells) / sum(w[(x - j) % n] for j in lab)
+
+
+def seeded_labs(n: int, seed: int) -> list[frozenset[int]]:
+    """Seeded laboratories of 1, 3 and 5 cells."""
+    rng = make_rng(seed, n)
+    return [frozenset(int(k) for k in rng.choice(n, size, replace=False)) for size in (1, 3, 5)]
+
+
+class TestDiagonalClosedForm:
+    """On the diagonal-smeared kind every cell effect is diagonal, so the
+    conditional effects have a closed form and any two laboratories'
+    effects commute."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_effects_equal_the_closed_form(self, n):
+        sys = build_diagonal_smeared_system(n, 1.0, 1.0, 1.5)
+        for lab in seeded_labs(n, 61):
+            cells = sorted(lab)
+            subsets = [frozenset(c for i, c in enumerate(cells) if r >> i & 1)
+                       for r in range(1 << len(cells))]
+            stack = build_conditional(sys, lab).effects(subsets)
+            for B, D in zip(stack, subsets, strict=True):
+                expected = diagonal_closed_form(n, 1.5, D, lab)
+                diagonal = np.diagonal(B)
+                assert np.all(np.abs(diagonal - expected)
+                              <= np.maximum(1e-13, 1e-12 * np.abs(expected))), (lab, D)
+                assert not (B - np.diag(diagonal)).any(), (lab, D)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_any_two_laboratories_commute_exactly(self, n):
+        sys = build_diagonal_smeared_system(n, 1.0, 1.0, 1.5)
+        rng = make_rng(62, n)
+        for _ in range(9):
+            # drawn independently, so the two may overlap or coincide
+            lab_a, lab_b = (sorted(int(k) for k in rng.choice(n, int(rng.integers(1, 6)),
+                                                              replace=False))
+                            for _ in range(2))
+            cells_a, cells_b = lab_a[: len(lab_a) // 2 + 1], lab_b[len(lab_b) // 2:]
+            assert cross_lab_commutator(sys, lab_a, cells_a, lab_b, cells_b) == 0.0, (
+                lab_a, lab_b)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# `check/item`, then for an asserted item " → " and its oracle's `report/item`
+# or "no oracle yet"
+NAMED_ITEM = re.compile(r"`(\w+)/(\w+)`(?: → (?:`(\w+)/(\w+)`|(no oracle yet)))?")
+
+
+def claims_map() -> list[list[str]]:
+    """The rows of the README's claims map: claim, asserted items and
+    measurement-only items."""
+    section = (ROOT / "README.md").read_text().split("## Claims map", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    assert rows[0] == ["claim", "asserted items → oracle", "measurement only, and why"]
+    assert set(rows[1]) == {"---"}
+    return rows[2:]
+
+
+def emitted_items() -> dict[tuple[str, str], float | None]:
+    """(check type, item) -> tol over every check type named in the claims
+    map, from ``demo.json`` with an ``nsc`` and an ``rcc`` scenario added."""
+    payload = json.loads((ROOT / "scenarios" / "demo.json").read_text())
+    payload["scenarios"] += [{"type": "nsc", "seed": 7}, {"type": "rcc", "seed": 7}]
+    return {(report.scenario["type"], item.name): item.tol
+            for report in run_scenarios(parse_scenarios(payload)) for item in report.items}
+
+
+def test_the_claims_map_names_emitted_items_and_ledger_oracles():
+    rows = claims_map()
+    assert len(rows) == 5  # one per claim of the abstract
+    emitted = emitted_items()
+    for claim, asserted, measured in rows:
+        for column, is_asserted in ((asserted, True), (measured, False)):
+            for match in NAMED_ITEM.finditer(column):
+                item = (match[1], match[2])
+                assert item in emitted, (claim, match[0])
+                assert (emitted[item] is not None) == is_asserted, (claim, match[0])
+                assert match[3] or match[5] or not is_asserted, (claim, match[0])
+                assert not match[3] or (match[3], match[4]) in ORACLES, (claim, match[0])

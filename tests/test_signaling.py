@@ -12,7 +12,6 @@ from povmlab.generators import (
 from povmlab.linalg import dag, op_norm
 from povmlab.measurement import DiscretePOVM, KrausInstrument, identity_instrument, luders_instrument
 from povmlab.signaling import (
-    NOT_FOUND,
     SearchWitness,
     beck_check,
     commutator_residual,
@@ -186,7 +185,7 @@ class TestBeckCheck:
 
     def test_level_fixing_witness_pattern(self):
         # no-signaling for S yet signaling for S^2, with noncommuting Kraus
-        witness = heinosaari_wolf_search(3, seed=5, budget=200)
+        witness = heinosaari_wolf_search(3, seed=5)
         assert isinstance(witness, SearchWitness)
         rep = beck_check(witness.instrument, witness.effect, tol=1e-9)
         assert rep.residual("nsc_deviation") <= 1e-9
@@ -205,14 +204,13 @@ class TestBeckCheck:
 
 
 class TestSearch:
-    def test_zero_budget(self):
-        assert heinosaari_wolf_search(3, seed=0, budget=0) == NOT_FOUND
-
-    def test_dim_two_not_found(self):
-        assert heinosaari_wolf_search(2, seed=0, budget=50) == NOT_FOUND
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_below_dim_three_refused(self, dim):
+        with pytest.raises(ValueError, match="need dim >= 3"):
+            heinosaari_wolf_search(dim, seed=0)
 
     def test_witness_revalidates(self):
-        witness = heinosaari_wolf_search(4, seed=9, budget=1000)
+        witness = heinosaari_wolf_search(4, seed=9)
         assert isinstance(witness, SearchWitness)
         d1 = nsc_deviation(witness.instrument, witness.effect)
         d2 = nsc_deviation(witness.instrument, witness.effect @ witness.effect)
@@ -224,18 +222,17 @@ class TestSearch:
         # the dual map fixes S, and the split level moves the S^2 expectation
         # by alpha(1 - alpha)(s_hi - s_lo)^2 >= 0.35 * 0.65 * 0.8^2
         for seed in range(50):
-            witness = heinosaari_wolf_search(dim, seed=seed, budget=1000)
+            witness = heinosaari_wolf_search(dim, seed=seed)
             assert isinstance(witness, SearchWitness)
-            assert witness.evaluations == 1
             assert witness.d1 <= 1e-9
             assert witness.d2 >= 0.145
 
     def test_deterministic_for_seed(self):
-        a = heinosaari_wolf_search(3, seed=123, budget=300)
-        b = heinosaari_wolf_search(3, seed=123, budget=300)
+        a = heinosaari_wolf_search(3, seed=123)
+        b = heinosaari_wolf_search(3, seed=123)
         assert isinstance(a, SearchWitness) and isinstance(b, SearchWitness)
         assert np.array_equal(a.effect, b.effect)
-        assert a.evaluations == b.evaluations
+        assert (a.d1, a.d2) == (b.d1, b.d2)
 
     def test_commuting_seed_family_rejected(self):
         # a commuting instrument/effect pair has d2 = 0 and can never be a witness
