@@ -99,6 +99,7 @@ class ConditionalPOVM:
 
         All 2-partitions are enumerated when there are at most MAX_PARTITIONS
         of them; larger laboratories fall back to stride-sampled subsets.  The
+        left side is never empty: there both residuals are exactly 0.  The
         two sides of the partitions come from ``effects`` in stacks of at most
         ``stack_size(d)`` effects.
         """
@@ -109,7 +110,7 @@ class ConditionalPOVM:
         if 1 << max(0, len(cells) - 1) <= MAX_PARTITIONS:
             partitions = [
                 frozenset(c for i, c in enumerate(cells) if (r >> i) & 1)
-                for r in range(1 << max(0, len(cells) - 1))
+                for r in range(1, 1 << max(0, len(cells) - 1))
             ]
         else:
             partitions = _sample_subsets(self.lab_cells)
@@ -231,11 +232,13 @@ def conditional_prob_bound(
 # ---------------------------------------------------------------------------
 
 def _sample_subsets(lab: frozenset[int]) -> list[frozenset[int]]:
+    """Nonempty cell sets of ``lab``, each once: all of it, its first cell,
+    its first half, and every step-th cell for 2 <= step < SAMPLE_STEPS."""
     cells = sorted(lab)
-    out = [frozenset(), frozenset(cells), frozenset(cells[:1]), frozenset(cells[: len(cells) // 2])]
+    out = [frozenset(cells), frozenset(cells[:1]), frozenset(cells[: len(cells) // 2])]
     for step in range(2, min(len(cells), SAMPLE_STEPS)):
         out.append(frozenset(cells[::step]))
-    return list(dict.fromkeys(out))
+    return [subset for subset in dict.fromkeys(out) if subset]
 
 
 def v_conjugation_reduction(
@@ -318,9 +321,8 @@ def composition_identity_check(
     # both sides hermitized, as the effects are, so every difference is
     # bit-Hermitian and normed by eigvalsh
     rhs = cond_u._sandwich(s1 @ b1 @ s1 + s2 @ b2 @ s2)
-    nonempty = [bool(cells) for cells in subsets]
-    plain = op_norm((lhs - b1 - b2)[nonempty]).max()
-    weighted = op_norm((lhs - hermitize(w1 @ b1 @ w1 + w2 @ b2 @ w2))[nonempty]).max()
+    plain = op_norm(lhs - b1 - b2).max()
+    weighted = op_norm(lhs - hermitize(w1 @ b1 @ w1 + w2 @ b2 @ w2)).max()
     report = CheckReport(name="composition_identity")
     report.add("identity_residual", op_norm(lhs - rhs).max(), 1e-10)
     report.add("plain_additivity_gap", plain, tol=None,

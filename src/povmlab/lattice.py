@@ -8,8 +8,9 @@ dynamics commutes with translations.  The cell effects are real symmetric
 float64 matrices and the shift is complex; the Hamiltonian is real exactly
 when its spectrum is mirror-symmetric (time reversal).  What a builder's
 arguments decide (H, the shift and the ingredients of the cell effects) is
-made once per process and shared read-only; every system builds its own cell
-effects and its own energy decomposition.
+made once per process and shared read-only, and so is H's energy
+decomposition, made on first use; every system builds its own cell effects,
+and a system whose H was rebound decomposes that H itself.
 """
 from __future__ import annotations
 
@@ -70,6 +71,22 @@ class CellEffects(Sequence):
         return [built[k] for k in cells]
 
 
+class _Energy:
+    """A Hamiltonian ``H`` and its energy ``eig``, made on first read and
+    kept, its w and V read-only.  ``Eig.of`` is deterministic, so two threads
+    racing on the first read compute the same bits and either copy is kept,
+    as in ``CellEffects``."""
+
+    def __init__(self, H: np.ndarray):
+        self.H = H
+
+    @functools.cached_property
+    def eig(self) -> Eig:
+        eig = Eig.of(self.H)
+        eig.w.flags.writeable = eig.V.flags.writeable = False
+        return eig
+
+
 @dataclass
 class LatticeLocalizationSystem:
     """Cell effects, shift unitary, and Hamiltonian on an n-cell ring.
@@ -77,7 +94,8 @@ class LatticeLocalizationSystem:
     The builders give ``cell_effects`` as ``CellEffects``; any sequence of
     n matrices, a plain list included, works as well.  Their ``hamiltonian``
     and ``shift`` are read-only, shared with every system built from the same
-    arguments; rebinding a field changes this system only.
+    arguments, and so is H's decomposition; rebinding a field changes this
+    system only.
     """
 
     n: int
@@ -86,13 +104,16 @@ class LatticeLocalizationSystem:
     shift: np.ndarray
     hamiltonian: np.ndarray
 
-    _eig: Eig | None = field(default=None, init=False, repr=False)
+    _energy: _Energy | None = field(default=None, init=False, repr=False)
 
     def energy_eigensystem(self) -> Eig:
-        """The decomposition of H, made on first call and kept."""
-        if self._eig is None:
-            self._eig = Eig.of(self.hamiltonian)
-        return self._eig
+        """The decomposition of the H this system holds now, made on first
+        use and kept with that H, read-only: a builder's H shares it with
+        every system built from the same arguments, and a rebound H is
+        decomposed for this system alone."""
+        if self._energy is None or self._energy.H is not self.hamiltonian:
+            self._energy = _Energy(self.hamiltonian)
+        return self._energy.eig
 
     def complement(self, cells: Iterable[int]) -> frozenset[int]:
         cells = as_cells(cells, self.n)
@@ -179,29 +200,31 @@ def lattice_dispersion(n: int, mass: float, a: float) -> np.ndarray:
 # the most lattice systems whose fixed parts one process keeps (``_fixed_parts``):
 # a scenario file in use asks for at most 4 distinct systems, and one kept
 # frame-smeared system holds 0.25 MB at n = 64 and 1 MB at n = 128, the largest
-# n a scenario may ask for (``scenarios.N_MAX``)
+# n a scenario may ask for (``scenarios.N_MAX``), plus H's decomposition once
+# made, 0.03 MB at n = 64 and 0.13 MB at n = 128 for a real H
 SYSTEMS_KEPT = 8
 
 
 def _ring_parts(
     n: int, omega: np.ndarray, effect: Callable[[int], np.ndarray], F: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, Callable[[int], np.ndarray]]:
+) -> tuple[_Energy, np.ndarray, Callable[[int], np.ndarray]]:
     """H = F† diag(omega) F for the DFT matrix F of ``_dft`` (made here unless
-    given), the one-cell shift, and the cell rule ``effect``.  H is its real
-    part when omega_j = omega_{n-j} bit for bit, where the imaginary parts are
-    rounding.  H and the shift are read-only: ``_fixed_parts`` hands them to
-    every system built from the same arguments."""
+    given), held with its decomposition to come, the one-cell shift, and the
+    cell rule ``effect``.  H is its real part when omega_j = omega_{n-j} bit
+    for bit, where the imaginary parts are rounding.  H and the shift are
+    read-only: ``_fixed_parts`` hands them, and H's decomposition once made,
+    to every system built from the same arguments."""
     F = _dft(n) if F is None else F
     H = hermitize((dag(F) * omega) @ F)
     if np.array_equal(omega, omega[-np.arange(n) % n]):
         H = H.real.copy()
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     H.flags.writeable = shift.flags.writeable = False
-    return H, shift, effect
+    return _Energy(H), shift, effect
 
 
 @functools.lru_cache(maxsize=SYSTEMS_KEPT, typed=True)
-def _fixed_parts(parts: Callable, *args) -> tuple[np.ndarray, np.ndarray, Callable]:
+def _fixed_parts(parts: Callable, *args) -> tuple[_Energy, np.ndarray, Callable]:
     """``parts(*args)``, made once per process for each of the last
     ``SYSTEMS_KEPT`` distinct calls: what a builder's arguments decide.  A
     refusal is not kept, so it is raised again on every call."""
@@ -211,16 +234,18 @@ def _fixed_parts(parts: Callable, *args) -> tuple[np.ndarray, np.ndarray, Callab
 def _ring_system(parts: Callable, n: int, mass: float, a: float,
                  *smearing: float) -> LatticeLocalizationSystem:
     """The system every builder assembles from its fixed parts
-    ``parts(n, mass, a, *smearing)`` (H, the shift and the cell rule, shared
-    through ``_fixed_parts``), with cell effects of its own, each built on
-    first read, and an energy decomposition of its own, made on first call.
-    The arguments, ``smearing`` = (width[, sharpness]), are checked first."""
+    ``parts(n, mass, a, *smearing)`` (H with its decomposition, the shift and
+    the cell rule, shared through ``_fixed_parts``), with cell effects of its
+    own, each built on first read.  The arguments, ``smearing`` =
+    (width[, sharpness]), are checked first."""
     if n < 2 or mass <= 0 or a <= 0 or (smearing and smearing[0] <= 0):
         raise ValueError("need n >= 2, mass > 0, a > 0" + (", width > 0" if smearing else ""))
     if len(smearing) == 2 and not 0.0 < smearing[1] < 1.0:
         raise ValueError("sharpness must lie strictly between 0 and 1")
-    H, shift, effect = _fixed_parts(parts, n, mass, a, *smearing)
-    return LatticeLocalizationSystem(n, a, CellEffects(n, effect), shift, H)
+    energy, shift, effect = _fixed_parts(parts, n, mass, a, *smearing)
+    system = LatticeLocalizationSystem(n, a, CellEffects(n, effect), shift, energy.H)
+    system._energy = energy
+    return system
 
 
 def _position_projector(n: int, k: int) -> np.ndarray:
@@ -435,16 +460,37 @@ def _evolved_in_eigenbasis(B: np.ndarray, w: np.ndarray, t: float) -> np.ndarray
     return out
 
 
+# LAPACK's eigvalsh rescales a matrix whose largest |entry| lies below
+# sqrt(tiny / eps) = 2**-485 or above its reciprocal; inside this range, kept
+# with a margin, it returns an exactly diagonal matrix's diagonal itself
+_UNSCALED = (2.0**-480, 2.0**480)
+
+
 def _largest_norms(*groups: list[np.ndarray]) -> list[float]:
     """The largest ``op_norm`` of each group of matrices.  The matrices of all
     groups are normed in one call per dtype, since stacking a real matrix
     with a complex one would change its LAPACK routine; numpy runs one LAPACK
-    call per matrix of a stack, so each norm has the bits of its own call."""
+    call per matrix of a stack, so each norm has the bits of its own call.
+
+    An exactly diagonal matrix (every off-diagonal entry zero, and every
+    diagonal imaginary part zero) whose largest |entry| is 0 or lies in
+    ``_UNSCALED`` takes that entry as its norm, with no LAPACK call: it is
+    the largest |eigenvalue| ``op_norm`` would take, bit for bit.  The
+    position-diagonal kinds' effects and residuals are such matrices."""
     matrices = [M for group in groups for M in group]
     norms = np.empty(len(matrices))
+    low, high = _UNSCALED
     for dtype in {M.dtype for M in matrices}:
-        at = [i for i, M in enumerate(matrices) if M.dtype == dtype]
-        norms[at] = op_norm(np.stack([matrices[i] for i in at]))
+        at = np.array([i for i, M in enumerate(matrices) if M.dtype == dtype])
+        stack = np.stack([matrices[i] for i in at])
+        diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
+        largest = np.abs(diagonal.real).max(axis=-1)
+        exact = ((np.count_nonzero(stack, axis=(-2, -1)) == np.count_nonzero(diagonal, axis=-1))
+                 & ~diagonal.imag.any(axis=-1)
+                 & ((largest == 0) | ((low <= largest) & (largest <= high))))
+        norms[at[exact]] = largest[exact]
+        if not exact.all():
+            norms[at[~exact]] = op_norm(stack[~exact])
     parts = np.split(norms, np.cumsum([len(group) for group in groups])[:-1])
     return [float(part.max()) for part in parts]
 
@@ -469,8 +515,9 @@ def hc_audit(
     Microcausality is ``microcausality_residual`` over the disjoint pairs,
     taken in H's eigenbasis: Â = V† A V evolves by ``_evolved_in_eigenbasis``
     (norms are unitarily invariant), with stacked ``commutator_norm`` calls
-    of at most ``stack_size(n)`` pairs per time; H is decomposed once, by
-    ``eigh`` when some t != 0, else by ``eigvalsh``.  When H and the effects
+    of at most ``stack_size(n)`` pairs per time.  When some t != 0, H's
+    decomposition is ``energy_eigensystem()``, one ``eigh`` per process for a
+    builder's H; else H's spectrum is one ``eigvalsh``.  When H and the effects
     are real, time reversal makes (j, i) equal (i, j) at each t, so only
     i < j is audited and the witness lists the earlier-listed sample first.
     """

@@ -162,14 +162,15 @@ LAB11 = frozenset([4, 5, 8, 14, 37, 38, 39, 50, 55, 57, 60])
 
 def validate_by_effect(cond):
     """validate() written as one effect() call per subset, the oracle for the
-    stacked evaluation."""
+    stacked evaluation; it keeps the empty left side, which ``validate``
+    skips."""
     eye = np.eye(cond.dim)
     cells = sorted(cond.lab_cells)
     if 1 << max(0, len(cells) - 1) <= MAX_PARTITIONS:
         partitions = [frozenset(c for i, c in enumerate(cells) if (r >> i) & 1)
                       for r in range(1 << max(0, len(cells) - 1))]
     else:
-        partitions = _sample_subsets(cond.lab_cells)
+        partitions = [frozenset(), *_sample_subsets(cond.lab_cells)]
     additivity = bound = 0.0
     for left in partitions:
         right = cond.lab_cells - left
@@ -193,6 +194,12 @@ class TestStackedEffects:
 
     def test_validate_matches_on_every_partition(self, smeared16):
         lab = frozenset([1, 2, 5, 8, 9, 12, 14])
+        report = build_conditional(smeared16, lab).validate(1e-10)
+        oracle = validate_by_effect(build_conditional(smeared16, lab))
+        assert [item.residual for item in report.items] == oracle
+
+    @pytest.mark.parametrize("lab", [{3}, {0, 15}])
+    def test_validate_matches_on_a_small_laboratory(self, smeared16, lab):
         report = build_conditional(smeared16, lab).validate(1e-10)
         oracle = validate_by_effect(build_conditional(smeared16, lab))
         assert [item.residual for item in report.items] == oracle

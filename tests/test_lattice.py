@@ -275,8 +275,15 @@ class TestMicrocausality:
     def test_frozen_dynamics(self, sharp16):
         frozen = build_sharp_system(16, 1.0, 1.0)
         frozen.hamiltonian = np.zeros((16, 16), dtype=complex)
-        frozen._eig = None
         assert microcausality_residual(frozen, {0}, {8}, [0.0, 0.7, 2.0]) < 1e-12
+
+    def test_rebinding_h_after_first_use_takes_effect(self):
+        # before, the first decomposition was kept: frozen, the residual
+        # still read 5.27e-05
+        sys = build_sharp_system(16, 1.0, 1.0)
+        assert microcausality_residual(sys, {0}, {8}, [0.7, 2.0]) > 1e-5
+        sys.hamiltonian = np.zeros((16, 16))
+        assert microcausality_residual(sys, {0}, {8}, [0.7, 2.0]) == 0.0
 
     def test_time_zero_sharp_projectors(self, sharp16):
         assert microcausality_residual(sharp16, {0, 1}, {4, 5}, [0.0]) < 1e-14
@@ -608,6 +615,90 @@ def test_hamiltonian_is_real_exactly_when_the_spectrum_is_mirror_symmetric(kind,
         assert np.array_equal(H, H.T)
 
 
+def _norms_by_op_norm(*groups):
+    """``lattice._largest_norms`` with its diagonal route off: every matrix
+    normed by one ``op_norm`` stack per dtype."""
+    matrices = [M for group in groups for M in group]
+    norms = np.empty(len(matrices))
+    for dtype in {M.dtype for M in matrices}:
+        at = [i for i, M in enumerate(matrices) if M.dtype == dtype]
+        norms[at] = op_norm(np.stack([matrices[i] for i in at]))
+    parts = np.split(norms, np.cumsum([len(group) for group in groups])[:-1])
+    return [float(part.max()) for part in parts]
+
+
+def _diagonal_stack(rng, n, dtype):
+    """Seeded exactly diagonal matrices of size n and the given dtype: each
+    one's entries of both signs, log-uniform between two magnitudes drawn in
+    [1e-20, 1e3], with exact zeros and -0.0 on and off the diagonal; the
+    first matrix is all 0.0 and the second all -0.0."""
+    count = 10
+    low, high = np.sort(rng.uniform(-20.0, 3.0, size=(2, count)), axis=0)
+    d = 10.0 ** rng.uniform(low[:, None], high[:, None], size=(count, n))
+    d *= rng.choice([-1.0, 1.0], size=(count, n))
+    d[rng.random((count, n)) < 0.2] = 0.0
+    d[rng.random((count, n)) < 0.2] = -0.0
+    stack = np.where(rng.random((count, n, n)) < 0.5, 0.0, -0.0).astype(dtype)
+    stack[:, np.arange(n), np.arange(n)] = d
+    stack[0], stack[1] = 0.0, -0.0
+    return stack
+
+
+class TestDiagonalNorms:
+    """``_largest_norms`` takes an exactly diagonal matrix's norm from its
+    diagonal, with no LAPACK call, and keeps every bit of the plain norm."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 128])
+    def test_bit_equal_to_the_largest_absolute_eigenvalue(self, n, dtype, monkeypatch):
+        from povmlab.lattice import _largest_norms
+
+        stack = _diagonal_stack(make_rng(91, n), n, dtype)
+        expected = [np.abs(np.linalg.eigvalsh(M)).max() for M in stack]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a diagonal matrix reached LAPACK")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        got = _largest_norms(*([M] for M in stack))
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_every_other_matrix_keeps_its_op_norm(self, n):
+        """Diagonal matrices beyond LAPACK's unscaled range, complex ones with
+        an imaginary diagonal part, and matrices with an off-diagonal entry
+        are normed by ``op_norm``, in the same call as diagonal ones."""
+        from povmlab.lattice import _largest_norms
+
+        rng = make_rng(92, n)
+        others = [np.diag(rng.uniform(0.5, 1.0, n) * scale) for scale in (1e-200, 1e200)]
+        others.append(np.diag(rng.uniform(0.5, 1.0, n) + 1j * rng.uniform(0.5, 1.0, n)))
+        if n > 1:
+            G = np.diag(rng.uniform(0.5, 1.0, n))
+            G[0, 1] = G[1, 0] = 1e-300
+            others.append(G)
+        matrices = [*others, *_diagonal_stack(rng, n, float), *_diagonal_stack(rng, n, complex)]
+        got, expected = (np.array(norms(*([M] for M in matrices)))
+                         for norms in (_largest_norms, _norms_by_op_norm))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_audit_reports_equal_the_audit_without_the_route(self, kind, n, monkeypatch):
+        from povmlab import lattice
+
+        rng = make_rng(93, n)
+        samples = [sorted(int(k) for k in rng.choice(n, size, replace=False))
+                   for size in (1, 2, 3, n // 4, n // 2, 1)]
+        samples.append([(k + 1) % n for k in samples[-1]])
+        t_grid = [0.0, 0.5, 1.3]
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        routed = hc_audit(sys, samples, t_grid).to_dict()
+        monkeypatch.setattr(lattice, "_largest_norms", _norms_by_op_norm)
+        plain = hc_audit(sys, samples, t_grid).to_dict()
+        assert repr(routed) == repr(plain)
+
+
 class TestAuditAgainstPairwiseResidual:
     SAMPLES = [[0, 1, 2], [5, 6], [9, 10, 11, 12]]
     T_GRID = [1.5, 0.0, -0.5, 3.0]
@@ -849,7 +940,7 @@ class TestDerivedEnergyEigensystem:
         sys = build_sharp_system(16, 1.0, 1.0)
         with pytest.raises(TypeError):
             LatticeLocalizationSystem(16, 1.0, sys.cell_effects, sys.shift, sys.hamiltonian,
-                                      _eig=Eig(np.zeros(16), np.eye(16)))
+                                      _energy=Eig(np.zeros(16), np.eye(16)))
 
     @pytest.mark.parametrize("kind, n", [("sharp", 16), ("frame_smeared", 16),
                                          ("alternating", 17)])
@@ -859,6 +950,28 @@ class TestDerivedEnergyEigensystem:
         assert sys.energy_eigensystem() is energy
         w, V = np.linalg.eigh(hermitize(sys.hamiltonian))
         assert np.array_equal(energy.w, w) and np.array_equal(energy.V, V)
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    def test_shared_with_every_system_of_the_same_arguments(self, kind):
+        energy = MAKE_SYSTEM[kind](16, 1.5).energy_eigensystem()
+        assert MAKE_SYSTEM[kind](16, 1.5).energy_eigensystem() is energy
+        for array in energy:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
+    def test_a_rebound_h_is_decomposed_for_its_system_alone(self, kind):
+        shared = MAKE_SYSTEM[kind](16, 1.5).energy_eigensystem()
+        sys = MAKE_SYSTEM[kind](16, 1.5)
+        H = sys.hamiltonian + np.diag(np.linspace(0.0, 0.3, 16))
+        sys.hamiltonian = H
+        energy = sys.energy_eigensystem()
+        assert sys.energy_eigensystem() is energy
+        w, V = np.linalg.eigh(hermitize(H))
+        assert np.array_equal(energy.w, w) and np.array_equal(energy.V, V)
+        again = MAKE_SYSTEM[kind](16, 1.5)
+        assert again.energy_eigensystem() is shared
+        assert not np.array_equal(shared.w, energy.w)
 
     def test_the_dynamics_moves_a_cell_effect(self, sharp16):
         E = sharp16.cell_effects[0]
@@ -925,8 +1038,9 @@ def _old_cells(kind, n, width):
 
 class TestFixedParts:
     """H, the shift and the cell ingredients are made once per process for
-    the last SYSTEMS_KEPT distinct systems; every builder call still returns
-    a new system with cell effects and an energy decomposition of its own."""
+    the last SYSTEMS_KEPT distinct systems, and H's decomposition with them
+    on first use; every builder call still returns a new system with cell
+    effects of its own."""
 
     @pytest.mark.parametrize("kind", list(MAKE_SYSTEM))
     @pytest.mark.parametrize("n", [2, 3, 16, 64, 128])
@@ -998,14 +1112,15 @@ class TestFixedParts:
 
         def arrays(sys):
             return [sys.hamiltonian.tobytes(), sys.shift.tobytes(),
-                    *(E.tobytes() for E in sys.cell_effects)]
+                    *(E.tobytes() for E in sys.cell_effects),
+                    *(part.tobytes() for part in sys.energy_eigensystem())]
 
         expected = arrays(build_frame_smeared_system(64, 1.0, 1.0, 1.25))
         switch = getswitchinterval()
         setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                _fixed_parts.cache_clear()  # the threads race on a miss
+                _fixed_parts.cache_clear()  # the threads race on a miss and on H's eigh
                 barrier = threading.Barrier(8)
                 results = []
 

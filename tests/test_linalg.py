@@ -538,10 +538,15 @@ class TestEig:
 class TestDecompositionCounts:
     """Each operator is decomposed once: the np.linalg.eigh and eigvalsh
     calls of each entry point that needs more than one function of it.  A
-    norm of a matrix that is Hermitian by construction takes no SVD."""
+    norm of a matrix that is Hermitian by construction takes no SVD.  The
+    lattice builders' fixed parts, H's decomposition among them, are cleared
+    first, so every count is a cold one, whatever ran before."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        from povmlab.lattice import _fixed_parts
+
+        _fixed_parts.cache_clear()
         counts = {}
         for name in ("eigh", "eigvalsh", "svd"):
             def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
@@ -558,6 +563,7 @@ class TestDecompositionCounts:
         ("random_povm", 1, 0, 0),
         ("build_conditional", 1, 0, 0),
         ("hc_audit", 1, 4, 0),
+        ("hc_audit_sharp", 1, 3, 0),
         ("luders_instrument", 2, 1, 0),
         ("validate_povm", 2, 1, 0),
         ("validate_effect", 1, 0, 0),
@@ -574,7 +580,7 @@ class TestDecompositionCounts:
             random_povm,
             random_state,
         )
-        from povmlab.lattice import build_frame_smeared_system, hc_audit
+        from povmlab.lattice import build_frame_smeared_system, build_sharp_system, hc_audit
         from povmlab.measurement import polar_kraus
 
         sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
@@ -592,6 +598,9 @@ class TestDecompositionCounts:
             "random_povm": lambda: random_povm(4, 3, make_rng(42)),
             "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),
             "hc_audit": lambda: hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
+            # the norm stack is all diagonal: only the commutator norms take eigvalsh
+            "hc_audit_sharp": lambda: hc_audit(build_sharp_system(16, 1.0, 1.0),
+                                               [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
             "luders_instrument": lambda: measurement.luders_instrument(povm),
             "validate_povm": lambda: measurement.validate_povm(povm),
             "validate_effect": lambda: measurement.validate_effect(T),
@@ -604,8 +613,9 @@ class TestDecompositionCounts:
             eigh, eigvalsh, svd)
 
     def test_audit_decomposes_h_once_after_the_same_system_was_evolved(self, counts):
-        """The builders share H between systems of the same arguments, not
-        its decomposition: each new system decomposes H itself."""
+        """The builders share H and its decomposition between systems of the
+        same arguments: a second system's audit decomposes nothing of H, and
+        a rebound H costs exactly one eigh, on its first use."""
         from povmlab.lattice import build_frame_smeared_system, hc_audit, heisenberg_evolve
 
         evolved = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
@@ -613,10 +623,17 @@ class TestDecompositionCounts:
         assert counts.get("eigh") == 1
         sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
         assert sys.hamiltonian is evolved.hamiltonian
+        samples, times = [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]
         counts.clear()
-        hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0])
+        hc_audit(sys, samples, times)
         assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
-            1, 4, 0)
+            0, 4, 0)
+        sys.hamiltonian = sys.hamiltonian + np.diag(np.linspace(0.0, 0.3, 16))
+        counts.clear()
+        hc_audit(sys, samples, times)
+        hc_audit(sys, samples, times)
+        assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
+            1, 8, 0)
 
     def test_laboratory_path(self, counts):
         """An effect of a built conditional POVM is a sum and a sandwich, and

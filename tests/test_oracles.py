@@ -71,11 +71,12 @@ def normalization_oracle(sys, lab) -> float:
 
 
 def partitions(lab) -> list[frozenset]:
-    """The left sides of the 2-partitions ``validate`` reads: every one when
-    there are at most MAX_PARTITIONS, else the sampled subsets."""
+    """The left sides of the 2-partitions ``validate`` reads, and the empty
+    one, which it skips: every one when there are at most MAX_PARTITIONS,
+    else the sampled subsets."""
     cells = sorted(lab)
     if 1 << (len(cells) - 1) > MAX_PARTITIONS:
-        return _sample_subsets(frozenset(lab))
+        return [frozenset(), *_sample_subsets(frozenset(lab))]
     return [frozenset(c for i, c in enumerate(cells) if r >> i & 1)
             for r in range(1 << (len(cells) - 1))]
 
@@ -290,6 +291,16 @@ def test_signaling_inputs_are_compared_relatively(case):
         oracle = ORACLES.get((report.name, item.name))
         if oracle is not None:
             assert oracle(*inputs) > 1e-4, item.name
+
+
+def test_operator_form_inputs_are_compared_relatively():
+    """At least one ``operator_form_bound`` input has a residual far above the
+    absolute floor 1e-13 of the comparison, so a check reporting half or 0
+    fails the ledger."""
+    residuals = [operator_form_oracle(*run(*args)[1])
+                 for run, args in CASES.values() if run is bounded_probability]
+    assert len(residuals) == 3
+    assert max(residuals) > 1e-4
 
 
 def test_perturbed_dynamics_fails_far_above_its_bound():
