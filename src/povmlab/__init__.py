@@ -23,7 +23,7 @@ _EXPORTS = {
                   "luders_equivalence_check", "nsc_deviation", "rcc_deviation"),
     "lattice": ("LatticeLocalizationSystem", "build_alternating_system",
                 "build_frame_smeared_system", "build_sharp_system", "cc_residual", "effect_of",
-                "hc_audit", "ldp_minimal_region", "microcausality_residual",
+                "hc_audit", "microcausality_residual",
                 "projector_screening_identity"),
     "conditional": ("ConditionalPOVM", "build_conditional", "composition_identity_check",
                     "conditional_prob_bound", "cross_lab_commutator", "gentle_sides"),

@@ -84,9 +84,6 @@ class SpacetimeBox:
             for lo, c, hi in zip(self.lo.components(), p.components(), self.hi.components())
         )
 
-    def contains_box(self, other: "SpacetimeBox") -> bool:
-        return self.contains_point(other.lo) and self.contains_point(other.hi)
-
     def spatial_intervals(self) -> list[tuple[float, float]]:
         los = self.lo.components()[1:]
         his = self.hi.components()[1:]
@@ -172,8 +169,3 @@ def lab_contains(p: FourVector, delta0: SpacetimeBox, tol: float = 1e-12) -> boo
             return False
     return True
 
-
-def region_contains_box(region: RegionUnion, box: SpacetimeBox) -> bool:
-    """Sufficient single-box cover test: some box of the union contains
-    ``box`` entirely."""
-    return any(b.contains_box(box) for b in region.boxes)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FourVector, RegionUnion, SpacetimeBox, TIME_AXIS, region_contains_box
+from .geometry import FourVector, SpacetimeBox
 from .linalg import (
     DEFAULT_TOL,
     Eig,
@@ -599,52 +599,6 @@ def hc_audit(
     report.notes.append(verdict)
     report.witnesses["microcausality_witness"] = witness
     return report
-
-
-# ---------------------------------------------------------------------------
-# localization-region bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocalizationClaim:
-    """A claim that the elementary observable {A(cells), I - A(cells)} is
-    measurable inside ``claimed_region``."""
-
-    cells: frozenset[int]
-    claimed_region: RegionUnion
-
-
-def ldp_minimal_region(
-    sys: LatticeLocalizationSystem,
-    cells: Iterable[int],
-    sigma_box: SpacetimeBox,
-    tol: float = DEFAULT_TOL,
-) -> RegionUnion:
-    """Minimal region any localization claim for {A(cells), I - A(cells)}
-    must contain: the whole rest-space box.
-
-    Detecting inside ``cells`` decides the complement too, so local
-    detectability applied to both the set and its complement forces the
-    region to cover their union, i.e. the full rest space of the measurement.
-    """
-    cells = as_cells(cells, sys.n)
-    norm_residual = op_norm(sum(sys.cell_effects) - np.eye(sys.n))
-    if norm_residual > tol * sys.n:
-        raise ValueError(
-            f"system is not normalized on the full lattice (residual {norm_residual:.3e})"
-        )
-    return RegionUnion([sigma_box], TIME_AXIS)
-
-
-def claim_consistent_with_ldp(claim: LocalizationClaim, minimal: RegionUnion) -> bool:
-    """Sufficient check that the claimed region covers the forced minimal
-    region (single-box cover test)."""
-    return all(region_contains_box(claim.claimed_region, box) for box in minimal.boxes)
-
-
-def lattice_rest_box(sys: LatticeLocalizationSystem, t: float = 0.0) -> SpacetimeBox:
-    """Rest-space box of the full ring embedded on the x-axis at time t."""
-    return cells_bounding_box(sys, range(sys.n), t)
 
 
 def cells_bounding_box(

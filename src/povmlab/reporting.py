@@ -6,12 +6,21 @@ re-derived (and serialized) without re-running the check.
 """
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 PASS = "PASS"
 FAIL = "FAIL"
 INFO = "INFO"
+
+
+def _json_number(x: float | None) -> float | str | None:
+    """x itself, unless x is non-finite: then the text json would print for it
+    ("Infinity", "-Infinity", "NaN"), as a string, since RFC 8259 has no such
+    number."""
+    return x if x is None or math.isfinite(x) else json.dumps(x)
 
 
 @dataclass
@@ -39,8 +48,8 @@ class CheckItem:
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "residual": self.residual,
-            "tol": self.tol,
+            "residual": _json_number(self.residual),
+            "tol": _json_number(self.tol),
             "passed": self.passed,
             "note": self.note,
         }

@@ -865,6 +865,31 @@ class TestReportFile:
             report.pop("wall_time")
         assert wire == fresh
 
+    # the Kraus operators' entries of 1e200 overflow by design
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_numbers_are_written_as_strict_json(self, tmp_path, capsys):
+        """At --tol 1e308 the audit's tol * n overflows to inf, and Kraus
+        entries of 1e200 make an rcc residual NaN; both reports parse with
+        no constant outside RFC 8259."""
+        def strict_reports(path):
+            def refuse(constant):
+                raise ValueError(f"not a JSON number: {constant}")
+            return json.loads(path.read_text(), parse_constant=refuse)["reports"]
+
+        out = tmp_path / "report.json"
+        assert main(["run", str(DEMO_FILE), "--tol", "1e308", "--out", str(out)]) == 0
+        audit = next(r for r in strict_reports(out) if r["name"] == "hc_audit")
+        assert [(it["name"], it["tol"], it["passed"]) for it in audit["items"][:2]] == [
+            ("additivity_residual", "Infinity", True), ("covariance_residual", "Infinity", True)]
+        big = {"dim": 2, "re": [1e200] * 4, "im": [0.0] * 4}
+        instrument = {"kind": "instrument", "labels": [0], "families": [[big]]}
+        path = write_scenarios(tmp_path, {"scenarios": [
+            {"type": "rcc", "params": {"first": instrument, "second": instrument}}]})
+        assert main(["run", path, "--out", str(out)]) == 1
+        [item] = strict_reports(out)[0]["items"]
+        assert (item["residual"], item["passed"]) == ("NaN", False)
+
     def test_an_empty_batch_writes_valid_json(self, tmp_path):
         path = write_scenarios(tmp_path, {"scenarios": []})
         out = tmp_path / "report.json"

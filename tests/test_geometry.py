@@ -10,7 +10,6 @@ from povmlab.geometry import (
     SpacetimeBox,
     causally_separated,
     lab_contains,
-    region_contains_box,
     spatial_distance,
     translate_region,
 )
@@ -113,6 +112,10 @@ class TestSeparation:
     def test_causal_overlap_at_large_time_shift(self):
         shifted = FAR_SLAB_T0.translate(FourVector(2.5, 0, 0, 0))
         assert not causally_separated(region(UNIT_CUBE_T0), region(shifted))
+        # spatial projections that overlap are never separated, at any time gap
+        ring = box((0, 0, 0, 0), (0, 16, 0, 0))
+        later = ring.translate(FourVector(3.0, 0, 0, 0))
+        assert not causally_separated(region(ring), region(later))
 
     def test_frame_mismatch_rejected(self):
         # frames differ by a boost-like unit timelike vector
@@ -279,13 +282,6 @@ class TestMicrocausalityGeometry:
                 assert causally_separated(region(a), shifted)
             beyond = translate_region(region(b), FourVector(1.5 * d, 0, 0, 0))
             assert not causally_separated(region(a), beyond)
-
-
-class TestRegionCover:
-    def test_single_box_cover(self):
-        big = box((0, -2, -2, -2), (0, 2, 2, 2))
-        assert region_contains_box(region(big), UNIT_CUBE_T0)
-        assert not region_contains_box(region(UNIT_CUBE_T0), big)
 
 
 # the constructions causally_separated and spatial_distance used before they

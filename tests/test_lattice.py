@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from povmlab.generators import haar_unitary, make_rng
-from povmlab.geometry import FourVector, RegionUnion, SpacetimeBox, causally_separated
+from povmlab.geometry import FourVector, SpacetimeBox
 from povmlab.lattice import (
     LatticeLocalizationSystem,
-    LocalizationClaim,
     build_alternating_system,
     build_diagonal_smeared_system,
     build_frame_smeared_system,
@@ -15,14 +14,11 @@ from povmlab.lattice import (
     cell_sum,
     cell_sums,
     cells_bounding_box,
-    claim_consistent_with_ldp,
     effect_of,
     gaussian_frame_vector,
     hc_audit,
     heisenberg_evolve,
     lattice_dispersion,
-    lattice_rest_box,
-    ldp_minimal_region,
     microcausality_residual,
     projector_screening_identity,
     validate_system,
@@ -396,43 +392,6 @@ class TestAudit:
         micro = reference.residual("microcausality_residual")
         assert abs(audit.residual("microcausality_residual") - micro) <= 1e-12 * micro
         assert audit.notes == reference.notes
-
-
-class TestLdpRegion:
-    def test_proper_subset_forces_full_rest_box(self, smeared16):
-        sigma = lattice_rest_box(smeared16)
-        minimal = ldp_minimal_region(smeared16, {2, 3}, sigma)
-        assert minimal.boxes == (sigma,)
-
-    def test_full_lattice_also_full_box(self, smeared16):
-        sigma = lattice_rest_box(smeared16)
-        minimal = ldp_minimal_region(smeared16, range(16), sigma)
-        assert minimal.boxes == (sigma,)
-
-    def test_unnormalized_system_rejected(self, smeared16):
-        broken = build_sharp_system(4, 1.0, 1.0)
-        broken.cell_effects = broken.cell_effects[:3] + [np.zeros((4, 4), dtype=complex)]
-        with pytest.raises(ValueError, match="normalized"):
-            ldp_minimal_region(broken, {0}, lattice_rest_box(broken))
-
-    def test_minimal_regions_never_causally_separated(self, smeared16):
-        # rest-space boxes of two measurements are never causally separated
-        # as long as their time gap stays below the spatial extent
-        sigma0 = lattice_rest_box(smeared16, t=0.0)
-        sigma1 = lattice_rest_box(smeared16, t=3.0)
-        r0 = ldp_minimal_region(smeared16, {1, 2}, sigma0)
-        r1 = ldp_minimal_region(smeared16, {9}, sigma1)
-        assert not causally_separated(r0, r1)
-
-    def test_claim_consistency(self, smeared16):
-        sigma = lattice_rest_box(smeared16)
-        minimal = ldp_minimal_region(smeared16, {2, 3}, sigma)
-        good = LocalizationClaim(frozenset({2, 3}), RegionUnion([sigma]))
-        tight = LocalizationClaim(
-            frozenset({2, 3}), RegionUnion([cells_bounding_box(smeared16, {2, 3})])
-        )
-        assert claim_consistent_with_ldp(good, minimal)
-        assert not claim_consistent_with_ldp(tight, minimal)
 
 
 class TestHeisenbergEvolve:
@@ -985,9 +944,8 @@ class TestRestBoxOverEveryCell:
             n, a = int(rng.integers(2, 129)), float(rng.uniform(0.01, 10.0))
             t = float(rng.uniform(-5.0, 5.0))
             sys = build_sharp_system(n, 1.0, a)
-            old = SpacetimeBox(FourVector(t, 0.0, 0.0, 0.0), FourVector(t, n * a, 0.0, 0.0))
-            assert lattice_rest_box(sys, t) == old
-            assert lattice_rest_box(sys, t) == cells_bounding_box(sys, range(n), t)
+            ring = SpacetimeBox(FourVector(t, 0.0, 0.0, 0.0), FourVector(t, n * a, 0.0, 0.0))
+            assert cells_bounding_box(sys, range(n), t) == ring
 
 
 class TestAuditPairStacks:

@@ -2,13 +2,17 @@
 residual a check reports by another route (dense formulas through
 ``np.linalg.eigh``, norms through ``np.linalg.svd``), on seeded inputs, and
 the two must agree within max(1e-13, 1e-12 |r|)."""
+import ast
 import json
+import pkgutil
 import re
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import povmlab
 from povmlab.conditional import (
     MAX_PARTITIONS,
     _sample_subsets,
@@ -422,3 +426,36 @@ def test_the_claims_map_names_emitted_items_and_ledger_oracles():
                 assert (emitted[item] is not None) == is_asserted, (claim, match[0])
                 assert match[3] or match[5] or not is_asserted, (claim, match[0])
                 assert not match[3] or (match[3], match[4]) in ORACLES, (claim, match[0])
+
+
+# a test class cited as "TestX in tests/<file>.py", and a bare backticked name
+# (a `check/item` holds a slash, so it is neither)
+CITED_CLASS = re.compile(r"\b(Test\w+) in (tests/\w+\.py)")
+CITED_NAME = re.compile(r"`(\w+)`")
+
+
+def dangling_citations(text: str) -> list[str]:
+    """The test classes and library names ``text`` cites that do not exist:
+    a class must be defined in the file named, and a name must be an attribute
+    of some ``povmlab`` module."""
+    modules = [import_module(f"povmlab.{m.name}") for m in pkgutil.iter_modules(povmlab.__path__)]
+    missing = []
+    for cls, path in CITED_CLASS.findall(text):
+        tree = ast.parse((ROOT / path).read_text())
+        if cls not in {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}:
+            missing.append(f"{cls} in {path}")
+    missing += [name for name in CITED_NAME.findall(text)
+                if not any(hasattr(module, name) for module in modules)]
+    return missing
+
+
+def test_the_claims_map_cites_only_what_exists():
+    rows = claims_map()
+    assert [dangling_citations(" | ".join(row)) for row in rows] == [[]] * len(rows)
+
+
+def test_a_citation_of_missing_code_is_caught():
+    cited = ("`no_such_function` and `effect_of`, tested by TestNoSuchClass in "
+             "tests/test_lattice.py and TestDiagonalClosedForm in tests/test_oracles.py")
+    assert dangling_citations(cited) == ["TestNoSuchClass in tests/test_lattice.py",
+                                         "no_such_function"]

@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from povmlab.reporting import FAIL, INFO, PASS, CheckItem, CheckReport
@@ -92,3 +95,24 @@ class TestDerivedVerdict:
         report = CheckReport("check")
         report.add("r", 1.0, 1e-10)
         assert report.verdict == FAIL and report.summary_row()["margin"] == 1e-10 - 1.0
+
+
+class TestStrictJson:
+    """RFC 8259 has no Infinity or NaN: an item writes a non-finite residual
+    or tol as the string json prints for it, and a finite one as itself."""
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "Infinity"), (-math.inf, "-Infinity"),
+                                             (math.nan, "NaN")])
+    def test_a_non_finite_number_is_written_as_its_json_text(self, value, text):
+        residual = CheckItem("r", value, 1e-10).to_dict()
+        tol = CheckItem("r", 0.0, value).to_dict()
+        assert (residual["residual"], residual["tol"]) == (text, 1e-10)
+        assert (tol["residual"], tol["tol"]) == (0.0, text)
+        assert residual["passed"] is (value < 1e-10)
+        assert tol["passed"] is (0.0 <= value)
+
+    def test_a_finite_item_is_unchanged(self):
+        for item in (CheckItem("r", 1e-300, 1e300), CheckItem("r", -0.5), CheckItem("r", 2.0, 1)):
+            assert item.to_dict() == {"name": "r", "residual": item.residual, "tol": item.tol,
+                                      "passed": item.passed, "note": ""}
+        assert json.dumps(CheckItem("r", 0.1, None).to_dict()["tol"]) == "null"
