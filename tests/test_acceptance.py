@@ -375,7 +375,8 @@ def test_criterion_7_audit_and_causality_pattern():
     assert audit.residual("additivity_residual") <= 1e-12
     assert audit.residual("covariance_residual") <= 1e-12
     assert audit.residual("energy_min_eig") >= 1.0 - 1e-9
-    # calibrated floor: residual 0.334 at (delta={0..3}, delta'={5..8}, t=3.0)
+    # calibrated floor: residual 0.0187 at (delta={0..3}, delta'={5..8}, t=0.5, gap 1.0),
+    # over the pairs separated at each t
     assert audit.residual("microcausality_residual") > 1e-3
     assert audit.residual("max_effect_norm") > 0.9
     assert audit.notes[0].startswith("hypothesis 4")

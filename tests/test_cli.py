@@ -1206,6 +1206,25 @@ class TestReadme:
                 assert names.index("kind") == len(SYSTEM_PARAMS) - 1
 
 
+class TestCrossLabGeometry:
+    """cross_lab_commutator's distance is the ring gap, counted the shorter
+    way round, and its separation item reads 1.0 when that gap is > 0, as
+    causal_separation's ``separated`` reads 1.0 for separated regions."""
+
+    @pytest.mark.parametrize("n, a, lab1, lab2, distance, separated", [
+        (64, 1.0, [1, 2, 3], [60, 61, 62], 2.0, 1.0),  # read 56.0 and 0.0 before
+        (64, 1.0, [62, 63, 0, 1], [30, 31, 32], 28.0, 1.0),  # read 0.0 and 1.0 before
+        (64, 0.5, [1, 2, 3], [60, 61, 62], 1.0, 1.0),
+        (16, 1.0, [1, 2], [3, 4], 0.0, 0.0),
+    ])
+    def test_distance_and_separation(self, n, a, lab1, lab2, distance, separated):
+        [report] = run_scenarios(parse_scenarios([{"type": "cross_lab_commutator", "params": {
+            "n": n, "a": a, "lab1": lab1, "lab2": lab2}}]))
+        items = {item.name: item.residual for item in report.items}
+        assert items["lab_spatial_distance"] == distance
+        assert items["labs_causally_separated_at_equal_time"] == separated
+
+
 class TestHcAuditDefaultRegions:
     @pytest.mark.parametrize("kind", ["sharp", "alternating", "diagonal_smeared",
                                       "frame_smeared"])
@@ -1270,8 +1289,9 @@ DEMO_STRUCTURE = [
      [("additivity_residual", 1.6e-9, True), ("covariance_residual", 1.6e-9, True),
       ("energy_min_eig", None, None), ("microcausality_residual", None, None),
       ("max_effect_norm", None, None)],
-     ["hypothesis 4 (microcausality) fails; nontrivial effects consistent with the "
-      "no-go theorem"], ["microcausality_witness"]),
+     ["hypothesis 4 (microcausality) fails at separated pairs; nontrivial effects "
+      "consistent with the no-go theorem and Hegerfeldt, Phys. Rev. D 10, 3320"],
+     ["microcausality_witness"]),
     ("cc_residual", "INFO", [("cc_residual", None, None)],
      ["shadow=[0, 1, 15] saturated=False"], []),
     ("conditional_build", "PASS",

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from povmlab.generators import haar_unitary, make_rng
-from povmlab.geometry import FourVector, SpacetimeBox
 from povmlab.lattice import (
     LatticeLocalizationSystem,
     build_alternating_system,
@@ -13,7 +12,6 @@ from povmlab.lattice import (
     cc_residual,
     cell_sum,
     cell_sums,
-    cells_bounding_box,
     effect_of,
     gaussian_frame_vector,
     hc_audit,
@@ -21,6 +19,7 @@ from povmlab.lattice import (
     lattice_dispersion,
     microcausality_residual,
     projector_screening_identity,
+    ring_gaps,
     validate_system,
 )
 from povmlab.linalg import Eig, commutator, dag, hermitize, op_norm
@@ -658,6 +657,69 @@ class TestDiagonalNorms:
         assert repr(routed) == repr(plain)
 
 
+def _plain_gap(n, a, left, right):
+    """a times the fewest cells strictly between a cell of ``left`` and one
+    of ``right``, counted by walking the ring both ways."""
+    def between(x, y):
+        return min((y - x) % n, (x - y) % n) - 1
+    return a * min(between(x, y) for x in left for y in right)
+
+
+class TestRingGaps:
+    """``ring_gaps``: the one rule deciding the causal shadow, the separation
+    of two cell sets and the laboratories' distance on the ring."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_each_gap_is_the_plain_count_and_moves_with_the_ring(self, n):
+        sys = build_sharp_system(n, 1.0, 0.5)
+        rng = make_rng(75, n)
+        for _ in range(6):
+            size = int(rng.integers(1, 4))
+            cells = rng.choice(n, size=2 * size, replace=False).tolist()
+            left, right = cells[:size], cells[size:]
+            gap = ring_gaps(sys, left)[right].min()
+            assert gap == _plain_gap(n, 0.5, left, right) == ring_gaps(sys, right)[left].min()
+            assert ring_gaps(sys, left)[left].tolist() == [-0.5] * size
+            for r in range(n):
+                moved = [(k + r) % n for k in left], [(k + r) % n for k in right]
+                assert ring_gaps(sys, moved[0])[moved[1]].min() == gap
+
+    def test_labs_across_cell_zero(self):
+        sys = build_sharp_system(64, 1.0, 0.25)
+        assert ring_gaps(sys, [1, 2, 3])[[60, 61, 62]].min() == 2 * 0.25
+        # the lab [62, 63, 0, 1] straddles cell 0: 28 cells to [30, 31, 32]
+        # one way, 29 the other
+        assert ring_gaps(sys, [62, 63, 0, 1])[[30, 31, 32]].min() == 28 * 0.25
+        assert ring_gaps(sys, [62, 63, 0, 1]).tolist() == [-0.25, -0.25] + [
+            0.25 * k for k in range(30)] + [0.25 * k for k in range(29, -1, -1)] + [-0.25, -0.25]
+
+    def test_a_time_on_the_light_cone_is_decided_on_the_floats_given(self):
+        """No tolerance band: 3 * 0.3 rounds to 0.8999999999999999 < 0.9, and
+        the float 0.9 does exceed three times the float 0.3, so cell 4 away
+        from {8}, whose gap is 3 a, lies in the shadow at t = 0.9."""
+        sys = build_sharp_system(16, 1.0, 0.3)
+        assert ring_gaps(sys, {8})[12] == 3 * 0.3 < 0.9
+        assert causal_shadow(sys, {8}, 0.9) == (frozenset(range(4, 13)), False)
+
+    def test_an_audit_with_no_separated_pair_tests_no_microcausality(self, sharp16,
+                                                                      monkeypatch):
+        """Adjacent samples, and samples whose gap 2 equals every |t|: no
+        (pair, t) is separated, so no commutator is normed."""
+        import povmlab.lattice as lattice
+
+        def refused(*args):
+            raise AssertionError("a commutator was normed")
+
+        monkeypatch.setattr(lattice, "commutator_norm", refused)
+        for samples, t_grid in (([[0, 1], [2, 3]], [0.5, 0.0]),
+                                ([[0, 1, 2, 3], [6, 7]], [2.0, -2.0])):
+            audit = hc_audit(sharp16, samples, t_grid, tol=1e-9)
+            assert audit.residual("microcausality_residual") == 0.0
+            assert audit.witnesses["microcausality_witness"] == {}
+            assert audit.notes == ["microcausality not tested: no sampled pair is separated "
+                                   "at a sampled time"]
+
+
 class TestAuditAgainstPairwiseResidual:
     SAMPLES = [[0, 1, 2], [5, 6], [9, 10, 11, 12]]
     T_GRID = [1.5, 0.0, -0.5, 3.0]
@@ -667,13 +729,19 @@ class TestAuditAgainstPairwiseResidual:
     @pytest.mark.parametrize("kind, n", [(kind, 16) for kind in MAKE_SYSTEM]
                              + [("alternating", 17)])
     def test_microcausality_and_witness_match_the_oracle(self, kind, n):
+        """Over the (pair, t) whose plain ring gap is > |t|: at n = 16 every
+        pair is dropped at t = 3.0 (gaps 2, 3 and 2), and at n = 17 the pair
+        [0, 1, 2], [9, ..., 12] (gap 4) is kept."""
         sys = MAKE_SYSTEM[kind](n, 1.5)
         tol = 1e-9
         audit = hc_audit(sys, self.SAMPLES, self.T_GRID, tol=tol)
         pairs = [(left, right) for left in self.SAMPLES for right in self.SAMPLES
                  if not set(left) & set(right)]
-        residuals = [microcausality_residual(sys, left, right, self.T_GRID)
-                     for left, right in pairs]
+        times = [[t for t in self.T_GRID if _plain_gap(n, 1.0, left, right) > abs(t)]
+                 for left, right in pairs]
+        assert [len(at) for at in times] == ([3] * 6 if n == 16 else [3, 4, 3, 3, 4, 3])
+        residuals = [microcausality_residual(sys, left, right, at)
+                     for (left, right), at in zip(pairs, times)]
         assert _close(audit.residual("microcausality_residual"), max(residuals))
         if max(residuals) == 0.0:
             assert audit.witnesses["microcausality_witness"] == {}
@@ -682,10 +750,12 @@ class TestAuditAgainstPairwiseResidual:
         if np.isrealobj(sys.hamiltonian):
             # the canonical pair: the earlier-listed sample first
             left, right = sorted((left, right), key=self.SAMPLES.index)
+        gap = _plain_gap(n, 1.0, left, right)
         first = next((t for t in sorted(self.T_GRID, key=abs)
-                      if microcausality_residual(sys, left, right, [t]) > tol), None)
+                      if gap > abs(t) and microcausality_residual(sys, left, right, [t]) > tol),
+                     None)
         assert audit.witnesses["microcausality_witness"] == {
-            "delta": left, "delta_prime": right, "first_violating_t": first}
+            "delta": left, "delta_prime": right, "ring_gap": gap, "first_violating_t": first}
 
     @pytest.mark.parametrize("kind, n", [(kind, 16) for kind in MAKE_SYSTEM]
                              + [("alternating", 17)])
@@ -935,17 +1005,6 @@ class TestDerivedEnergyEigensystem:
     def test_the_dynamics_moves_a_cell_effect(self, sharp16):
         E = sharp16.cell_effects[0]
         assert op_norm(heisenberg_evolve(sharp16, E, 1.0) - E) > 0.1
-
-
-class TestRestBoxOverEveryCell:
-    def test_equals_the_old_construction(self):
-        rng = make_rng(73)
-        for _ in range(40):
-            n, a = int(rng.integers(2, 129)), float(rng.uniform(0.01, 10.0))
-            t = float(rng.uniform(-5.0, 5.0))
-            sys = build_sharp_system(n, 1.0, a)
-            ring = SpacetimeBox(FourVector(t, 0.0, 0.0, 0.0), FourVector(t, n * a, 0.0, 0.0))
-            assert cells_bounding_box(sys, range(n), t) == ring
 
 
 class TestAuditPairStacks:

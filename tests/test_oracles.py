@@ -33,6 +33,8 @@ from povmlab.lattice import (
     build_diagonal_smeared_system,
     build_frame_smeared_system,
     build_sharp_system,
+    hc_audit,
+    lattice_dispersion,
     validate_system,
 )
 from povmlab.measurement import DiscretePOVM, luders_instrument
@@ -147,6 +149,38 @@ def trace_distance_oracle(T, rho) -> float:
     return float(np.linalg.svd(rho - conditioned, compute_uv=False).sum())
 
 
+def propagator(n: int, omega: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
+    """K(d, t) = (1/n) sum_j exp(2 pi i j d / n) exp(-i t omega_j) for each
+    entry of d: the entry <x| exp(-itH) |y> at x - y = d of an H diagonal in
+    the Fourier basis with spectrum omega."""
+    phases = np.exp(2j * np.pi * np.multiply.outer(d, np.arange(n)) / n)
+    return phases @ np.exp(-1j * t * omega) / n
+
+
+def microcausality_oracle(n, mass, a, kind, samples, t_grid) -> float:
+    """max over the ordered pairs of samples and the times t with ring gap
+    > |t| of max_i s_i sqrt(1 - s_i^2), the s_i the singular values of
+    K(x - y, t) over x in the first sample and y in the second.  For
+    projectors P and Q, ||[P, Q]|| is the largest cos(theta) sin(theta) over
+    their principal angles, whose cosines are the singular values of PQ; here
+    P Q = P exp(-itH) P' exp(itH), whose singular values are those of the
+    block of exp(-itH).  omega is ``lattice_dispersion`` with the sign
+    pattern of the kind, not read from H."""
+    omega = lattice_dispersion(n, mass, a)
+    if kind == "alternating":
+        omega = omega * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    worst = 0.0
+    for left in samples:
+        for right in samples:
+            gap = a * (min(min((x - y) % n, (y - x) % n) for x in left for y in right) - 1)
+            for t in t_grid:
+                if gap > abs(t):
+                    K = propagator(n, omega, np.subtract.outer(left, right), t)
+                    s = np.linalg.svd(K, compute_uv=False)
+                    worst = max(worst, float((s * np.sqrt(np.clip(1 - s * s, 0.0, None))).max()))
+    return worst
+
+
 # (report name, item name) -> the oracle of that item.  Three entries are
 # identities on every input the kernel floor admits, so only rounding moves
 # them, no input makes them large, and no ledger input can fail them; a
@@ -162,6 +196,7 @@ ORACLES = {
     # TestComposition.test_stacked_check_matches_the_per_effect_loop
     ("composition_identity", "identity_residual"): composition_oracle,
     ("conditional_prob_bound", "operator_form_bound"): operator_form_oracle,
+    ("hc_audit", "microcausality_residual"): microcausality_oracle,
     ("beck", "nsc_deviation"): nsc_oracle,
     ("beck", "nsc_deviation_squared"): nsc_squared_oracle,
     ("luders_equivalence", "nsc_deviation"): luders_nsc_oracle,
@@ -206,6 +241,23 @@ def bounded_probability(kind, cells, seed):
     sys = SYSTEMS[kind]()
     rho = random_state(sys.n, make_rng(seed))
     return conditional_prob_bound(sys, cells, LAB, rho), (sys, cells, LAB, rho)
+
+
+# n, mass and a of the audited projector kinds
+AUDITED = {"sharp": (16, 1.0, 0.7), "alternating": (16, 0.5, 1.0)}
+
+
+def audited(kind, seed):
+    """hc_audit of three seeded disjoint samples of 1 to 3 cells at three
+    seeded times in [-3, 3]; of the seeds 61 to 69, 62, 66 and 67 give no
+    pair separated at a sampled time, so nothing to compare."""
+    n, mass, a = AUDITED[kind]
+    build = build_sharp_system if kind == "sharp" else build_alternating_system
+    rng = make_rng(seed)
+    cells = [int(k) for k in rng.choice(n, 6, replace=False)]
+    samples = [sorted(cells[:1]), sorted(cells[1:3]), sorted(cells[3:])]
+    t_grid = [float(t) for t in rng.uniform(-3.0, 3.0, 3)]
+    return hc_audit(build(n, mass, a), samples, t_grid), (n, mass, a, kind, samples, t_grid)
 
 
 def rotation(dim: int, seed: int, angle: float) -> np.ndarray:
@@ -255,6 +307,8 @@ CASES = {
     "bound-diagonal_smeared-1cell": (bounded_probability, ("diagonal_smeared", {8}, 73)),
     "composition-frame_smeared": (composed, ("frame_smeared", {2, 3, 4, 5}, {8, 9, 10})),
     "composition-diagonal_smeared": (composed, ("diagonal_smeared", {1, 2}, {6, 7, 8, 9})),
+    **{f"audit-{kind}-{seed}": (audited, (kind, seed))
+       for kind in AUDITED for seed in (61, 63, 64)},
     **{f"beck-dim{dim}-{name}": (becked, (dim, 80 + dim, angle))
        for dim in (2, 4, 7) for name, angle in SIGNALING.items()},
     **{f"luders-dim{dim}-{name}": (luders_compared, (dim, 90 + dim, angle))
@@ -305,6 +359,15 @@ def test_operator_form_inputs_are_compared_relatively():
                  for run, args in CASES.values() if run is bounded_probability]
     assert len(residuals) == 3
     assert max(residuals) > 1e-4
+
+
+def test_audit_inputs_are_compared_relatively():
+    """Each audit input holds a pair separated at a sampled time, with a
+    residual far above the absolute floor 1e-13 of the comparison."""
+    for case in CASES:
+        if case.startswith("audit-"):
+            run, args = CASES[case]
+            assert microcausality_oracle(*run(*args)[1]) > 1e-4, case
 
 
 def test_perturbed_dynamics_fails_far_above_its_bound():

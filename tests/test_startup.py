@@ -1,8 +1,9 @@
 """Start-up loads only what runs.  Each start-up test runs a fresh
 interpreter and reads its ``sys.modules``: the package, the CLI's parser and
-``povmlab version`` load no numpy, the lattice loads none of the check
-modules, and a serial ``run`` loads no thread pool.  The package serves its
-re-exports lazily, as the same objects its modules define."""
+``povmlab version`` load no numpy, the lattice loads only ``linalg`` and
+``reporting`` beside it, so none of the check modules, and a serial ``run``
+loads no thread pool.  The package serves its re-exports lazily, as the same
+objects its modules define."""
 import json
 import os
 import subprocess
@@ -42,7 +43,8 @@ def test_loads_no_numpy(code):
 
 def test_lattice_loads_no_check_module():
     modules = loaded("import povmlab.lattice")
-    assert "povmlab.lattice" in modules
+    assert {m for m in modules if m.startswith("povmlab")} == {
+        "povmlab", "povmlab.lattice", "povmlab.linalg", "povmlab.reporting"}
     assert not modules & CHECK_MODULES
 
 
