@@ -179,11 +179,11 @@ def conditional_prob_bound(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Compare tr(rho B(cells)) with the detection fraction
-    tr(rho A(cells)) / tr(rho A(lab)) at the gentle bound.
+    tr(rho A(cells)) / tr(rho A(lab)) at the gentle bound plus 10 tol.
 
     Also checks the exact identity tr(rho' B) = fraction for the conditioned
-    state rho', and the operator-norm form |tr(rho' B) - tr(rho B)| <=
-    (2 sqrt(delta) + delta) ||B||.
+    state rho' at tol, and the operator-norm form |tr(rho' B) - tr(rho B)|
+    <= (2 sqrt(delta) + delta) ||B|| at its bound plus 10 tol.
     """
     lab = as_cells(lab_cells, sys.n)
     cells = as_cells(cells, sys.n)
@@ -205,7 +205,7 @@ def conditional_prob_bound(
     bound = 2.0 * math.sqrt(max(0.0, delta)) + max(0.0, delta)
     report.add("conditional_fraction", fraction, tol=None)
     report.add("tr_rho_B", prob_B, tol=None)
-    report.add("fraction_vs_B_difference", abs(prob_B - fraction), bound + 1e-9,
+    report.add("fraction_vs_B_difference", abs(prob_B - fraction), bound + 10 * tol,
                note="gentle bound 2*sqrt(delta)+delta")
     if bound >= 1.0:
         report.notes.append(
@@ -216,12 +216,12 @@ def conditional_prob_bound(
     root = cond.lab_spectrum.sqrt()
     rho_cond = root @ rho @ root / p_lab
     exact = float(np.trace(rho_cond @ B).real)
-    report.add("exact_conditional_identity", abs(exact - fraction), 1e-10,
+    report.add("exact_conditional_identity", abs(exact - fraction), tol,
                note="tr(rho' B) equals the fraction exactly, independent of delta")
     report.add(
         "operator_form_bound",
         abs(exact - prob_B),
-        bound * max(op_norm(B), 1e-300) + 1e-9,
+        bound * max(op_norm(B), 1e-300) + 10 * tol,
         note="|tr(rho' B) - tr(rho B)| <= (2*sqrt(delta)+delta) * ||B||",
     )
     return report
@@ -267,7 +267,7 @@ def v_conjugation_reduction(
         op_norm(V @ cond.effect(cells) @ dag(V) - cond_T.effect(cells))
         for cells in _sample_subsets(lab)
     )
-    report.add("conjugation_vs_transformed_system", worst, 1e-10)
+    report.add("conjugation_vs_transformed_system", worst, tol)
     w_orig = sys.energy_eigensystem().w
     w_tran = transformed.energy_eigensystem().w
     report.add("energy_spectrum_preserved", float(np.max(np.abs(w_orig - w_tran))),
@@ -283,8 +283,8 @@ def composition_identity_check(
 ) -> CheckReport:
     """Cross-laboratory composition of conditional POVMs.
 
-    Verifies the exact relation expressing the union laboratory's conditional
-    effects through the per-laboratory ones,
+    Verifies, at tol, the exact relation expressing the union laboratory's
+    conditional effects through the per-laboratory ones,
 
         B_union(D) = A(union)^{-1/2} ( sqrt(A(lab1)) B_lab1(D∩lab1) sqrt(A(lab1))
                      + sqrt(A(lab2)) B_lab2(D∩lab2) sqrt(A(lab2)) ) A(union)^{-1/2},
@@ -324,7 +324,7 @@ def composition_identity_check(
     plain = op_norm(lhs - b1 - b2).max()
     weighted = op_norm(lhs - hermitize(w1 @ b1 @ w1 + w2 @ b2 @ w2)).max()
     report = CheckReport(name="composition_identity")
-    report.add("identity_residual", op_norm(lhs - rhs).max(), 1e-10)
+    report.add("identity_residual", op_norm(lhs - rhs).max(), tol)
     report.add("plain_additivity_gap", plain, tol=None,
                note="expected > 0: additivity fails across laboratories")
     report.add("weighted_additivity_gap", weighted, tol=None,

@@ -88,6 +88,21 @@ def dag(M: np.ndarray) -> np.ndarray:
     return np.asarray(M).conj().swapaxes(-1, -2)
 
 
+def _svd_values(A: np.ndarray) -> np.ndarray:
+    """Singular values by the SVD, in descending order; NaN for each matrix
+    with non-finite entries, on which LAPACK does not converge."""
+    try:
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if finite.all():
+            raise
+        values = np.full(A.shape[:-1], np.nan)
+        if finite.any():
+            values[finite] = np.linalg.svd(A[finite], compute_uv=False)
+        return values
+
+
 def _singular_values(M) -> np.ndarray:
     """Singular values, as absolute eigenvalues of the matrices that are
     exactly Hermitian."""
@@ -96,12 +111,12 @@ def _singular_values(M) -> np.ndarray:
     if same.all():
         return np.abs(np.linalg.eigvalsh(A))
     if A.ndim == 2:
-        return np.linalg.svd(A, compute_uv=False)
+        return _svd_values(A)
     exact = same.all(axis=(-2, -1))
     values = np.empty(A.shape[:-1])
     if exact.any():
         values[exact] = np.abs(np.linalg.eigvalsh(A[exact]))
-    values[~exact] = np.linalg.svd(A[~exact], compute_uv=False)
+    values[~exact] = _svd_values(A[~exact])
     return values
 
 
@@ -113,7 +128,7 @@ def op_norm(M):
     if (A == dag(A)).all():  # one matrix: Python floats, no stack reductions
         w = np.linalg.eigvalsh(A)
         return max(abs(float(w[0])), abs(float(w[-1])))
-    return float(np.linalg.svd(A, compute_uv=False)[0])  # in descending order
+    return float(_svd_values(A)[0])
 
 
 def trace_norm(M):

@@ -329,7 +329,7 @@ def _check_gentle_sweep(sc: Scenario, rng: np.random.Generator) -> CheckReport:
     for draws in pending.values():
         if draws:
             worst = min(worst, _gentle_margin(draws))
-    report.add("min_margin", max(0.0, -worst), 1e-9,
+    report.add("min_margin", max(0.0, -worst), 10 * sc.tol,
                note=f"worst margin {worst:.3e} over {instances} instances")
     return report
 

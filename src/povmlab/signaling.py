@@ -79,7 +79,15 @@ def kraus_commutator_residual(instr: KrausInstrument, S) -> float:
     """max over Kraus operators of max(||[K, S]||, ||[K†, S]||), through
     the SVD: a Kraus operator is not Hermitian."""
     S, K = as_matrix(S), instr.kraus
-    return float(max(op_norm(commutator(K, S)).max(), op_norm(commutator(dag(K), S)).max()))
+    return float(np.maximum(op_norm(commutator(K, S)).max(),
+                            op_norm(commutator(dag(K), S)).max()))
+
+
+def _biconditional(left: bool, right: bool, *sides: float) -> float:
+    """The 0/1 flag of two sides judged at tolerance: 0.0 when they agree,
+    1.0 when they disagree, NaN when a side's residual is NaN, as no
+    comparison decides it."""
+    return np.nan if np.isnan(sides).any() else float(left != right)
 
 
 def luders_equivalence_check(
@@ -105,8 +113,8 @@ def luders_equivalence_check(
     report.add("nsc_deviation", nsc)
     report.add("rcc_deviation", rcc)
     report.add("commutator_residual", comm)
-    report.add("biconditional", 0.0 if commuting == deviations_small else 1.0, 0.5,
-               note="commutators ~ 0 iff deviations ~ 0")
+    report.add("biconditional", _biconditional(commuting, deviations_small, nsc, rcc, comm),
+               0.5, note="commutators ~ 0 iff deviations ~ 0")
     report.notes.append(RCC_CONVENTION_NOTE)
     return report
 
@@ -123,7 +131,8 @@ def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> CheckRepo
     """
     S = as_matrix(S)
     d1 = nsc_deviation(instr, S)
-    d2 = nsc_deviation(instr, hermitize(S @ S))
+    S2 = hermitize(S @ S)
+    d2 = nsc_deviation(instr, S2) if np.isfinite(S2).all() else np.nan  # S^2 overflowed
     kappa = kraus_commutator_residual(instr, S)
     scale = max(op_norm(S), 1e-300)
     kraus_commuting = kappa <= tol
@@ -132,7 +141,8 @@ def beck_check(instr: KrausInstrument, S, tol: float = DEFAULT_TOL) -> CheckRepo
     report.add("nsc_deviation", d1)
     report.add("nsc_deviation_squared", d2)
     report.add("kraus_commutator", kappa)
-    report.add("biconditional", 0.0 if kraus_commuting == deviations_small else 1.0, 0.5)
+    report.add("biconditional", _biconditional(kraus_commuting, deviations_small, d1, d2, kappa),
+               0.5)
     return report
 
 

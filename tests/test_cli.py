@@ -890,6 +890,26 @@ class TestReportFile:
         [item] = strict_reports(out)[0]["items"]
         assert (item["residual"], item["passed"]) == ("NaN", False)
 
+    # the entries of 1e200 overflow by design
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stype, item", [("nsc", "nsc_deviation"), ("beck", "biconditional")])
+    def test_an_overflowing_explicit_input_fails_with_a_nan_residual(self, tmp_path, capsys,
+                                                                     stype, item):
+        """A Kraus operator and an effect with every entry 1e200 overflow to
+        non-finite matrices, whose norms are NaN: the report is written and
+        FAILs, as no comparison at tolerance passes NaN."""
+        big = {"dim": 2, "re": [1e200] * 4, "im": [0.0] * 4}
+        params = {"instrument": {"kind": "instrument", "labels": [0], "families": [[big]]},
+                  "effect": {"kind": "effect", "matrix": big}}
+        path = write_scenarios(tmp_path, {"scenarios": [{"type": stype, "params": params}]})
+        out = tmp_path / "report.json"
+        assert main(["run", path, "--out", str(out)]) == 1
+        [report] = json.loads(out.read_text())["reports"]
+        assert report["verdict"] == "FAIL"
+        assert [(it["residual"], it["passed"]) for it in report["items"]
+                if it["name"] == item] == [("NaN", False)]
+
     def test_an_empty_batch_writes_valid_json(self, tmp_path):
         path = write_scenarios(tmp_path, {"scenarios": []})
         out = tmp_path / "report.json"
@@ -1341,3 +1361,17 @@ class TestDemoReportStructure:
         assert [it.passed for it in report.items] == [it[2] for it in items]
         assert report.notes == notes
         assert sorted(report.witnesses) == witnesses
+
+
+def test_a_tol_override_reaches_the_items_that_follow_tol(tmp_path, capsys):
+    """Each rule is written at ``tol``, so ``--tol 1e-6`` moves every item
+    that follows it, the composition identity and the gentle sweep's margin
+    included, and leaves the fixed ones as they are."""
+    out = tmp_path / "report.json"
+    assert main(["run", str(DEMO_FILE), "--tol", "1e-6", "--out", str(out)]) == 0
+    tols = {(report["name"], item["name"]): item["tol"]
+            for report in json.loads(out.read_text())["reports"] for item in report["items"]}
+    assert tols[("composition_identity", "identity_residual")] == 1e-6
+    assert tols[("conditional_prob_bound", "exact_conditional_identity")] == 1e-6
+    assert tols[("gentle_sweep", "min_margin")] == 10 * 1e-6
+    assert (tols[("hw_search", "d1_reverified")], tols[("beck", "biconditional")]) == (1e-9, 0.5)

@@ -428,6 +428,27 @@ class TestStackOracle:
             assert values.shape == (5,)
             assert np.array_equal(values, loop(fn, G))
 
+    def test_a_non_finite_matrix_has_nan_norms_and_the_others_keep_theirs(self):
+        # LAPACK's SVD does not converge on a NaN entry; in a stack only that
+        # matrix's norms are NaN
+        G = make_rng(35).normal(size=(4, 3, 3))
+        G[2, 0, 1] = np.nan
+        for fn in (op_norm, trace_norm):
+            values = fn(G)
+            assert np.isnan(values[2]) and np.isnan(fn(G[2]))
+            assert np.array_equal(values[[0, 1, 3]], loop(fn, G[[0, 1, 3]]))
+
+    def test_a_finite_matrix_the_svd_fails_on_still_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", unconverged)
+        G = make_rng(36).normal(size=(2, 3, 3))
+        for M in (G, G[0]):
+            with pytest.raises(np.linalg.LinAlgError):
+                op_norm(M)
+            with pytest.raises(np.linalg.LinAlgError):
+                trace_norm(M)
+
     def test_stack_of_two_axes(self):
         H = mixed_stack(4, make_rng(33)).reshape(2, 3, 4, 4)
         assert op_norm(H).shape == (2, 3)

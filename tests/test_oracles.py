@@ -3,9 +3,11 @@ residual a check reports by another route (dense formulas through
 ``np.linalg.eigh``, norms through ``np.linalg.svd``), on seeded inputs, and
 the two must agree within max(1e-13, 1e-12 |r|)."""
 import ast
+import functools
 import json
 import pkgutil
 import re
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
 
@@ -37,8 +39,9 @@ from povmlab.lattice import (
     lattice_dispersion,
     validate_system,
 )
+from povmlab.linalg import DEFAULT_TOL
 from povmlab.measurement import DiscretePOVM, luders_instrument
-from povmlab.scenarios import parse_scenarios, run_scenarios
+from povmlab.scenarios import CHECKS, parse_scenarios, run_scenarios
 from povmlab.signaling import beck_check, luders_equivalence_check
 
 
@@ -452,9 +455,16 @@ class TestDiagonalClosedForm:
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# `check/item`, then for an asserted item " → " and its oracle's `report/item`
-# or "no oracle yet"
-NAMED_ITEM = re.compile(r"`(\w+)/(\w+)`(?: → (?:`(\w+)/(\w+)`|(no oracle yet)))?")
+# `check/item`, then for an asserted item its tolerance rule in parentheses
+# (which may nest one level), and " → " with its oracle's `report/item` or
+# "no oracle yet"
+NAMED_ITEM = re.compile(r"`(\w+)/(\w+)`(?: \(((?:[^()]|\([^()]*\))*)\))?"
+                        r"(?: → (?:`(\w+)/(\w+)`|(no oracle yet)))?")
+# the tolerances a larger tol is compared with, and the rules that are pure
+# multiples of tol: the tol they record at ``tol`` on a ring of ``n`` cells
+TOLS = (DEFAULT_TOL, 1e-6)
+MULTIPLES = {"tol": lambda tol, n: tol, "10·tol": lambda tol, n: 10 * tol,
+             "tol·n": lambda tol, n: tol * n}
 
 
 def claims_map() -> list[list[str]]:
@@ -463,32 +473,66 @@ def claims_map() -> list[list[str]]:
     section = (ROOT / "README.md").read_text().split("## Claims map", 1)[1].split("\n## ", 1)[0]
     rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
             for line in section.splitlines() if line.startswith("|")]
-    assert rows[0] == ["claim", "asserted items → oracle", "measurement only, and why"]
+    assert rows[0] == ["claim", "asserted items (tolerance rule) → oracle",
+                       "measurement only, and why"]
     assert set(rows[1]) == {"---"}
     return rows[2:]
 
 
-def emitted_items() -> dict[tuple[str, str], float | None]:
-    """(check type, item) -> tol over every check type named in the claims
-    map, from ``demo.json`` with an ``nsc`` and an ``rcc`` scenario added."""
+def declared_items() -> list[tuple[str, re.Match, bool]]:
+    """(claim, match, asserted) for every item the claims map names."""
+    return [(claim, match, is_asserted) for claim, asserted, measured in claims_map()
+            for column, is_asserted in ((asserted, True), (measured, False))
+            for match in NAMED_ITEM.finditer(column)]
+
+
+@functools.cache
+def emitted_items(tol: float = DEFAULT_TOL) -> dict[tuple[str, str], tuple[float | None, int]]:
+    """(check type, item) -> (tol, the scenario's ring size n or 0) over every
+    check type, from ``demo.json`` with an ``nsc`` and an ``rcc`` scenario
+    added, run at ``tol``."""
     payload = json.loads((ROOT / "scenarios" / "demo.json").read_text())
     payload["scenarios"] += [{"type": "nsc", "seed": 7}, {"type": "rcc", "seed": 7}]
-    return {(report.scenario["type"], item.name): item.tol
-            for report in run_scenarios(parse_scenarios(payload)) for item in report.items}
+    scenarios = parse_scenarios(payload, tol=tol)
+    return {(sc.type, item.name): (item.tol, sc.params.get("n", 0))
+            for sc, report in zip(scenarios, run_scenarios(scenarios)) for item in report.items}
+
+
+def test_emitted_items_reach_every_check_type():
+    assert {check for check, _ in emitted_items()} == set(CHECKS)
 
 
 def test_the_claims_map_names_emitted_items_and_ledger_oracles():
-    rows = claims_map()
-    assert len(rows) == 5  # one per claim of the abstract
+    assert len(claims_map()) == 5  # one per claim of the abstract
     emitted = emitted_items()
-    for claim, asserted, measured in rows:
-        for column, is_asserted in ((asserted, True), (measured, False)):
-            for match in NAMED_ITEM.finditer(column):
-                item = (match[1], match[2])
-                assert item in emitted, (claim, match[0])
-                assert (emitted[item] is not None) == is_asserted, (claim, match[0])
-                assert match[3] or match[5] or not is_asserted, (claim, match[0])
-                assert not match[3] or (match[3], match[4]) in ORACLES, (claim, match[0])
+    for claim, match, is_asserted in declared_items():
+        item = (match[1], match[2])
+        assert item in emitted, (claim, match[0])
+        assert (emitted[item][0] is not None) == is_asserted, (claim, match[0])
+        assert bool(match[3]) == is_asserted, (claim, match[0])  # a rule iff asserted
+        assert match[4] or match[6] or not is_asserted, (claim, match[0])
+        assert not match[4] or (match[4], match[5]) in ORACLES, (claim, match[0])
+
+
+def test_the_claims_map_declares_every_emitted_item_once():
+    declared = Counter((match[1], match[2]) for _, match, _ in declared_items())
+    assert declared == Counter(emitted_items().keys())
+
+
+def test_asserted_items_follow_their_declared_tolerance_rule():
+    small, large = TOLS
+    for claim, match, is_asserted in declared_items():
+        if not is_asserted:
+            continue
+        item, rule = (match[1], match[2]), match[3]
+        (at_small, n), (at_large, _) = emitted_items(small)[item], emitted_items(large)[item]
+        if rule.startswith("fixed: "):
+            assert at_large == at_small, (claim, match[0], at_small, at_large)
+            continue
+        assert at_large > at_small, (claim, match[0], at_small, at_large)
+        if rule in MULTIPLES:
+            assert [at_small, at_large] == [MULTIPLES[rule](tol, n) for tol in TOLS], (
+                claim, match[0])
 
 
 # a test class cited as "TestX in tests/<file>.py", and a bare backticked name

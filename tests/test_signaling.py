@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from povmlab import signaling
 from povmlab.generators import (
     commuting_povm_pair,
     haar_unitary,
@@ -164,6 +165,14 @@ class TestLudersEquivalence:
         rep = luders_equivalence_check(COMP, HADAMARD)
         assert any("convention" in note for note in rep.notes)
 
+    def test_a_nan_side_fails_the_biconditional(self, monkeypatch):
+        # COMP and HADAMARD's two sides are both false and agree; a NaN
+        # commutator would agree with them too, as NaN <= tol is False
+        monkeypatch.setattr(signaling, "commutator_residual", lambda T, S: np.nan)
+        rep = luders_equivalence_check(COMP, HADAMARD)
+        assert np.isnan(rep.residual("biconditional"))
+        assert rep.verdict == "FAIL"
+
 
 class TestBeckCheck:
     def test_all_diagonal(self):
@@ -192,6 +201,17 @@ class TestBeckCheck:
         assert rep.residual("nsc_deviation_squared") >= 1e-3
         assert rep.residual("kraus_commutator") > 1e-9
         assert rep.residual("biconditional") == 0.0  # both sides false
+
+    @pytest.mark.parametrize("side", ["nsc_deviation", "kraus_commutator_residual"])
+    def test_a_nan_side_fails_the_biconditional(self, monkeypatch, side):
+        # a Haar unitary against a random effect: both sides false, and a NaN
+        # on either would agree with the other, as NaN <= tol is False
+        rng = make_rng(37)
+        instr = KrausInstrument([[haar_unitary(3, rng)]])
+        monkeypatch.setattr(signaling, side, lambda instr, S: np.nan)
+        rep = beck_check(instr, random_effect(3, rng))
+        assert np.isnan(rep.residual("biconditional"))
+        assert rep.verdict == "FAIL"
 
     def test_forward_direction(self):
         rng = make_rng(38)
