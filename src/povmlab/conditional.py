@@ -85,9 +85,17 @@ class ConditionalPOVM:
     def effects(self, cell_sets: Iterable[Iterable[int]]) -> np.ndarray:
         """The effects of several cell sets as one (B, d, d) stack: the raw
         sums from one ``cell_sums`` call, then one stacked sandwich; each
-        effect bit-equal to what ``effect`` computes."""
+        effect bit-equal to what ``effect`` computes.  An empty cell set's
+        effect is the zero matrix, put in its slot with no sum and no
+        sandwich."""
         keys = [self._inside(cells) for cells in cell_sets]
-        return self._sandwich(cell_sums(self.cell_effects, keys, self.dim))
+        full = [k for k, key in enumerate(keys) if key]
+        B = self._sandwich(cell_sums(self.cell_effects, [keys[k] for k in full], self.dim))
+        if len(full) == len(keys):
+            return B
+        out = np.zeros((len(keys), self.dim, self.dim), dtype=B.dtype)
+        out[full] = B
+        return out
 
     def _sandwich(self, A: np.ndarray) -> np.ndarray:
         """hermitize(R A R) for one raw effect or a stack of them."""

@@ -501,6 +501,74 @@ def _largest_norms(*groups: list[np.ndarray]) -> list[float]:
     return [float(part.max()) for part in parts]
 
 
+def _eigenbasis_norms(stack: np.ndarray, energy: Eig | None, pairs: np.ndarray,
+                      separated: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
+    """||[A_i, U_t A_j U_t†]|| for each (pair, t) separated at t, 0 elsewhere,
+    for any effects: Â = V† A V evolves by ``_evolved_in_eigenbasis`` (norms
+    are unitarily invariant), normed by ``commutator_norm`` in stacks of at
+    most ``stack_size(n)`` pairs per time.  ``energy`` is None when every t is 0."""
+    if energy is not None:
+        stack = hermitize(dag(energy.V) @ stack @ energy.V)
+    norms = np.zeros(separated.shape)
+    step = stack_size(stack.shape[-1])  # memory grows linearly, not quadratically, in the samples
+    for k, t in enumerate(t_grid):
+        at = np.flatnonzero(separated[:, k])
+        if not at.size:
+            continue
+        at_t = _evolved_in_eigenbasis(stack, energy.w, t) if t != 0 else stack
+        for start in range(0, at.size, step):
+            chunk = at[start:start + step]
+            norms[chunk, k] = commutator_norm(stack[pairs[chunk, 0]], at_t[pairs[chunk, 1]])
+    return norms
+
+
+def _projector_supports(stack: np.ndarray) -> list[np.ndarray] | None:
+    """The support of each matrix of ``stack`` when every one is a coordinate
+    projector (real, exactly diagonal, every diagonal entry exactly 0.0 or
+    1.0); None otherwise."""
+    diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
+    if (np.iscomplexobj(stack) or not ((diagonal == 0.0) | (diagonal == 1.0)).all()
+            or np.count_nonzero(stack) != np.count_nonzero(diagonal)):
+        return None
+    return [np.flatnonzero(d) for d in diagonal]
+
+
+def _block_norms(supports: list[np.ndarray], energy: Eig | None, pairs: np.ndarray,
+                 separated: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
+    """||[P_i, U_t P_j U_t†]|| for each (pair, t) separated at t, 0 elsewhere,
+    for coordinate projectors P_i on the supports S_i.
+
+    A commutator with a projector P is block anti-diagonal, so ||[P, Y]|| =
+    ||P Y (1 - P)||; for Y = U_t P_j U_t† that block is M = U_t[S_i, S_j]
+    U_t[S_iᶜ, S_j]†.  ||M||² is the largest eigenvalue, clamped at 0, of the
+    exactly Hermitian Gram matrix on M's shorter side: one ``eigvalsh`` per
+    pair, stacked over its separated times.  At t = 0 two diagonal
+    projectors commute: the norm is exactly 0.  U_t = V exp(-itw) V† is
+    formed only in the columns S_j."""
+    norms = np.zeros(separated.shape)
+    moving = separated & (np.asarray(t_grid, dtype=float) != 0)
+    if not moving.any():
+        return norms
+    n = len(energy.w)
+    used = np.flatnonzero(moving.any(axis=1))
+    columns = np.unique(np.concatenate([supports[j] for j in pairs[used, 1]]))
+    times = np.flatnonzero(moving.any(axis=0))
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(t_grid, dtype=float)[times], energy.w))
+    U = (energy.V * phases[:, None, :]) @ dag(energy.V[columns])  # U_t[:, columns]
+    for p in used:
+        i, j = pairs[p]
+        if not 0 < supports[i].size < n:
+            continue  # P_i is 0 or 1, which commutes with everything
+        inside = np.zeros(n, dtype=bool)
+        inside[supports[i]] = True
+        at = np.flatnonzero(moving[p])
+        W = U[np.searchsorted(times, at)][:, :, np.searchsorted(columns, supports[j])]
+        M = W[:, inside] @ dag(W[:, ~inside])
+        gram = hermitize(M @ dag(M) if 2 * supports[i].size <= n else dag(M) @ M)
+        norms[p, at] = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    return norms
+
+
 def hc_audit(
     sys: LatticeLocalizationSystem,
     delta_samples: Sequence[Iterable[int]],
@@ -520,14 +588,17 @@ def hc_audit(
     ``microcausality_witness`` records the worst pair with its ring gap.
 
     Microcausality is ``microcausality_residual`` over the (pair, t) whose
-    gap (``ring_gaps``) is > |t|, taken in H's eigenbasis: Â = V† A V evolves
-    by ``_evolved_in_eigenbasis`` (norms are unitarily invariant), with
-    stacked ``commutator_norm`` calls of at most ``stack_size(n)`` pairs per
-    time.  When some t != 0, H's decomposition is ``energy_eigensystem()``,
-    one ``eigh`` per process for a builder's H; else H's spectrum is one
-    ``eigvalsh``.  When H and the effects are real, time reversal makes (j, i)
-    equal (i, j) at each t, so only i < j is audited and the witness lists the
-    earlier-listed sample first.
+    gap (``ring_gaps``) is > |t|, by one of two routes.  When every sampled
+    effect is a coordinate projector (real, exactly diagonal, every diagonal
+    entry exactly 0.0 or 1.0), as on the sharp and alternating kinds, each
+    norm is that of one off-diagonal block, ||[P, Y]|| = ||P Y (1 - P)||
+    (``_block_norms``).  Any other effects are evolved in H's eigenbasis
+    (``_eigenbasis_norms``).  The route is decided from the summed effects,
+    not from the system's kind.  When some t != 0, H's decomposition is
+    ``energy_eigensystem()``, one ``eigh`` per process for a builder's H;
+    else H's spectrum is one ``eigvalsh``.  When H and the effects are real,
+    time reversal makes (j, i) equal (i, j) at each t, so only i < j is
+    audited and the witness lists the earlier-listed sample first.
     """
     samples = [as_cells(c, sys.n) for c in delta_samples]
     if not samples or not all(samples):
@@ -548,12 +619,11 @@ def hc_audit(
         effects,
     )
 
-    # microcausality_residual over the (pair, t) separated at t, in H's eigenbasis
+    # microcausality_residual over the (pair, t) separated at t
     stack = np.stack(effects)
-    if any(t != 0 for t in t_grid):
-        energy = sys.energy_eigensystem()
+    energy = sys.energy_eigensystem() if any(t != 0 for t in t_grid) else None
+    if energy is not None:
         energy_min = float(energy.w[0])
-        stack = hermitize(dag(energy.V) @ stack @ energy.V)
     else:
         energy_min = float(np.linalg.eigvalsh(hermitize(sys.hamiltonian))[0])
     time_reversal = np.isrealobj(sys.hamiltonian) and np.isrealobj(stack)
@@ -562,16 +632,11 @@ def hc_audit(
                       if i < j or (i > j and not time_reversal)], dtype=int).reshape(-1, 2)
     pair_gaps = np.array([gaps[i][sorted(samples[j])].min() for i, j in pairs])
     separated = pair_gaps.reshape(-1, 1) > np.abs(np.asarray(t_grid, dtype=float))
-    norms = np.zeros(separated.shape)
-    step = stack_size(sys.n)  # so memory grows linearly, not quadratically, in the samples
-    for k, t in enumerate(t_grid):
-        at = np.flatnonzero(separated[:, k])
-        if not at.size:
-            continue
-        at_t = _evolved_in_eigenbasis(stack, energy.w, t) if t != 0 else stack
-        for start in range(0, at.size, step):
-            chunk = at[start:start + step]
-            norms[chunk, k] = commutator_norm(stack[pairs[chunk, 0]], at_t[pairs[chunk, 1]])
+    supports = _projector_supports(stack)
+    if supports is None:
+        norms = _eigenbasis_norms(stack, energy, pairs, separated, t_grid)
+    else:
+        norms = _block_norms(supports, energy, pairs, separated, t_grid)
     by_abs_t = sorted(range(len(t_grid)), key=lambda k: abs(t_grid[k]))
 
     micro = 0.0

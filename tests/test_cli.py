@@ -865,9 +865,6 @@ class TestReportFile:
             report.pop("wall_time")
         assert wire == fresh
 
-    # the Kraus operators' entries of 1e200 overflow by design
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_numbers_are_written_as_strict_json(self, tmp_path, capsys):
         """At --tol 1e308 the audit's tol * n overflows to inf, and Kraus
         entries of 1e200 make an rcc residual NaN; both reports parse with
@@ -890,9 +887,6 @@ class TestReportFile:
         [item] = strict_reports(out)[0]["items"]
         assert (item["residual"], item["passed"]) == ("NaN", False)
 
-    # the entries of 1e200 overflow by design
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("stype, item", [("nsc", "nsc_deviation"), ("beck", "biconditional")])
     def test_an_overflowing_explicit_input_fails_with_a_nan_residual(self, tmp_path, capsys,
                                                                      stype, item):

@@ -218,6 +218,30 @@ class TestStackedEffects:
         with pytest.raises(ValueError, match="inside the laboratory"):
             cond.effects([{5}, {4, 5}])
 
+    def test_an_empty_cell_set_costs_no_sum_and_no_sandwich(self, smeared16, monkeypatch):
+        """The empty set's slot holds exact zeros (+0.0), and only the
+        nonempty sets reach the sandwich: composition asks for the empty
+        intersection of a subset inside the other laboratory, and validate's
+        sampled partitions for the empty right side of the whole laboratory."""
+        cond = build_conditional(smeared16, LAB6)
+        expected = cond.effect({5, 6})
+        sandwiched = []
+        sandwich = ConditionalPOVM._sandwich
+
+        def counted(self, A):
+            sandwiched.append(len(A) if A.ndim == 3 else 1)
+            return sandwich(self, A)
+
+        monkeypatch.setattr(ConditionalPOVM, "_sandwich", counted)
+        stack = cond.effects([set(), {6, 5}, []])
+        assert sum(sandwiched) == 1
+        assert stack.dtype == expected.dtype and stack.shape == (3, 16, 16)
+        assert not stack[[0, 2]].any() and not np.signbit(stack[[0, 2]]).any()
+        assert np.array_equal(stack[1], expected)
+        sandwiched.clear()
+        assert not cond.effects([set()]).any()
+        assert sum(sandwiched) == 0
+
 
 BUILDERS = {
     "sharp": lambda n: build_sharp_system(n, 1.0, 1.0),

@@ -795,6 +795,138 @@ class TestAuditAgainstPairwiseResidual:
         assert len(calls) == 11
 
 
+def _audit_by_route(sys, samples, t_grid, monkeypatch):
+    """The audit's report, and for the route it took (``"_block_norms"`` or
+    ``"_eigenbasis_norms"``) its audited pairs, separation mask and
+    per-(pair, t) norms."""
+    from povmlab import lattice
+
+    taken = {}
+    for route in ("_block_norms", "_eigenbasis_norms"):
+        def recorded(*args, _route=route, _call=getattr(lattice, route)):
+            norms = _call(*args)
+            taken[_route] = (args[2], args[3], norms)
+            return norms
+        monkeypatch.setattr(lattice, route, recorded)
+    return hc_audit(sys, samples, t_grid), taken
+
+
+def _assert_norms_match_the_dense_residual(sys, samples, t_grid, pairs, separated, norms):
+    """Each separated (pair, t) within max(1e-13, 1e-12 |r|) of the dense
+    ``microcausality_residual``; every other entry exactly 0."""
+    assert separated.any()
+    for (i, j), mask, row in zip(pairs, separated, norms):
+        for t, kept, value in zip(t_grid, mask, row):
+            if kept:
+                assert _close(value, microcausality_residual(sys, samples[i], samples[j], [t]))
+            else:
+                assert value == 0.0
+
+
+class TestBlockRoute:
+    """Coordinate-projector effects take the one-block route,
+    ||[P, Y]|| = ||P Y (1 - P)||; any other effects the eigenbasis route."""
+
+    T_GRID = [0.0, 0.5, -1.0, 2.5]
+
+    @staticmethod
+    def seeded_samples(n, seed):
+        """A block of n/2 + 1 cells (the Gram's other side), one of n/2 - 1,
+        two single cells and three cells drawn from the rest of the ring,
+        turned by a seeded offset."""
+        rng = make_rng(seed, n)
+        r = int(rng.integers(n))
+        rest = [(r + k) % n for k in range(n // 2 + 2, n - 1)]
+        return [sorted((r + k) % n for k in range(n // 2 + 1)),
+                sorted((r + k) % n for k in range(n // 2 - 1)),
+                [(r + 3 * n // 4) % n], [(r + n // 2 + 2) % n],
+                sorted(int(k) for k in rng.choice(rest, 3, replace=False))]
+
+    @pytest.mark.parametrize("kind", ["sharp", "alternating"])
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_each_norm_matches_the_dense_residual(self, kind, n, monkeypatch):
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        samples = self.seeded_samples(n, 95)
+        audit, taken = _audit_by_route(sys, samples, self.T_GRID, monkeypatch)
+        assert list(taken) == ["_block_norms"]
+        pairs, separated, norms = taken["_block_norms"]
+        _assert_norms_match_the_dense_residual(sys, samples, self.T_GRID, pairs, separated, norms)
+        assert audit.residual("microcausality_residual") == norms.max()
+
+    @pytest.mark.parametrize("kind", ["sharp", "alternating"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_the_report_matches_the_eigenbasis_route(self, kind, n, monkeypatch):
+        """The same residual within the proof bound, and the same witness,
+        verdict and other items, bit for bit."""
+        from povmlab import lattice
+
+        sys = MAKE_SYSTEM[kind](n, 1.5)
+        samples = self.seeded_samples(n, 96)
+        block = hc_audit(sys, samples, self.T_GRID).to_dict()
+        monkeypatch.setattr(lattice, "_projector_supports", lambda stack: None)
+        dense = hc_audit(sys, samples, self.T_GRID).to_dict()
+        [r_block, r_dense] = [[it.pop("residual") for it in report["items"]]
+                              for report in (block, dense)]
+        assert [_close(x, y) for x, y in zip(r_block, r_dense)] == [True] * 5
+        assert r_block[:3] + r_block[4:] == r_dense[:3] + r_dense[4:]
+        block.pop("wall_time")
+        dense.pop("wall_time")
+        assert block == dense
+
+    def test_a_complex_hamiltonian_runs_both_orientations(self, monkeypatch):
+        """A rebound complex Hermitian H turns time reversal off: every
+        ordered pair is normed."""
+        sys = build_sharp_system(16, 1.0, 1.0)
+        K = np.triu(make_rng(97).uniform(-0.2, 0.2, (16, 16)), 1)
+        sys.hamiltonian = sys.hamiltonian + 1j * (K - K.T)
+        samples = self.seeded_samples(16, 97)
+        _, taken = _audit_by_route(sys, samples, self.T_GRID, monkeypatch)
+        pairs, separated, norms = taken["_block_norms"]
+        assert {(j, i) for i, j in pairs} == {(i, j) for i, j in pairs}
+        assert (pairs[:, 0] > pairs[:, 1]).any()
+        _assert_norms_match_the_dense_residual(sys, samples, self.T_GRID, pairs, separated, norms)
+
+    def test_projectors_off_their_cell_indices(self, monkeypatch):
+        """A plain list of 0/1-diagonal cell effects, cell k on coordinate
+        perm[k]: the supports are read from the summed effects, not taken from
+        the cell indices."""
+        sharp = build_sharp_system(16, 1.0, 1.0)
+        perm = make_rng(98).permutation(16)
+        sys = LatticeLocalizationSystem(16, 1.0, [sharp.cell_effects[k] for k in perm],
+                                        sharp.shift, sharp.hamiltonian)
+        samples = self.seeded_samples(16, 98)
+        _, taken = _audit_by_route(sys, samples, self.T_GRID, monkeypatch)
+        pairs, separated, norms = taken["_block_norms"]
+        _assert_norms_match_the_dense_residual(sys, samples, self.T_GRID, pairs, separated, norms)
+
+    def test_the_zero_and_the_identity_projector_commute_with_everything(self, monkeypatch):
+        """A real zero cell effect (empty support) and an identity one (full
+        support) are coordinate projectors too: their norms are exactly 0."""
+        sharp = build_sharp_system(16, 1.0, 1.0)
+        effects = list(sharp.cell_effects)
+        effects[0], effects[1] = np.zeros((16, 16)), np.eye(16)
+        sys = LatticeLocalizationSystem(16, 1.0, effects, sharp.shift, sharp.hamiltonian)
+        samples = [[0], [1], [8, 9]]
+        _, taken = _audit_by_route(sys, samples, self.T_GRID, monkeypatch)
+        pairs, separated, norms = taken["_block_norms"]
+        assert not norms[pairs[:, 0] < 2].any()
+        _assert_norms_match_the_dense_residual(sys, samples, self.T_GRID, pairs, separated, norms)
+
+    def test_a_near_projector_and_a_smeared_kind_take_the_eigenbasis_route(self, monkeypatch):
+        sharp = build_sharp_system(16, 1.0, 1.0)
+        near = list(sharp.cell_effects)
+        near[0] = near[0].copy()
+        near[0][0, 0] = 1.0 - 2.0**-52
+        nearly_sharp = LatticeLocalizationSystem(16, 1.0, near, sharp.shift, sharp.hamiltonian)
+        samples = [[0, 1], [5, 6, 7], [11]]
+        for sys in (nearly_sharp, build_diagonal_smeared_system(16, 1.0, 1.0, 1.5)):
+            _, taken = _audit_by_route(sys, samples, self.T_GRID, monkeypatch)
+            assert list(taken) == ["_eigenbasis_norms"]
+            pairs, separated, norms = taken["_eigenbasis_norms"]
+            _assert_norms_match_the_dense_residual(sys, samples, self.T_GRID, pairs, separated,
+                                                   norms)
+
+
 # ---------------------------------------------------------------------------
 # cell effects built on first read, against the eager builders they replaced
 # ---------------------------------------------------------------------------

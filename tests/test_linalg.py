@@ -585,6 +585,7 @@ class TestDecompositionCounts:
         ("build_conditional", 1, 0, 0),
         ("hc_audit", 1, 4, 0),
         ("hc_audit_sharp", 1, 3, 0),
+        ("hc_audit_alternating", 1, 3, 0),
         ("luders_instrument", 2, 1, 0),
         ("validate_povm", 2, 1, 0),
         ("validate_effect", 1, 0, 0),
@@ -601,7 +602,12 @@ class TestDecompositionCounts:
             random_povm,
             random_state,
         )
-        from povmlab.lattice import build_frame_smeared_system, build_sharp_system, hc_audit
+        from povmlab.lattice import (
+            build_alternating_system,
+            build_frame_smeared_system,
+            build_sharp_system,
+            hc_audit,
+        )
         from povmlab.measurement import polar_kraus
 
         sys = build_frame_smeared_system(16, 1.0, 1.0, 1.5)
@@ -619,9 +625,13 @@ class TestDecompositionCounts:
             "random_povm": lambda: random_povm(4, 3, make_rng(42)),
             "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),
             "hc_audit": lambda: hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
-            # the norm stack is all diagonal: only the commutator norms take eigvalsh
+            # the norm stack is all diagonal, and the effects are coordinate
+            # projectors: one Gram eigvalsh per separated pair, over t = 0.5 and 1
             "hc_audit_sharp": lambda: hc_audit(build_sharp_system(16, 1.0, 1.0),
                                                [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
+            "hc_audit_alternating": lambda: hc_audit(build_alternating_system(16, 1.0, 1.0),
+                                                     [{1, 2, 3}, {6, 7}, {10, 11}],
+                                                     [0.0, 0.5, 1.0]),
             "luders_instrument": lambda: measurement.luders_instrument(povm),
             "validate_povm": lambda: measurement.validate_povm(povm),
             "validate_effect": lambda: measurement.validate_effect(T),
