@@ -505,20 +505,35 @@ def _eigenbasis_norms(stack: np.ndarray, energy: Eig | None, pairs: np.ndarray,
                       separated: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
     """||[A_i, U_t A_j U_t†]|| for each (pair, t) separated at t, 0 elsewhere,
     for any effects: Â = V† A V evolves by ``_evolved_in_eigenbasis`` (norms
-    are unitarily invariant), normed by ``commutator_norm`` in stacks of at
-    most ``stack_size(n)`` pairs per time.  ``energy`` is None when every t is 0."""
+    are unitarily invariant), normed by ``commutator_norm``.
+
+    The separated (pair, t) rows, in time order, are normed in chunks of
+    ``stack_size(n)`` rows that run across times, so each chunk is large
+    enough for numpy to decompose without the GIL.  The stack is evolved once
+    per time and dropped before the next time is evolved: memory holds one
+    time's evolved stack and one chunk, linear in the samples.  Rows at t = 0
+    compare the unevolved stack and are chunked apart: in a complex chunk, a
+    real stack's products would move from real to complex BLAS.  ``energy``
+    is None when every t is 0."""
     if energy is not None:
         stack = hermitize(dag(energy.V) @ stack @ energy.V)
     norms = np.zeros(separated.shape)
-    step = stack_size(stack.shape[-1])  # memory grows linearly, not quadratically, in the samples
-    for k, t in enumerate(t_grid):
-        at = np.flatnonzero(separated[:, k])
-        if not at.size:
-            continue
-        at_t = _evolved_in_eigenbasis(stack, energy.w, t) if t != 0 else stack
+    step = stack_size(stack.shape[-1])
+    moving = np.asarray(t_grid, dtype=float) != 0
+    for rows, dtype in ((separated & ~moving, stack.dtype), (separated & moving, complex)):
+        times, at = np.nonzero(rows.T)  # by time, then by pair
+        current = None
         for start in range(0, at.size, step):
-            chunk = at[start:start + step]
-            norms[chunk, k] = commutator_norm(stack[pairs[chunk, 0]], at_t[pairs[chunk, 1]])
+            chunk, chunk_times = at[start:start + step], times[start:start + step]
+            right = np.empty((chunk.size, *stack.shape[1:]), dtype)
+            for k in np.unique(chunk_times):
+                if k != current:
+                    at_t = None  # drop the last time's stack before evolving the next
+                    current, at_t = k, (_evolved_in_eigenbasis(stack, energy.w, t_grid[k])
+                                        if moving[k] else stack)
+                here = chunk_times == k
+                right[here] = at_t[pairs[chunk[here], 1]]
+            norms[chunk, chunk_times] = commutator_norm(stack[pairs[chunk, 0]], right)
     return norms
 
 

@@ -16,6 +16,7 @@ from povmlab.conditional import (
 )
 from povmlab.generators import haar_unitary, make_rng, random_effect, random_state
 from povmlab.lattice import (
+    LatticeLocalizationSystem,
     build_alternating_system,
     build_diagonal_smeared_system,
     build_frame_smeared_system,
@@ -539,6 +540,80 @@ class TestComposition:
         rhs = inv_u @ (s1 @ cond1.effect(frozenset()) @ s1) @ inv_u
         assert op_norm(lhs) <= 1e-12
         assert op_norm(rhs) <= 1e-12
+
+
+def v_conjugated(sys, V):
+    """The system with every operator conjugated by V, as
+    ``v_conjugation_reduction`` builds it: complex cell effects."""
+    return LatticeLocalizationSystem(
+        n=sys.n, a=sys.a, cell_effects=[hermitize(V @ E @ dag(V)) for E in sys.cell_effects],
+        shift=V @ sys.shift @ dag(V), hamiltonian=hermitize(V @ sys.hamiltonian @ dag(V)))
+
+
+def validate_by_stack(cond):
+    """validate()'s three items by the per-residual formulas: ``op_norm`` of
+    the additivity residuals' stack, and ``eigvalsh`` of the left effects'
+    stack."""
+    cells = sorted(cond.lab_cells)
+    if 1 << (len(cells) - 1) <= MAX_PARTITIONS:
+        lefts = [frozenset(c for i, c in enumerate(cells) if (r >> i) & 1)
+                 for r in range(1, 1 << (len(cells) - 1))]
+    else:
+        lefts = _sample_subsets(cond.lab_cells)
+    B_lab = cond.effect(cond.lab_cells)
+    residuals = cond.effects(lefts) + cond.effects([cond.lab_cells - c for c in lefts]) - B_lab
+    assert (residuals == dag(residuals)).all()  # so op_norm takes eigvalsh
+    w = np.linalg.eigvalsh(cond.effects(lefts))
+    bound = max(0.0, float((-w[:, 0]).max()), float((w[:, -1] - 1.0).max()))
+    return [op_norm(B_lab - np.eye(cond.dim)), float(op_norm(residuals).max()), bound]
+
+
+def composition_by_stack(sys, lab1, lab2):
+    """composition_identity_check's three items with one ``op_norm`` call per
+    difference stack."""
+    cond1, cond2 = build_conditional(sys, lab1), build_conditional(sys, lab2)
+    cond_u = build_conditional(sys, lab1 | lab2)
+    s1, s2 = cond1.lab_spectrum.sqrt(), cond2.lab_spectrum.sqrt()
+    w1, w2 = psd_sqrt(cond_u.effect(lab1)), psd_sqrt(cond_u.effect(lab2))
+    subsets = _sample_subsets(lab1 | lab2)
+    lhs = cond_u.effects(subsets)
+    b1 = cond1.effects([cells & lab1 for cells in subsets])
+    b2 = cond2.effects([cells & lab2 for cells in subsets])
+    rhs = cond_u._sandwich(s1 @ b1 @ s1 + s2 @ b2 @ s2)
+    return [op_norm(lhs - rhs).max(), op_norm(lhs - b1 - b2).max(),
+            op_norm(lhs - hermitize(w1 @ b1 @ w1 + w2 @ b2 @ w2)).max()]
+
+
+class TestMergedNormCalls:
+    """``validate`` and ``composition_identity_check`` decompose their
+    residual stacks in one call each; every item keeps the bits of one call
+    per stack, on real and on complex cell effects."""
+
+    @pytest.fixture(scope="class", params=["real", "complex"])
+    def systems(self, request):
+        out = {n: build_frame_smeared_system(n, 1.0, 1.0, 1.5) for n in (16, 64)}
+        if request.param == "complex":
+            out = {n: v_conjugated(sys, haar_unitary(n, make_rng(66 + n)))
+                   for n, sys in out.items()}
+        return out
+
+    @pytest.mark.parametrize("n, lab", [(16, frozenset([1, 2, 5, 8, 9, 12, 14])), (16, LAB6),
+                                        (64, LAB11), (64, frozenset(range(20, 32)))])
+    def test_validate(self, systems, n, lab):
+        cond = build_conditional(systems[n], lab)
+        assert cond.effect(lab).dtype == systems[n].cell_effects[0].dtype
+        report = cond.validate(1e-10)
+        assert [item.residual for item in report.items] == validate_by_stack(cond)
+        assert report.passed
+
+    @pytest.mark.parametrize("n, lab1, lab2", [(16, {2, 3, 4, 5}, {6, 7, 8, 9}),
+                                               (64, range(3, 9), range(20, 31))])
+    def test_composition(self, systems, n, lab1, lab2):
+        lab1, lab2 = frozenset(lab1), frozenset(lab2)
+        report = composition_identity_check(systems[n], lab1, lab2)
+        assert [item.residual for item in report.items] == composition_by_stack(
+            systems[n], lab1, lab2)
+        assert report.residual("identity_residual") <= 1e-10
 
 
 class TestCrossLabCommutator:

@@ -1140,8 +1140,9 @@ class TestDerivedEnergyEigensystem:
 
 
 class TestAuditPairStacks:
-    """The audit evaluates its disjoint pairs in stacks of stack_size(n);
-    the report does not depend on the stack size."""
+    """The audit evaluates its separated (pair, t) rows in chunks of
+    stack_size(n) rows that run across times; the report does not depend on
+    the chunk size, and the stack is still evolved one time at a time."""
 
     @pytest.mark.parametrize("kind, n", [("frame_smeared", 16), ("alternating", 17),
                                          ("diagonal_smeared", 16)])
@@ -1154,11 +1155,56 @@ class TestAuditPairStacks:
                    for _ in range(32)]
         t_grid = [0.0, 0.5, -1.5, 3.0]
         reports = []
-        for size in (10**9, 7, 1):
+        for size in (10**9, 8, 7, 1):
             monkeypatch.setattr(lattice, "stack_size", lambda dim, _size=size: _size)
             reports.append(hc_audit(sys, samples, t_grid, tol=1e-9).to_dict())
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
         assert reports[0]["items"][3]["residual"] > 0
+
+    def test_each_time_is_evolved_once_and_dropped_before_the_next(self, monkeypatch):
+        """Chunks span times, yet each time's evolved stack is made once, and
+        the last one is gone before the next is made: memory holds one time's
+        evolved stack and one chunk, never samples x times of them."""
+        import tracemalloc
+        import weakref
+
+        import povmlab.lattice as lattice
+
+        n = 32
+        sys = build_frame_smeared_system(n, 1.0, 1.0, 1.5)
+        rng = make_rng(75)
+        samples = [rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()
+                   for _ in range(32)]
+        t_grid = [0.25 * (k + 1) for k in range(8)]
+        hc_audit(sys, samples, t_grid)  # H's decomposition, made on first use
+        evolve, norms = lattice._evolved_in_eigenbasis, lattice._eigenbasis_norms
+        times, alive, extra, made = [], [], [], []
+
+        def evolved(B, w, t):
+            alive.append(sum(ref() is not None for ref in made))
+            out = evolve(B, w, t)
+            made.append(weakref.ref(out))
+            times.append(t)
+            return out
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = norms(*args)
+            extra.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        monkeypatch.setattr(lattice, "_evolved_in_eigenbasis", evolved)
+        monkeypatch.setattr(lattice, "_eigenbasis_norms", traced)
+        tracemalloc.start()
+        try:
+            hc_audit(sys, samples, t_grid)
+        finally:
+            tracemalloc.stop()
+        assert times == t_grid and alive == [0] * len(t_grid)
+        # 32 complex 32 x 32 matrices: 0.5 MiB, against 4 MiB for all 8 times
+        evolved_stack = len(samples) * n * n * 16
+        assert extra[0] < 6 * evolved_stack
 
 
 # ---------------------------------------------------------------------------

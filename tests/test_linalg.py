@@ -495,6 +495,21 @@ class TestStackOracle:
             eigh_checked(np.diag([1.0, 0.0])).inv_sqrt()
 
 
+def test_stack_size_crosses_numpys_gil_threshold():
+    """numpy's stacked eigvalsh releases the GIL only when the stack size times
+    n exceeds 500 (NPY_BEGIN_THREADS_THRESHOLDED in numpy's ndarraytypes.h):
+    a smaller stack holds the GIL, and the scenario threads cannot overlap
+    its decomposition.  So a stack holds more than 500 / n matrices at every
+    size a scenario may ask for, and never fewer than the byte budget's
+    count."""
+    from povmlab.scenarios import N_MAX
+
+    for n in range(1, N_MAX + 1):
+        assert linalg.stack_size(n) * n > 500, n
+        assert linalg.stack_size(n) >= linalg.STACK_BYTES // (16 * n * n), n
+    assert [linalg.stack_size(n) for n in (16, 32, 64, 128)] == [32, 16, 8, 4]
+
+
 class TestEig:
     """Eig's functions are bit-equal to the formulas they replaced, V f(w) V†
     on the same decomposition, for one matrix and for a stack."""
@@ -577,13 +592,22 @@ class TestDecompositionCounts:
         return counts
 
     @pytest.mark.parametrize("entry, eigh, eigvalsh, svd", [
-        ("composition_identity_check", 5, 3, 0),
+        # the three difference stacks in one eigvalsh
+        ("composition_identity_check", 5, 1, 0),
         ("conditional_prob_bound", 1, 1, 0),
         ("gentle_sides", 1, 1, 0),
         ("polar_kraus", 1, 1, 0),
         ("random_povm", 1, 0, 0),
         ("build_conditional", 1, 0, 0),
-        ("hc_audit", 1, 4, 0),
+        # the lab's normalization, then one eigvalsh per chunk of partitions:
+        # 7 partitions in one chunk at n = 16, 13 sampled ones in chunks of 8
+        # at n = 64
+        ("validate_n16", 1, 2, 0),
+        ("validate_n64", 1, 3, 0),
+        # one eigvalsh for the residuals and effects, one for the separated
+        # pairs at t = 0 and one for those at t = 0.5 and 1, whose chunk spans
+        # both times
+        ("hc_audit", 1, 3, 0),
         ("hc_audit_sharp", 1, 3, 0),
         ("hc_audit_alternating", 1, 3, 0),
         ("luders_instrument", 2, 1, 0),
@@ -624,6 +648,9 @@ class TestDecompositionCounts:
             "polar_kraus": lambda: polar_kraus(T, np.eye(4)),
             "random_povm": lambda: random_povm(4, 3, make_rng(42)),
             "build_conditional": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}),
+            "validate_n16": lambda: conditional.build_conditional(sys, {4, 5, 6, 7}).validate(),
+            "validate_n64": lambda: conditional.build_conditional(
+                build_frame_smeared_system(64, 1.0, 1.0, 1.5), range(20, 32)).validate(),
             "hc_audit": lambda: hc_audit(sys, [{1, 2, 3}, {6, 7}, {10, 11}], [0.0, 0.5, 1.0]),
             # the norm stack is all diagonal, and the effects are coordinate
             # projectors: one Gram eigvalsh per separated pair, over t = 0.5 and 1
@@ -658,13 +685,13 @@ class TestDecompositionCounts:
         counts.clear()
         hc_audit(sys, samples, times)
         assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
-            0, 4, 0)
+            0, 3, 0)
         sys.hamiltonian = sys.hamiltonian + np.diag(np.linspace(0.0, 0.3, 16))
         counts.clear()
         hc_audit(sys, samples, times)
         hc_audit(sys, samples, times)
         assert (counts.get("eigh", 0), counts.get("eigvalsh", 0), counts.get("svd", 0)) == (
-            1, 8, 0)
+            1, 6, 0)
 
     def test_laboratory_path(self, counts):
         """An effect of a built conditional POVM is a sum and a sandwich, and
