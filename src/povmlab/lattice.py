@@ -466,12 +466,6 @@ def _evolved_in_eigenbasis(B: np.ndarray, w: np.ndarray, t: float) -> np.ndarray
     return out
 
 
-# LAPACK's eigvalsh rescales a matrix whose largest |entry| lies below
-# sqrt(tiny / eps) = 2**-485 or above its reciprocal; inside this range, kept
-# with a margin, it returns an exactly diagonal matrix's diagonal itself
-_UNSCALED = (2.0**-480, 2.0**480)
-
-
 def _largest_norms(*groups: list[np.ndarray]) -> list[float]:
     """The largest ``op_norm`` of each group of matrices.  The matrices of all
     groups are normed in one call per dtype, since stacking a real matrix
@@ -479,21 +473,19 @@ def _largest_norms(*groups: list[np.ndarray]) -> list[float]:
     call per matrix of a stack, so each norm has the bits of its own call.
 
     An exactly diagonal matrix (every off-diagonal entry zero, and every
-    diagonal imaginary part zero) whose largest |entry| is 0 or lies in
-    ``_UNSCALED`` takes that entry as its norm, with no LAPACK call: it is
-    the largest |eigenvalue| ``op_norm`` would take, bit for bit.  The
-    position-diagonal kinds' effects and residuals are such matrices."""
+    diagonal imaginary part zero) takes its largest |diagonal entry| as its
+    norm, with no LAPACK call: that is its operator norm at every
+    magnitude.  The position-diagonal kinds' effects and residuals are such
+    matrices."""
     matrices = [M for group in groups for M in group]
     norms = np.empty(len(matrices))
-    low, high = _UNSCALED
     for dtype in {M.dtype for M in matrices}:
         at = np.array([i for i, M in enumerate(matrices) if M.dtype == dtype])
         stack = np.stack([matrices[i] for i in at])
         diagonal = np.diagonal(stack, axis1=-2, axis2=-1)
         largest = np.abs(diagonal.real).max(axis=-1)
         exact = ((np.count_nonzero(stack, axis=(-2, -1)) == np.count_nonzero(diagonal, axis=-1))
-                 & ~diagonal.imag.any(axis=-1)
-                 & ((largest == 0) | ((low <= largest) & (largest <= high))))
+                 & ~diagonal.imag.any(axis=-1))
         norms[at[exact]] = largest[exact]
         if not exact.all():
             norms[at[~exact]] = op_norm(stack[~exact])

@@ -46,8 +46,6 @@ DEFAULT_TOL = 1e-10
 PROB_FLOOR = 1e-12
 KERNEL_FLOOR_FACTOR = 1e-8
 TINY = sys.float_info.min  # the smallest normal float64, np.finfo(float).tiny
-# byte budget of one stack of matrices built from a longer list of them
-STACK_BYTES = 128 * 1024
 # numpy's stacked eigvalsh releases the GIL only when the stack size times n
 # exceeds this (NPY_BEGIN_THREADS_THRESHOLDED in numpy's ndarraytypes.h)
 GIL_FREE_LOOP = 500
@@ -55,12 +53,11 @@ _KEPT = (np.dtype(float), np.dtype(complex))  # the dtypes ``_as_array`` keeps
 
 
 def stack_size(n: int) -> int:
-    """How many (n, n) matrices one stack of a longer list holds: as many
-    complex ones as fit in STACK_BYTES, and at least enough that a stacked
-    ``eigvalsh`` runs without the GIL (k * n > GIL_FREE_LOOP), so
-    threads can overlap it.  The second rule binds above n = 16: 8 matrices
-    at n = 64, 16 at n = 32."""
-    return max(GIL_FREE_LOOP // n + 1, STACK_BYTES // (16 * n * n))
+    """How many (n, n) matrices one stack of a longer list holds: the fewest
+    for which a stacked ``eigvalsh`` runs without the GIL (k * n >
+    GIL_FREE_LOOP), so threads can overlap it: 32 at n = 16, 8 at n = 64.
+    A stacked result has the same bits at any stack size."""
+    return GIL_FREE_LOOP // n + 1
 
 
 def _as_array(M) -> np.ndarray:

@@ -22,9 +22,9 @@ from . import lattice as lat
 from . import signaling as sig
 from .generators import (commuting_povm_pair, effect_from, ginibre, make_rng, random_effect,
                          random_state, state_from, unitary_from)
-from .geometry import RegionUnion, _same_frame, causally_separated
+from .geometry import _same_frame, causally_separated
 from .linalg import DEFAULT_TOL, op_norm, stack_size
-from .measurement import KrausInstrument, luders_instrument
+from .measurement import luders_instrument
 from .reporting import CheckReport
 from .serialization import (
     Fields,
@@ -114,11 +114,9 @@ class Cells(NamedTuple):
 class Decoded(NamedTuple):
     """An object read by one of the ``serialization`` decoders; with ``dim``,
     of the dimension of the value read under that key: an integer, or a
-    decoded matrix, instrument or POVM; with ``rule``, refused by
-    ``rule(value, pointer, values)`` as well."""
+    decoded matrix, instrument or POVM."""
     decode: Callable[[Any, str], Any]
     dim: str | None = None
-    rule: Callable[[Any, str, dict], None] | None = None
 
     def __call__(self, raw: Any, pointer: str, values: dict) -> Any:
         out = self.decode(raw, pointer)
@@ -126,21 +124,20 @@ class Decoded(NamedTuple):
             want, got = _dimension(values[self.dim]), _dimension(out)
             if got != want:
                 raise SchemaError(pointer, f"expected dimension {self.dim} = {want}, got {got}")
-        if self.rule is not None:
-            self.rule(out, pointer, values)
         return out
 
 
-def _efficient(instrument: KrausInstrument, pointer: str, values: dict) -> None:
-    """rcc's rule: an efficient instrument, one Kraus operator per outcome."""
-    if not instrument.efficient:
-        raise SchemaError(pointer, "rcc needs an efficient instrument: one Kraus operator "
-                                   "per outcome")
+def _efficient(values: dict, pointer: str, tol: float) -> None:
+    """rcc's rule: each explicit instrument efficient, one Kraus operator per outcome."""
+    for key in ("first", "second"):
+        if values[key] is not None and not values[key].efficient:
+            raise SchemaError(f"{pointer}/{key}", "rcc needs an efficient instrument: one "
+                                                  "Kraus operator per outcome")
 
 
-def _in_frame_of_first(region: RegionUnion, pointer: str, values: dict) -> None:
-    """causal_separation's rule: a region in the frame of ``first``, by ``geometry``'s own test."""
-    built(_same_frame, f"{pointer}/frame", values["first"], region)
+def _in_frame_of_first(values: dict, pointer: str, tol: float) -> None:
+    """causal_separation's rule: ``second`` in ``first``'s frame, by ``geometry``'s own test."""
+    built(_same_frame, f"{pointer}/second/frame", values["first"], values["second"])
 
 
 def _luders_povms(values: dict, pointer: str, tol: float) -> None:
@@ -178,20 +175,18 @@ SYSTEM_KINDS = (*SHARP_KINDS, "diagonal_smeared", "frame_smeared")
 
 class CheckType(NamedTuple):
     """An adapter, its parameters in read order, a pair given both or neither,
-    and a rule on the values read that depends on the scenario's tolerance."""
+    and the rules ``rule(values, pointer, tol)`` that refuse values read."""
     run: Callable[[Scenario, np.random.Generator], CheckReport]
     params: tuple[Param, ...]
     pair: tuple[str, str] | None = None
-    rule: Callable[[dict, str, float], None] | None = None
+    rules: tuple[Callable[[dict, str, float], None], ...] = ()
 
     def read(self, raw: Any, pointer: str, tol: float) -> dict[str, Any]:
-        """One scenario's params, read in the table's order; a system's
-        checked whole, and ``rule`` applied at ``tol``."""
+        """One scenario's params, read in the table's order; then each rule,
+        in order, at ``tol``."""
         values = Fields(self.params, "params", "parameter", self.pair)(raw, pointer)
-        if self.params[:len(SYSTEM_PARAMS)] == SYSTEM_PARAMS:
-            _check_system(values, pointer)
-        if self.rule is not None:
-            self.rule(values, pointer, tol)
+        for rule in self.rules:
+            rule(values, pointer, tol)
         return values
 
 
@@ -202,7 +197,7 @@ SYSTEM_PARAMS = (Param("n", Integer(2, N_MAX), 16), Param("mass", Number(positiv
                  Param("kind", OneOf(SYSTEM_KINDS), "frame_smeared"))
 
 
-def _check_system(values: dict[str, Any], pointer: str) -> None:
+def _check_system(values: dict[str, Any], pointer: str, tol: float) -> None:
     """Refuse, with the builders' own functions, a non-finite Gaussian profile or dispersion,
     and at its own key a time whose phase t * max|omega| is not finite with a margin."""
     n, mass, a, width, kind = (values[p.name] for p in SYSTEM_PARAMS)
@@ -218,6 +213,13 @@ def _check_system(values: dict[str, Any], pointer: str) -> None:
         if not math.isfinite(t * norm * (1 + 1e-12)):  # eigh(H) tops norm by up to 4e-14
             raise SchemaError(f"{pointer}/{key}",
                               f"the phase t * max|omega| = {t!r} * {norm:.3e} overflows")
+
+
+def _on_system(run: Callable[[Scenario, np.random.Generator], CheckReport],
+               params: tuple[Param, ...]) -> CheckType:
+    """A check on a lattice system: SYSTEM_PARAMS read first, then ``params``,
+    and the system checked whole."""
+    return CheckType(run, SYSTEM_PARAMS + params, rules=(_check_system,))
 
 
 def _system(sc: Scenario) -> lat.LatticeLocalizationSystem:
@@ -390,41 +392,41 @@ _INSTRUMENT_EFFECT = (DIM, Param("instrument", Decoded(decode_instrument), None)
 CHECKS: dict[str, CheckType] = {
     "nsc": CheckType(_check_nsc, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     "rcc": CheckType(_check_rcc, (
-        DIM, Param("first", Decoded(decode_instrument, rule=_efficient), None),
-        Param("second", Decoded(decode_instrument, dim="first", rule=_efficient), None)),
-        ("first", "second")),
+        DIM, Param("first", Decoded(decode_instrument), None),
+        Param("second", Decoded(decode_instrument, dim="first"), None)),
+        ("first", "second"), (_efficient,)),
     "luders_equivalence": CheckType(_check_luders_equivalence, (
         DIM, Param("first", Decoded(decode_povm), None),
         Param("second", Decoded(decode_povm, dim="first"), None)), ("first", "second"),
-        _luders_povms),
+        (_luders_povms,)),
     "beck": CheckType(_check_beck, _INSTRUMENT_EFFECT, ("instrument", "effect")),
     # the draw needs three distinct levels; ``budget`` is read and not used
     "hw_search": CheckType(_check_hw_search, (Param("dim", Integer(3, N_MAX), 3),
                                               Param("budget", Integer(1), 1000))),
-    "hc_audit": CheckType(_check_hc_audit, SYSTEM_PARAMS + (
+    "hc_audit": _on_system(_check_hc_audit, (
         Param("t_grid", Nonempty(Number(), "times", TIMES_MAX), [0.5, 1.0, 2.0]),
         Param("delta_samples", Nonempty(Cells(nonempty=True), "cell lists", SAMPLES_MAX),
               None))),
-    "cc_residual": CheckType(_check_cc_residual, SYSTEM_PARAMS + (
+    "cc_residual": _on_system(_check_cc_residual, (
         Param("delta", Cells()), Param("t", Number(), 0.0))),
-    "conditional_build": CheckType(_check_conditional_build,
-                                   SYSTEM_PARAMS + (Param("lab", Cells(nonempty=True)),)),
+    "conditional_build": _on_system(_check_conditional_build,
+                                    (Param("lab", Cells(nonempty=True)),)),
     "gentle_sweep": CheckType(_check_gentle_sweep, (
         Param("dims", Nonempty(Integer(1, N_MAX), "dimensions"), [2, 3, 4, 5, 6, 7, 8]),
         Param("instances", Integer(1, INSTANCES_MAX), 1000))),
-    "conditional_bound": CheckType(_check_conditional_bound, SYSTEM_PARAMS + (
+    "conditional_bound": _on_system(_check_conditional_bound, (
         Param("lab", Cells(nonempty=True)), Param("delta", Cells(inside="lab")),
         Param("state", Decoded(decode_state, dim="n"), None))),
-    "composition": CheckType(_check_composition, SYSTEM_PARAMS + (
+    "composition": _on_system(_check_composition, (
         Param("lab1", Cells(nonempty=True)),
         Param("lab2", Cells(nonempty=True, disjoint_from="lab1")))),
-    "cross_lab_commutator": CheckType(_check_cross_lab_commutator, SYSTEM_PARAMS + (
+    "cross_lab_commutator": _on_system(_check_cross_lab_commutator, (
         Param("lab1", Cells(nonempty=True)), Param("lab2", Cells(nonempty=True)),
         Param("delta1", Cells(inside="lab1"), None),
         Param("delta2", Cells(inside="lab2"), None))),
     "causal_separation": CheckType(_check_causal_separation, (
-        Param("first", Decoded(decode_region)),
-        Param("second", Decoded(decode_region, rule=_in_frame_of_first)))),
+        Param("first", Decoded(decode_region)), Param("second", Decoded(decode_region))),
+        rules=(_in_frame_of_first,)),
 }
 
 

@@ -25,6 +25,7 @@ from povmlab.scenarios import (
     TIMES_MAX,
     Cells,
     Decoded,
+    _check_system,
     parse_scenarios,
     run_scenarios,
 )
@@ -772,6 +773,9 @@ class TestCrossFieldConstraints:
          "rcc needs an efficient instrument: one Kraus operator per outcome"),
         ("rcc", {"first": EFFICIENT, "second": NOT_EFFICIENT}, "second",
          "rcc needs an efficient instrument: one Kraus operator per outcome"),
+        # readers refuse a field as it is read, rules only after every field
+        ("rcc", {"first": NOT_EFFICIENT, "second": generate_instance("luders_instrument", 3, 1)},
+         "second", "expected dimension first = 1, got 3"),
         ("causal_separation", {"first": REGION, "second": BOOSTED}, "second/frame",
          "frame mismatch: FourVector(t=1.0, x=0.0, y=0.0, z=0.0) vs "
          "FourVector(t=1.25, x=0.75, y=0.0, z=0.0)"),
@@ -1218,6 +1222,12 @@ class TestReadme:
             if "n" in names:
                 assert all(a is b for a, b in zip(check.params, SYSTEM_PARAMS, strict=False))
                 assert names.index("kind") == len(SYSTEM_PARAMS) - 1
+
+    def test_exactly_the_lattice_checks_check_the_system_first(self):
+        for stype, check in CHECKS.items():
+            on_system = check.params[:len(SYSTEM_PARAMS)] == SYSTEM_PARAMS
+            assert (check.rules[:1] == (_check_system,)) == on_system, stype
+            assert _check_system not in check.rules[1:], stype
 
 
 class TestCrossLabGeometry:

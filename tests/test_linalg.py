@@ -500,13 +500,13 @@ def test_stack_size_crosses_numpys_gil_threshold():
     n exceeds 500 (NPY_BEGIN_THREADS_THRESHOLDED in numpy's ndarraytypes.h):
     a smaller stack holds the GIL, and the scenario threads cannot overlap
     its decomposition.  So a stack holds more than 500 / n matrices at every
-    size a scenario may ask for, and never fewer than the byte budget's
-    count."""
+    size a scenario may ask for, and a complex stack never takes more than
+    1.25 MB, its size at n = 125."""
     from povmlab.scenarios import N_MAX
 
     for n in range(1, N_MAX + 1):
         assert linalg.stack_size(n) * n > 500, n
-        assert linalg.stack_size(n) >= linalg.STACK_BYTES // (16 * n * n), n
+        assert linalg.stack_size(n) * 16 * n * n <= 1_250_000, n
     assert [linalg.stack_size(n) for n in (16, 32, 64, 128)] == [32, 16, 8, 4]
 
 
