@@ -493,7 +493,7 @@ def _largest_norms(*groups: list[np.ndarray]) -> list[float]:
     return [float(part.max()) for part in parts]
 
 
-def _eigenbasis_norms(stack: np.ndarray, energy: Eig | None, pairs: np.ndarray,
+def _eigenbasis_norms(stack: np.ndarray, energy: Eig, pairs: np.ndarray,
                       separated: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
     """||[A_i, U_t A_j U_t†]|| for each (pair, t) separated at t, 0 elsewhere,
     for any effects: Â = V† A V evolves by ``_evolved_in_eigenbasis`` (norms
@@ -504,11 +504,9 @@ def _eigenbasis_norms(stack: np.ndarray, energy: Eig | None, pairs: np.ndarray,
     enough for numpy to decompose without the GIL.  The stack is evolved once
     per time and dropped before the next time is evolved: memory holds one
     time's evolved stack and one chunk, linear in the samples.  Rows at t = 0
-    compare the unevolved stack and are chunked apart: in a complex chunk, a
-    real stack's products would move from real to complex BLAS.  ``energy``
-    is None when every t is 0."""
-    if energy is not None:
-        stack = hermitize(dag(energy.V) @ stack @ energy.V)
+    compare the unevolved rotated stack and are chunked apart: in a complex
+    chunk, a real stack's products would move from real to complex BLAS."""
+    stack = hermitize(dag(energy.V) @ stack @ energy.V)
     norms = np.zeros(separated.shape)
     step = stack_size(stack.shape[-1])
     moving = np.asarray(t_grid, dtype=float) != 0
@@ -540,7 +538,7 @@ def _projector_supports(stack: np.ndarray) -> list[np.ndarray] | None:
     return [np.flatnonzero(d) for d in diagonal]
 
 
-def _block_norms(supports: list[np.ndarray], energy: Eig | None, pairs: np.ndarray,
+def _block_norms(supports: list[np.ndarray], energy: Eig, pairs: np.ndarray,
                  separated: np.ndarray, t_grid: Sequence[float]) -> np.ndarray:
     """||[P_i, U_t P_j U_t†]|| for each (pair, t) separated at t, 0 elsewhere,
     for coordinate projectors P_i on the supports S_i.
@@ -601,9 +599,9 @@ def hc_audit(
     norm is that of one off-diagonal block, ||[P, Y]|| = ||P Y (1 - P)||
     (``_block_norms``).  Any other effects are evolved in H's eigenbasis
     (``_eigenbasis_norms``).  The route is decided from the summed effects,
-    not from the system's kind.  When some t != 0, H's decomposition is
-    ``energy_eigensystem()``, one ``eigh`` per process for a builder's H;
-    else H's spectrum is one ``eigvalsh``.  When H and the effects are real,
+    not from the system's kind.  H's decomposition, for the energy minimum
+    and both routes on every grid, is ``energy_eigensystem()``, one ``eigh``
+    per process for a builder's H.  When H and the effects are real,
     time reversal makes (j, i) equal (i, j) at each t, so only i < j is
     audited and the witness lists the earlier-listed sample first.
     """
@@ -628,11 +626,8 @@ def hc_audit(
 
     # microcausality_residual over the (pair, t) separated at t
     stack = np.stack(effects)
-    energy = sys.energy_eigensystem() if any(t != 0 for t in t_grid) else None
-    if energy is not None:
-        energy_min = float(energy.w[0])
-    else:
-        energy_min = float(np.linalg.eigvalsh(hermitize(sys.hamiltonian))[0])
+    energy = sys.energy_eigensystem()
+    energy_min = float(energy.w[0])
     time_reversal = np.isrealobj(sys.hamiltonian) and np.isrealobj(stack)
     gaps = [ring_gaps(sys, cells) for cells in samples]
     pairs = np.array([(i, j) for i in range(len(samples)) for j in range(len(samples))

@@ -8,10 +8,13 @@ BLAS, and its square roots, inverse square roots and products stay real; a
 complex operand anywhere in a product upcasts the result as numpy does.
 
 ``eigh_checked`` is the single functional-calculus path.  It decomposes
-``hermitize(A)``, and runs the Hermiticity guard only where that differs
+H = ``hermitize(A)``, and runs the Hermiticity guard only where H differs
 from A: where they are equal, A equals A† and the guard's residual is 0.
 (It never decomposes A itself: LAPACK reads the sign of a zero, and
-hermitize turns a -0.0 mirrored by +0.0 into +0.0.)  It returns one
+hermitize turns a -0.0 mirrored by +0.0 into +0.0.)  The guard has one
+rule, the one ``measurement``'s contracts report: A is refused when
+``herm_residual(A) > tol * max(1, ||H||)``, with ||H|| read from the
+decomposition it returns.  It returns one
 ``Eig`` (w, V), which carries the one formula V f(w) V† (``Eig.apply``) and
 gives the clamped square root, the inverse square root and the operator norm
 of the matrix, so a caller that needs several of these decomposes the matrix
@@ -23,9 +26,8 @@ Exactly Hermitian input (``A`` equal to ``A†`` entry by entry) takes the
 singular values as ``|eigvalsh(A)|``; every other input goes through the
 SVD.  ``herm_residual`` is 0.0 for such input, with no decomposition, and
 otherwise the norm of the exactly Hermitian ``i(A - A†)`` (for real input,
-of the real ``A - A.T``); the Hermiticity guard reads it and keeps its rule
-``||A - A†|| <= tol * max(1, ||A||)``.  ``commutator_norm`` of two exactly
-Hermitian matrices is one product AB and one ``eigvalsh``.
+of the real ``A - A.T``).  ``commutator_norm`` of two exactly Hermitian
+matrices is one product AB and one ``eigvalsh``.
 
 The kernels take one (n, n) matrix or a stack of shape (..., n, n), apply
 their rules (fast path, guard, clamp, floor) per matrix, return norms and
@@ -114,8 +116,6 @@ def _singular_values(M) -> np.ndarray:
     same = A == dag(A)
     if same.all():
         return np.abs(np.linalg.eigvalsh(A))
-    if A.ndim == 2:
-        return _svd_values(A)
     exact = same.all(axis=(-2, -1))
     values = np.empty(A.shape[:-1])
     if exact.any():
@@ -158,19 +158,6 @@ def herm_residual(M):
         D = A[~exact] - dag(A[~exact])
         residual[~exact] = op_norm(1j * D if np.iscomplexobj(D) else D)
     return float(residual) if residual.ndim == 0 else residual
-
-
-def is_hermitian(M, tol: float = DEFAULT_TOL):
-    """||A - A†|| <= tol * max(1, ||A||); ||A|| is only computed when the
-    residual exceeds tol."""
-    A = _as_array(M)
-    residual = herm_residual(A)
-    if A.ndim == 2:
-        return residual <= tol or residual <= tol * max(1.0, op_norm(A))
-    ok = residual <= tol
-    if not ok.all():
-        ok[~ok] = residual[~ok] <= tol * np.maximum(1.0, op_norm(A[~ok]))
-    return ok
 
 
 def hermitize(M) -> np.ndarray:
@@ -256,19 +243,21 @@ class Eig(NamedTuple):
 
 
 def eigh_checked(M, tol: float = DEFAULT_TOL) -> Eig:
-    """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian
-    input; the guard runs only where hermitize(A) differs from A."""
+    """Eigendecomposition of H = hermitize(A), refusing A unless
+    herm_residual(A) <= tol * max(1, ||H||), per matrix; the residual is
+    taken only where H differs from A or tol is not >= 0."""
     A = as_matrix(M, stack=True)
     H = hermitize(A)
+    eig = Eig(*np.linalg.eigh(H))
     if not (tol >= 0 and (H == A).all()):
-        ok = is_hermitian(A, tol)
-        if not (ok if A.ndim == 2 else ok.all()):
-            rejected = ~np.asarray(ok)
+        with np.errstate(over="ignore"):  # tol * ||H|| may round up to inf
+            rejected = ~(herm_residual(A) <= tol * np.maximum(1.0, eig.norm))
+        if rejected.any():
             raise ValueError(
                 f"matrix{at_index(rejected)} is not Hermitian within tolerance: "
                 f"residual {herm_residual(A[rejected][0]):.3e}"
             )
-    return Eig(*np.linalg.eigh(H))
+    return eig
 
 
 def psd_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:

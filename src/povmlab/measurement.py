@@ -121,8 +121,10 @@ def identity_instrument(dim: int) -> KrausInstrument:
 
 def _add_contract(report: CheckReport, M: np.ndarray, tol: float, effect: bool) -> Eig:
     """Add Hermiticity, min eigenvalue >= -tol and, for an effect, max
-    eigenvalue <= 1+tol to ``report`` at tol * max(1, ||M||); return the one
-    decomposition they read, that of the Hermitian part of M."""
+    eigenvalue <= 1+tol to ``report`` at tol * max(1, ||H||), H the Hermitian
+    part of M; return the one decomposition they read, that of H.  The
+    Hermiticity item is ``eigh_checked``'s guard: it passes exactly when
+    ``eigh_checked(M, tol)`` accepts M."""
     eig = Eig.of(M)
     scale = tol * max(1.0, eig.norm)
     report.add("hermiticity", herm_residual(M), scale)

@@ -774,13 +774,48 @@ class TestAuditAgainstPairwiseResidual:
         assert audit.witnesses["microcausality_witness"]["first_violating_t"] == -0.5
 
     def test_time_zero_only_never_evolves(self, sharp16, monkeypatch):
-        def refuse(self):
+        import povmlab.lattice as lattice
+
+        def refuse(*args):
             raise AssertionError("evolved at t = 0")
 
-        monkeypatch.setattr(LatticeLocalizationSystem, "energy_eigensystem", refuse)
+        monkeypatch.setattr(lattice, "_evolved_in_eigenbasis", refuse)
+        monkeypatch.setattr(lattice, "heisenberg_evolve", refuse)
         audit = hc_audit(sharp16, self.SAMPLES, [0.0], tol=1e-9)
         assert audit.residual("microcausality_residual") == 0.0
         assert audit.witnesses["microcausality_witness"] == {}
+
+    @pytest.mark.parametrize("kind", ["sharp", "alternating"])
+    def test_energy_minimum_does_not_depend_on_the_grid(self, kind):
+        """H is decomposed by one ``eigh`` on every grid, so a grid of t = 0
+        alone reads the same bits as one of another time."""
+        for n in range(2, 41):
+            sys = MAKE_SYSTEM[kind](n, 1.5)
+            samples = [[0], [n // 2]]
+            at_zero, at_one = (hc_audit(sys, samples, grid).residual("energy_min_eig")
+                               for grid in ([0.0], [1.0]))
+            assert at_zero == at_one, n
+
+    def test_time_zero_norms_do_not_depend_on_the_grid(self, monkeypatch):
+        """t = 0 rows are normed in H's eigenbasis whether or not the grid
+        holds another time: their bits are the same either way."""
+        import povmlab.lattice as lattice
+
+        seen = []
+
+        def recorded(*args, _norms=lattice._eigenbasis_norms):
+            seen.append(_norms(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lattice, "_eigenbasis_norms", recorded)
+        for n in range(4, 25):
+            for width in (0.5, 1.0, 1.5):
+                sys = MAKE_SYSTEM["frame_smeared"](n, width)
+                samples = [[0], [1, 2], [n // 2], [n - 2]]
+                seen.clear()
+                hc_audit(sys, samples, [0.0])
+                hc_audit(sys, samples, [0.0, 1.0])
+                assert seen[0][:, 0].tobytes() == seen[1][:, 0].tobytes(), (n, width)
 
     def test_each_sampled_region_summed_once(self, sharp16, monkeypatch):
         # per region its effect, complement and shifted region, plus one

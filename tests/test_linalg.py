@@ -13,7 +13,6 @@ from povmlab.linalg import (
     eigh_checked,
     herm_residual,
     hermitize,
-    is_hermitian,
     max_abs,
     op_norm,
     psd_sqrt,
@@ -119,9 +118,9 @@ def svd_oracle(A):
     return np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
 
 
-def old_hermiticity_guard(A, tol=DEFAULT_TOL):
-    """The guard as a pair of SVDs: ||A - A†|| <= tol * max(1, ||A||)."""
-    return svd_oracle(A - dag(A)).max() <= tol * max(1.0, svd_oracle(A).max())
+def hermiticity_oracle(A, tol=DEFAULT_TOL):
+    """The guard as a pair of SVDs: ||A - A†|| <= tol * max(1, ||hermitize(A)||)."""
+    return svd_oracle(A - dag(A)).max() <= tol * max(1.0, svd_oracle(hermitize(A)).max())
 
 
 def norm_cases(rng):
@@ -159,15 +158,15 @@ class TestNormOracle:
         H = hermitize(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         op_norm(H)
         trace_norm(H)
-        assert is_hermitian(H)
+        assert herm_residual(H) == 0.0
         eigh_checked(H)
         psd_sqrt(H @ H)
         op_norm(H + H - np.eye(8))
         # within tolerance but not exactly Hermitian: the residual i(A - A†)
-        # is exactly Hermitian and the scale ||A|| is not needed
+        # is exactly Hermitian and the scale ||H|| comes from the eigh
         N = H.copy()
         N[0, 1] += 1e-14
-        assert is_hermitian(N)
+        eigh_checked(N)
         assert calls == []
         op_norm(rng.normal(size=(8, 8)))
         assert len(calls) == 1
@@ -283,9 +282,8 @@ class TestHermiticityGuard:
             K = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             K /= svd_oracle(K - dag(K)).max()
             A = H + ratio * DEFAULT_TOL * max(1.0, norm) * K
-            expected = old_hermiticity_guard(A)
+            expected = hermiticity_oracle(A)
             assert expected == (ratio < 1.0)
-            assert is_hermitian(A) == expected
             if expected:
                 eigh_checked(A)
             else:
@@ -302,17 +300,58 @@ class TestHermiticityGuard:
                 return _call(A, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recorded)
         H = mixed_stack(4, make_rng(25))
-        assert herm_residual(H[0]) == 0.0 and is_hermitian(H[0])
+        assert herm_residual(H[0]) == 0.0
         assert np.array_equal(herm_residual(H[::2]), np.zeros(3))
         assert stacks == []
         residual = herm_residual(H)
         assert stacks == [(3,)]  # one stacked call on the three inexact matrices
         assert np.array_equal(residual[::2], np.zeros(3)) and (residual[1::2] > 0).all()
-        assert is_hermitian(H).all()
+        eigh_checked(H)  # every matrix within tolerance
 
     def test_negative_tolerance_rejects_everything(self):
-        assert not is_hermitian(np.eye(2), tol=-1.0)
-        assert not is_hermitian(np.zeros((2, 2)), tol=-1.0)
+        for M in (np.eye(2), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+                eigh_checked(M, tol=-1.0)
+
+    def test_accepts_exactly_when_the_effect_contract_passes(self):
+        """One rule: eigh_checked refuses A exactly when validate_effect's
+        hermiticity item FAILs, both at tol * max(1, ||hermitize(A)||)."""
+        from povmlab.measurement import validate_effect
+
+        def agree(A, tol):
+            [passed] = [it.passed for it in validate_effect(A, tol).items
+                        if it.name == "hermiticity"]
+            try:
+                eigh_checked(A, tol)
+            except ValueError:
+                assert not passed
+                return False
+            assert passed
+            return True
+
+        # ||A - A†|| = 5.1 lies between 0.5 * ||H|| = 5.0 and 0.5 * ||A|| = 5.16
+        assert not agree(np.diag([10 + 2.55j, 0.0]), 0.5)
+        rng = make_rng(37)
+        accepted = []
+        for tol in (1e-10, 1e-3, 0.5, 2.0):
+            for ratio in (0.99, 0.999, 1.001, 1.01, 1.05):
+                H = hermitize(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+                H *= 3.0 / op_norm(H)
+                G = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+                D = G - dag(G)
+                K = D / (2 * svd_oracle(D).max())  # anti-Hermitian, ||K - K†|| = 1
+                accepted.append(agree(H + ratio * tol * max(1.0, op_norm(H)) * K, tol))
+        assert True in accepted and False in accepted
+
+    def test_overflowing_scale_accepts_without_warning(self):
+        """tol * max(1, ||H||) rounds up to inf at tol = 1e308 with no
+        RuntimeWarning, which this suite turns into an error."""
+        H = mixed_stack(4, make_rng(38))
+        H[1, 0, 1] += 1.0
+        assert not (hermitize(H) == H).all() and (op_norm(hermitize(H)) > 1.0).all()
+        for M in (H, H[1]):
+            w, V = eigh_checked(M, tol=1e308)
+            assert np.array_equal(w, np.linalg.eigh(hermitize(M))[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, bad):
@@ -343,7 +382,7 @@ class TestExactHermitianShortcut:
 
     def test_exact_input_is_bit_equal_to_the_old_formula(self, monkeypatch):
         guarded = []
-        monkeypatch.setattr(linalg, "is_hermitian", lambda *a, **k: guarded.append(1))
+        monkeypatch.setattr(linalg, "herm_residual", lambda *a, **k: guarded.append(1))
         for H in self.cases(make_rng(91)):
             assert (H == dag(H)).all()
             self.assert_old_formula(H)  # a stack
@@ -364,8 +403,8 @@ class TestExactHermitianShortcut:
 
     def test_near_hermitian_input_goes_through_the_guard(self, monkeypatch):
         guarded = []
-        guard = linalg.is_hermitian
-        monkeypatch.setattr(linalg, "is_hermitian",
+        guard = linalg.herm_residual
+        monkeypatch.setattr(linalg, "herm_residual",
                             lambda *a, **k: guarded.append(1) or guard(*a, **k))
         H = mixed_stack(4, make_rng(92))
         assert not (hermitize(H) == H).all()
@@ -411,7 +450,7 @@ class TestStackOracle:
         H = mixed_stack(n, rng)
         if n > 1:
             assert not np.array_equal(H[1], dag(H[1]))
-        for fn in (op_norm, trace_norm, psd_sqrt, herm_residual, is_hermitian,
+        for fn in (op_norm, trace_norm, psd_sqrt, herm_residual,
                    hermitize, lambda M: eigh_checked(M).inv_sqrt()):
             assert np.array_equal(fn(H), loop(fn, H))
         w, V = eigh_checked(H)
@@ -461,11 +500,21 @@ class TestStackOracle:
         H[2] *= norm / op_norm(H[2])
         K = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         K /= svd_oracle(K - dag(K)).max()
-        for ratio in (0.99, 1.01):
-            H[2] = hermitize(H[2]) + ratio * DEFAULT_TOL * max(1.0, norm) * K
-            assert np.array_equal(is_hermitian(H), loop(is_hermitian, H))
-            assert is_hermitian(H)[2] == (ratio < 1.0)
-        assert not is_hermitian(H, tol=-1.0).any()
+        H[2] = hermitize(H[2]) + 0.99 * DEFAULT_TOL * max(1.0, norm) * K
+        eigh_checked(H)
+        for M in H:
+            eigh_checked(M)
+        H[2] = hermitize(H[2]) + 1.01 * DEFAULT_TOL * max(1.0, norm) * K
+        with pytest.raises(ValueError, match="^matrix at stack index 2 is not Hermitian"):
+            eigh_checked(H)
+        for k, M in enumerate(H):
+            if k == 2:
+                with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+                    eigh_checked(M)
+            else:
+                eigh_checked(M)
+        with pytest.raises(ValueError, match="^matrix at stack index 0 is not Hermitian"):
+            eigh_checked(H, tol=-1.0)
 
     def test_non_hermitian_matrix_refused_by_index(self):
         H = mixed_stack(3, make_rng(35))
@@ -755,11 +804,12 @@ class TestDtypeFollowsInput:
     def test_real_input_passes_the_hermiticity_guard_as_before(self):
         M = np.diag([1.0, 2.0])
         M[0, 1] = 1e-12
-        assert is_hermitian(M) and is_hermitian(M.astype(complex))
+        eigh_checked(M)
+        eigh_checked(M.astype(complex))
         M[0, 1] = 1e-6
-        assert not is_hermitian(M) and not is_hermitian(M.astype(complex))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eigh_checked(M)
+        for A in (M, M.astype(complex)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eigh_checked(A)
 
     def test_complex_input_stays_complex128(self):
         rng = make_rng(62)
